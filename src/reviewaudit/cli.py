@@ -11,42 +11,40 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
-import json
 import sys
 from typing import IO, Mapping
 
 from . import __version__
-from .agreement import analyze_agreement
-from .did import DidPanel, did_estimate, did_with_error_rates
+from .did import DidPanel
 from .errors import (
     ConfigError,
     CsvFormatError,
     DatasetValidationError,
     ReviewAuditError,
 )
-from .estimation import bias_factor_report, binomial_ci
-from .hypotheses import chi_square_independence, one_way_anova, two_sample_t
-from .model import ReviewDataset, contingency_from, validate_dataset
+from .estimation import binomial_ci
+from .model import ReviewDataset, validate_dataset
 from .report import (
+    _agreement_section,
+    _bias_section,
+    _chi_square_section,
+    _did_section,
+    _extrapolation_section,
+    _json_text,
+    _open_source,
     _round12,
-    _unit_error_outcomes,
-    _unit_teams,
-    agreement_payload,
-    bias_payload,
-    did_payload,
+    _team_section,
     emit_report,
     ingest_csv,
+    ingest_csv_groups,
     interval_payload,
     read_ground_truth_csv,
     read_outcome_panel_csv,
-    render_text,
     run_audit,
-    test_payload,
     write_ground_truth_csv,
     write_panel_csv,
 )
-from .simulate import SimulationConfig, inject_review_change, simulate_panel
+from .simulate import DidPair, SimulationConfig, inject_review_change, simulate_panel
 
 CI_METHOD_FLAGS = {"clopper-pearson": "clopper_pearson", "wilson": "wilson"}
 KAPPA_MODE_FLAGS = {"pooled": "pooled", "mean": "mean_of_questions"}
@@ -54,7 +52,7 @@ KAPPA_MODE_FLAGS = {"pooled": "pooled", "mean": "mean_of_questions"}
 
 def _emit(payload: dict, args, out: IO[str]) -> None:
     if args.format == "json":
-        out.write(json.dumps(_round12(payload), sort_keys=True, indent=2) + "\n")
+        out.write(_json_text(_round12(payload)))
     else:
         _write_text(payload, out)
 
@@ -89,87 +87,40 @@ def _maybe_truth(args) -> dict[str, str] | None:
     return read_ground_truth_csv(path) if path else None
 
 
-def _team_samples(dataset: ReviewDataset, truth) -> dict[str, list[float]]:
-    outcomes, _basis = _unit_error_outcomes(dataset, truth)
-    unit_teams = _unit_teams(dataset)
-    teams = sorted({t for t in unit_teams.values() if t is not None})
-    if len(teams) < 2:
-        raise DatasetValidationError(
-            f"team comparison needs >= 2 teams, found {len(teams)}"
-        )
-    return {
-        team: [
-            float(outcomes[key]) for key in sorted(outcomes) if unit_teams[key] == team
-        ]
-        for team in teams
-    }
-
-
 def _cmd_agreement(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    payload = agreement_payload(
-        analyze_agreement(dataset, KAPPA_MODE_FLAGS[args.overall_kappa])
-    )
-    _emit(payload, args, out)
+    _emit(_agreement_section(dataset, KAPPA_MODE_FLAGS[args.overall_kappa]), args, out)
     return 0
 
 
 def _cmd_chisq(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    questions = [args.question] if args.question else list(dataset.questions)
-    per_question = {}
-    n_ok = 0
-    for q in questions:
-        try:
-            result = chi_square_independence(
-                contingency_from(dataset, q), alpha=args.alpha, yates=args.yates
-            )
-            per_question[q] = {"status": "ok", **test_payload(result)}
-            n_ok += 1
-        except ReviewAuditError as exc:
-            per_question[q] = {"status": "error", "error": str(exc)}
+    try:
+        body = _chi_square_section(
+            dataset, args.alpha, args.yates, [args.question] if args.question else None
+        )
+    except ReviewAuditError as exc:
+        body = exc.partial
+    per_question = body["per_question"]
     _emit({"per_question": per_question}, args, out)
-    return 0 if n_ok == len(questions) else 1
+    return 0 if all(b["status"] == "ok" for b in per_question.values()) else 1
+
+
+def _team_test(args, out: IO[str], test: str, keys: tuple[str, ...], **options) -> int:
+    dataset = _load_dataset(args)
+    body = _team_section(dataset, _maybe_truth(args), args.alpha, test, **options)
+    if body["status"] == "skipped":
+        raise DatasetValidationError(f"team comparison needs >= 2 teams: {body['reason']}")
+    _emit({key: body[key] for key in keys}, args, out)
+    return 0
 
 
 def _cmd_ttest(args, out: IO[str]) -> int:
-    dataset = _load_dataset(args)
-    groups = _team_samples(dataset, _maybe_truth(args))
-    teams = sorted(groups)
-    if len(teams) != 2:
-        raise DatasetValidationError(
-            f"t test compares exactly 2 teams, found {len(teams)}; use anova"
-        )
-    result = two_sample_t(
-        groups[teams[0]], groups[teams[1]],
-        variant=args.variant, tail=args.tail, alpha=args.alpha,
-    )
-    _emit({"teams": teams, "test": test_payload(result)}, args, out)
-    return 0
+    return _team_test(args, out, "t", ("teams", "test"), variant=args.variant, tail=args.tail)
 
 
 def _cmd_anova(args, out: IO[str]) -> int:
-    dataset = _load_dataset(args)
-    groups = _team_samples(dataset, _maybe_truth(args))
-    teams = sorted(groups)
-    result, decomposition = one_way_anova([groups[t] for t in teams], alpha=args.alpha)
-    _emit(
-        {
-            "teams": teams,
-            "test": test_payload(result),
-            "anova": {
-                "ss_treatment": decomposition.ss_treatment,
-                "ss_error": decomposition.ss_error,
-                "ms_treatment": decomposition.ms_treatment,
-                "ms_error": decomposition.ms_error,
-                "group_means": list(decomposition.group_means),
-                "grand_mean": decomposition.grand_mean,
-            },
-        },
-        args,
-        out,
-    )
-    return 0
+    return _team_test(args, out, "anova", ("teams", "test", "anova"))
 
 
 def _cmd_ci(args, out: IO[str]) -> int:
@@ -183,91 +134,52 @@ def _cmd_ci(args, out: IO[str]) -> int:
     if not args.input:
         raise ValueError("provide either --x/--n or --input")
     dataset = _load_dataset(args)
-    outcomes, basis = _unit_error_outcomes(dataset, _maybe_truth(args))
-    groups: dict[str, list[int]] = {"all": []}
-    for (product, reviewer), err in sorted(outcomes.items()):
-        groups["all"].append(err)
-        groups.setdefault(f"reviewer:{reviewer}", []).append(err)
-    payload = {
-        "outcome_basis": basis,
-        "groups": {
-            name: interval_payload(
-                binomial_ci(sum(vals), len(vals), level=args.level, method=method)
-            )
-            for name, vals in sorted(groups.items())
-        },
-    }
-    _emit(payload, args, out)
+    body = _extrapolation_section(dataset, _maybe_truth(args), method, args.level)
+    if body["status"] == "skipped":
+        raise ValueError(body["reason"])
+    _emit({"outcome_basis": body["outcome_basis"], "groups": body["groups"]}, args, out)
     return 0
 
 
 def _cmd_regress(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
     factors = args.factors.split(",") if args.factors else None
-    payload = bias_payload(bias_factor_report(dataset, factors))
-    _emit(payload, args, out)
+    _emit(_bias_section(dataset, factors), args, out)
     return 0
 
 
-def _split_by_group(path: str) -> dict[str, list]:
-    """Split a review CSV carrying a group column into per-group records."""
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None or "group" not in reader.fieldnames:
-            raise CsvFormatError("review-format DiD input needs a 'group' column",
-                                 column="group")
-        rows = list(reader)
-    groups: dict[str, list] = {}
-    for row in rows:
-        groups.setdefault((row.get("group") or "").strip(), []).append(row)
-    header = [c for c in reader.fieldnames if c != "group"]
-    records = {}
-    for group, group_rows in groups.items():
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        for row in group_rows:
-            writer.writerow({k: row[k] for k in header})
-        buf.seek(0)
-        records[group] = ingest_csv(buf)
-    return records
-
-
 def _cmd_did(args, out: IO[str]) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as probe:
-        header_line = probe.readline()
-    fields = [f.strip() for f in header_line.strip().split(",")]
-    if "outcome" in fields:
+    with _open_source(args.input) as stream:
+        header = next(csv.reader(stream), [])
+    if "outcome" in header:
         observations = read_outcome_panel_csv(args.input)
-        panel = DidPanel(
+        did_input = DidPanel(
             observations=tuple(observations), change_period=args.change_period
         )
-        result = did_estimate(panel, period_balanced=args.period_balanced)
     else:
         if not args.ground_truth:
             raise ValueError(
                 "review-format DiD input needs --ground-truth for error rates"
             )
-        by_group = _split_by_group(args.input)
+        by_group = ingest_csv_groups(args.input)
         missing = {"treated", "control"} - set(by_group)
         if missing:
             raise DatasetValidationError(
                 f"DiD input lacks group(s): {sorted(missing)}"
             )
         truth = read_ground_truth_csv(args.ground_truth)
-        result = did_with_error_rates(
-            validate_dataset(by_group["treated"], policy=args.policy),
-            validate_dataset(by_group["control"], policy=args.policy),
-            truth,
-            args.change_period,
-            period_balanced=args.period_balanced,
+        did_input = DidPair(
+            treated=validate_dataset(by_group["treated"], policy=args.policy),
+            control=validate_dataset(by_group["control"], policy=args.policy),
+            ground_truth=truth,
+            change_period=args.change_period,
         )
-    _emit(did_payload(result), args, out)
+    _emit(_did_section(did_input, args.period_balanced), args, out)
     return 0
 
 
 def _cmd_simulate(args, out: IO[str]) -> int:
-    with open(args.config, "r", encoding="utf-8") as stream:
+    with _open_source(args.config) as stream:
         config = SimulationConfig.from_json(stream)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -312,10 +224,7 @@ def _cmd_audit(args, out: IO[str]) -> int:
         yates=args.yates,
         did_panel=did_panel,
     )
-    if args.format == "json":
-        out.write(emit_report(report, "json"))
-    else:
-        out.write(render_text(report))
+    out.write(emit_report(report, args.format))
     return 1 if any(s == "error" for s in report.statuses().values()) else 0
 
 

@@ -156,25 +156,20 @@ def did_estimate(
 def reviewer_classifications(dataset: ReviewDataset) -> dict[tuple[str, str], tuple[str, int | None]]:
     """Majority final classification and period per (product, reviewer) unit.
 
-    Classification ties break lexicographically; the period is taken from
-    the unit's records and must be consistent.
+    The classification comes from the dataset's unit table; the period is
+    taken from the unit's records and must be consistent.
     """
-    votes: dict[tuple[str, str], dict[str, int]] = {}
-    periods: dict[tuple[str, str], set[int | None]] = {}
+    units = dataset.units
+    out: dict[tuple[str, str], tuple[str, int | None]] = {}
     for rec in dataset.records:
         key = (rec.product_id, rec.reviewer_id)
-        votes.setdefault(key, {})
-        votes[key][rec.final_classification] = votes[key].get(rec.final_classification, 0) + 1
-        periods.setdefault(key, set()).add(rec.period)
-    out = {}
-    for key, counts in votes.items():
-        label = min(counts, key=lambda c: (-counts[c], c))
-        period_set = periods[key]
-        if len(period_set) != 1:
+        seen = out.get(key)
+        if seen is None:
+            out[key] = (units[key].classification, rec.period)
+        elif seen[1] != rec.period:
             raise PanelError(
                 f"unit (product={key[0]!r}, reviewer={key[1]!r}) spans multiple periods"
             )
-        out[key] = (label, next(iter(period_set)))
     return out
 
 
@@ -194,9 +189,7 @@ def did_with_error_rates(
     """
     observations: list[tuple[str, int, float]] = []
     for group, dataset in (("treated", treated), ("control", control)):
-        for (product, _reviewer), (label, period) in sorted(
-            reviewer_classifications(dataset).items()
-        ):
+        for (product, _reviewer), (label, period) in reviewer_classifications(dataset).items():
             if product not in ground_truth:
                 raise MissingGroundTruthError(product)
             if period is None:

@@ -318,9 +318,8 @@ def _encode_units(
     """One-hot design over (product, reviewer) units.
 
     A unit enters only if it has a record for every factor question; its
-    target is the majority final classification across its records (ties
-    break lexicographically). Reference level per factor is the
-    lexicographically first label.
+    target is its majority classification from the dataset's unit table.
+    Reference level per factor is the lexicographically first label.
     """
     questions = [f for f in factors if f != "team"]
     use_team = "team" in factors
@@ -328,34 +327,21 @@ def _encode_units(
         if q not in dataset.questions:
             raise DatasetValidationError(f"factor {q!r} is not a question in the dataset")
 
-    units: dict[tuple[str, str], dict[str, str]] = {}
-    unit_class: dict[tuple[str, str], list[str]] = {}
-    unit_team: dict[tuple[str, str], str | None] = {}
+    units = dataset.units
+    answers: dict[tuple[str, str], dict[str, str]] = {}
     for rec in dataset.records:
-        key = (rec.product_id, rec.reviewer_id)
-        unit_class.setdefault(key, []).append(rec.final_classification)
-        if key not in unit_team:
-            unit_team[key] = rec.team
         if rec.question_id in questions:
-            units.setdefault(key, {})[rec.question_id] = rec.answer
+            answers.setdefault((rec.product_id, rec.reviewer_id), {})[rec.question_id] = rec.answer
 
     complete_keys = sorted(
-        k for k, answers in units.items() if len(answers) == len(questions)
+        k for k, unit_answers in answers.items() if len(unit_answers) == len(questions)
     )
     if not complete_keys and not questions and use_team:
-        complete_keys = sorted(unit_class)
+        complete_keys = list(units)
     if not complete_keys:
         raise DatasetValidationError("no (product, reviewer) unit covers every factor")
 
-    majority = {}
-    for key in complete_keys:
-        votes = unit_class[key]
-        counts: dict[str, int] = {}
-        for v in votes:
-            counts[v] = counts.get(v, 0) + 1
-        majority[key] = min(counts, key=lambda label: (-counts[label], label))
-
-    labels = tuple(sorted(set(majority.values())))
+    labels = tuple(sorted({units[key].classification for key in complete_keys}))
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
 
@@ -368,7 +354,7 @@ def _encode_units(
             encoders.append((q, label))
     team_levels: tuple[str, ...] = ()
     if use_team:
-        teams = {unit_team[k] for k in complete_keys}
+        teams = {units[k].team for k in complete_keys}
         if None in teams:
             raise DatasetValidationError("factor 'team' requested but some units lack a team")
         team_levels = tuple(sorted(teams))
@@ -378,11 +364,11 @@ def _encode_units(
     design: list[list[float]] = []
     target: list[int] = []
     for key in complete_keys:
-        row = [1.0 if units.get(key, {}).get(q) == label else 0.0 for q, label in encoders]
+        row = [1.0 if answers.get(key, {}).get(q) == label else 0.0 for q, label in encoders]
         if use_team:
-            row.extend(1.0 if unit_team[key] == level else 0.0 for level in team_levels[1:])
+            row.extend(1.0 if units[key].team == level else 0.0 for level in team_levels[1:])
         design.append(row)
-        target.append(0 if majority[key] == labels[0] else 1)
+        target.append(0 if units[key].classification == labels[0] else 1)
     return design, columns, target, labels
 
 

@@ -21,6 +21,7 @@ from .special import (
     f_upper_tail,
     normal_upper_tail,
     student_t_upper_tail,
+    tail_area,
 )
 
 TAILS = ("upper", "lower", "two_sided")
@@ -55,22 +56,6 @@ def _mean(xs: Sequence[float]) -> float:
 
 def _sample_variance(xs: Sequence[float], mean: float) -> float:
     return math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-
-
-def _t_p_value(t: float, df: float, tail: str) -> float:
-    if tail == "upper":
-        return student_t_upper_tail(t, df)
-    if tail == "lower":
-        return 1.0 - student_t_upper_tail(t, df)
-    return 2.0 * student_t_upper_tail(abs(t), df)
-
-
-def _z_p_value(z: float, tail: str) -> float:
-    if tail == "upper":
-        return normal_upper_tail(z)
-    if tail == "lower":
-        return 1.0 - normal_upper_tail(z)
-    return 2.0 * normal_upper_tail(abs(z))
 
 
 def chi_square_independence(
@@ -141,7 +126,7 @@ def one_sample_location_test(
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         z = (_mean(sample) - mu0) / (sigma / math.sqrt(n))
-        p = _z_p_value(z, tail)
+        p = tail_area(normal_upper_tail, z, tail)
         return TestResult(
             test_kind="z",
             statistic=z,
@@ -161,7 +146,7 @@ def one_sample_location_test(
         )
     t = (mean - mu0) / math.sqrt(s2 / n)
     df = n - 1
-    p = _t_p_value(t, df, tail)
+    p = tail_area(student_t_upper_tail, t, tail, df)
     return TestResult(
         test_kind="t_one_sample",
         statistic=t,
@@ -211,7 +196,7 @@ def two_sample_t(
             "both samples have zero variance; t statistic is undefined"
         )
     t = (ma - mb) / se
-    p = _t_p_value(t, df, tail)
+    p = tail_area(student_t_upper_tail, t, tail, df)
     return TestResult(
         test_kind="t_two_sample",
         statistic=t,

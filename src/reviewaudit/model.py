@@ -5,15 +5,17 @@ A review panel is a long-format collection of records: one row per
 reviewer roster and per-question category spaces, and applies the
 incomplete-cell policy. Analysis-ready structures (rating matrices for
 agreement, contingency tables for independence tests) are derived from the
-validated dataset. All types are immutable after construction and all
-operations are pure.
+validated dataset, as is the per-unit table: one row per (product,
+reviewer) unit with the reviewer's majority classification and team. All
+types are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     DatasetValidationError,
@@ -26,6 +28,16 @@ from .errors import (
 )
 
 INCOMPLETE_CELL_POLICIES = ("drop", "strict")
+
+L = TypeVar("L", bound=Hashable)
+
+
+def majority(labels: Iterable[L]) -> L:
+    """The most frequent label; a tie goes to the smallest label."""
+    counts: dict[L, int] = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    return min(counts, key=lambda label: (-counts[label], label))
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +80,15 @@ class ValidationSummary:
     policy: str
 
 
+class Unit(NamedTuple):
+    """One (product, reviewer) unit: the reviewer's majority final
+    classification over the product's questions, and the team of the
+    unit's first record."""
+
+    classification: str
+    team: str | None
+
+
 @dataclass(frozen=True)
 class ReviewDataset:
     """A validated panel. Construct via validate_dataset, not directly.
@@ -91,6 +112,25 @@ class ReviewDataset:
     @property
     def products(self) -> tuple[str, ...]:
         return tuple(sorted({r.product_id for r in self.records}))
+
+    @cached_property
+    def units(self) -> Mapping[tuple[str, str], Unit]:
+        """The per-unit table, keyed by (product, reviewer) in sorted order.
+
+        Built on first use and kept, so validation itself does no extra work.
+        """
+        labels: dict[tuple[str, str], list[str]] = {}
+        teams: dict[tuple[str, str], str | None] = {}
+        for rec in self.records:
+            key = (rec.product_id, rec.reviewer_id)
+            if key in labels:
+                labels[key].append(rec.final_classification)
+            else:
+                labels[key] = [rec.final_classification]
+                teams[key] = rec.team
+        return MappingProxyType(
+            {key: Unit(majority(labels[key]), teams[key]) for key in sorted(labels)}
+        )
 
     def records_for_question(self, question: str) -> tuple[ReviewRecord, ...]:
         if question not in self.questions:

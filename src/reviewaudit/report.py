@@ -15,17 +15,19 @@ top-level schema_version field.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, ContextManager, Iterable, Mapping, Sequence
 
 from . import __version__
 from .agreement import OVERALL_KAPPA_MODES, AgreementReport, KappaResult, analyze_agreement
-from .did import DidPanel, DidResult, did_estimate
+from .did import DidPanel, DidResult, did_estimate, did_with_error_rates
 from .errors import (
     CsvFormatError,
+    DatasetValidationError,
     MissingGroundTruthError,
     ReviewAuditError,
 )
@@ -37,7 +39,7 @@ from .estimation import (
     binomial_ci,
 )
 from .hypotheses import TestResult, chi_square_independence, one_way_anova, two_sample_t
-from .model import ReviewDataset, ReviewRecord, contingency_from
+from .model import ReviewDataset, ReviewRecord, contingency_from, majority
 from .simulate import DidPair
 
 SCHEMA_VERSION = 1
@@ -66,10 +68,56 @@ def _round12(value):
 
 # --- ingestion ---------------------------------------------------------------
 
-def _open_source(source: str | IO[str]) -> IO[str]:
+def _open_source(source: str | IO[str]) -> ContextManager[IO[str]]:
+    """A path opened for reading, or a caller's stream left open on exit.
+
+    Paths are read as utf-8-sig, so a byte-order mark that a spreadsheet
+    wrote is not taken for part of the first column name.
+    """
     if isinstance(source, str):
-        return open(source, "r", encoding="utf-8", newline="")
-    return source
+        return open(source, "r", encoding="utf-8-sig", newline="")
+    return contextlib.nullcontext(source)
+
+
+def _review_reader(stream: IO[str]) -> csv.DictReader:
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        raise CsvFormatError("empty file: no header row")
+    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise CsvFormatError(
+            f"missing required column(s): {', '.join(missing)}",
+            column=missing[0],
+        )
+    return reader
+
+
+def _review_record(row: Mapping[str, str | None], line: int) -> ReviewRecord:
+    """One CSV row as a record; errors name the offending column and line."""
+    for col in REQUIRED_COLUMNS:
+        if not (row[col] or "").strip():
+            raise CsvFormatError(f"empty {col} on row {line}", row=line, column=col)
+    team = (row.get("team") or "").strip() or None
+    period_raw = (row.get("period") or "").strip()
+    period: int | None = None
+    if period_raw:
+        try:
+            period = int(period_raw)
+        except ValueError:
+            raise CsvFormatError(
+                f"unparseable period {period_raw!r} on row {line}",
+                row=line,
+                column="period",
+            ) from None
+    return ReviewRecord(
+        product_id=row["product_id"].strip(),
+        reviewer_id=row["reviewer_id"].strip(),
+        question_id=row["question_id"].strip(),
+        answer=row["answer"].strip(),
+        final_classification=row["final_classification"].strip(),
+        team=team,
+        period=period,
+    )
 
 
 def ingest_csv(source: str | IO[str]) -> list[ReviewRecord]:
@@ -79,62 +127,31 @@ def ingest_csv(source: str | IO[str]) -> list[ReviewRecord]:
     final_classification. Optional: team (blank means none) and period
     (integer). Errors name the offending column and file line.
     """
-    stream = _open_source(source)
-    close = isinstance(source, str)
-    try:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise CsvFormatError("empty file: no header row")
-        missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise CsvFormatError(
-                f"missing required column(s): {', '.join(missing)}",
-                column=missing[0],
-            )
-        records: list[ReviewRecord] = []
+    with _open_source(source) as stream:
+        reader = _review_reader(stream)
+        records = [_review_record(row, reader.line_num) for row in reader]
+    if not records:
+        raise CsvFormatError("no data rows")
+    return records
+
+
+def ingest_csv_groups(source: str | IO[str]) -> dict[str, list[ReviewRecord]]:
+    """Read a review CSV with a group column into records per group."""
+    groups: dict[str, list[ReviewRecord]] = {}
+    with _open_source(source) as stream:
+        reader = _review_reader(stream)
+        if "group" not in reader.fieldnames:
+            raise CsvFormatError("review-format DiD input needs a 'group' column",
+                                 column="group")
         for row in reader:
-            line = reader.line_num
-            for col in REQUIRED_COLUMNS:
-                if not (row[col] or "").strip():
-                    raise CsvFormatError(
-                        f"empty {col} on row {line}", row=line, column=col
-                    )
-            team = (row.get("team") or "").strip() or None
-            period_raw = (row.get("period") or "").strip()
-            period: int | None = None
-            if period_raw:
-                try:
-                    period = int(period_raw)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"unparseable period {period_raw!r} on row {line}",
-                        row=line,
-                        column="period",
-                    ) from None
-            records.append(
-                ReviewRecord(
-                    product_id=row["product_id"].strip(),
-                    reviewer_id=row["reviewer_id"].strip(),
-                    question_id=row["question_id"].strip(),
-                    answer=row["answer"].strip(),
-                    final_classification=row["final_classification"].strip(),
-                    team=team,
-                    period=period,
-                )
-            )
-        if not records:
-            raise CsvFormatError("no data rows")
-        return records
-    finally:
-        if close:
-            stream.close()
+            record = _review_record(row, reader.line_num)
+            groups.setdefault((row["group"] or "").strip(), []).append(record)
+    return groups
 
 
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
     """Read product_id -> classification pairs."""
-    stream = _open_source(source)
-    close = isinstance(source, str)
-    try:
+    with _open_source(source) as stream:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise CsvFormatError("empty ground-truth file")
@@ -152,9 +169,6 @@ def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
         if not truth:
             raise CsvFormatError("ground-truth file has no data rows")
         return truth
-    finally:
-        if close:
-            stream.close()
 
 
 def write_panel_csv(
@@ -193,9 +207,7 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 
 def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation."""
-    stream = _open_source(source)
-    close = isinstance(source, str)
-    try:
+    with _open_source(source) as stream:
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise CsvFormatError("empty file: no header row")
@@ -220,9 +232,6 @@ def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]
         if not rows:
             raise CsvFormatError("no data rows")
         return rows
-    finally:
-        if close:
-            stream.close()
 
 
 # --- payload builders --------------------------------------------------------
@@ -339,110 +348,88 @@ class AuditReport:
         return {name: body["status"] for name, body in self.sections.items()}
 
 
-def _unit_majorities(dataset: ReviewDataset) -> dict[tuple[str, str], str]:
-    votes: dict[tuple[str, str], dict[str, int]] = {}
-    for rec in dataset.records:
-        key = (rec.product_id, rec.reviewer_id)
-        counts = votes.setdefault(key, {})
-        counts[rec.final_classification] = counts.get(rec.final_classification, 0) + 1
-    return {
-        key: min(counts, key=lambda c: (-counts[c], c)) for key, counts in votes.items()
-    }
-
-
 def _unit_error_outcomes(
     dataset: ReviewDataset, ground_truth: Mapping[str, str] | None
 ) -> tuple[dict[tuple[str, str], int], str]:
     """0/1 misclassification indicator per (product, reviewer) unit.
 
     Compared against ground truth when supplied, otherwise against the
-    product's consensus classification (majority across reviewers, ties
-    lexicographic).
+    product's consensus classification (the majority of its units'
+    classifications, ties lexicographic).
     """
-    majorities = _unit_majorities(dataset)
-    if ground_truth is not None:
-        basis = "ground_truth"
-        reference = {}
-        for (product, _), _label in majorities.items():
-            if product not in ground_truth:
-                raise MissingGroundTruthError(product)
-            reference[product] = ground_truth[product]
-    else:
+    units = dataset.units
+    if ground_truth is None:
+        by_product: dict[str, list[str]] = {}
+        for (product, _), unit in units.items():
+            by_product.setdefault(product, []).append(unit.classification)
+        reference = {product: majority(labels) for product, labels in by_product.items()}
         basis = "consensus"
-        by_product: dict[str, dict[str, int]] = {}
-        for (product, _), label in majorities.items():
-            counts = by_product.setdefault(product, {})
-            counts[label] = counts.get(label, 0) + 1
-        reference = {
-            product: min(counts, key=lambda c: (-counts[c], c))
-            for product, counts in by_product.items()
-        }
-    outcomes = {
-        key: (0 if label == reference[key[0]] else 1)
-        for key, label in majorities.items()
-    }
+    else:
+        reference, basis = ground_truth, "ground_truth"
+    outcomes = {}
+    for key, unit in units.items():
+        if key[0] not in reference:
+            raise MissingGroundTruthError(key[0])
+        outcomes[key] = int(unit.classification != reference[key[0]])
     return outcomes, basis
 
 
-def _unit_teams(dataset: ReviewDataset) -> dict[tuple[str, str], str | None]:
-    teams: dict[tuple[str, str], str | None] = {}
-    for rec in dataset.records:
-        key = (rec.product_id, rec.reviewer_id)
-        if key not in teams:
-            teams[key] = rec.team
-    return teams
+def _with_partial(exc: Exception, **partial) -> Exception:
+    """Attach what a section computed before failing; the error body keeps it."""
+    exc.partial = partial
+    return exc
 
+
+# Each section builder returns its body or raises; run_audit turns the
+# error into the section's error body, and the CLI subcommands project the
+# same bodies.
 
 def _agreement_section(dataset: ReviewDataset, mode: str) -> dict:
-    try:
-        return agreement_payload(analyze_agreement(dataset, mode))
-    except ReviewAuditError as exc:
-        return {"status": "error", "error": str(exc)}
+    return agreement_payload(analyze_agreement(dataset, mode))
 
 
-def _chi_square_section(dataset: ReviewDataset, alpha: float, yates: bool) -> dict:
+def _chi_square_section(
+    dataset: ReviewDataset, alpha: float, yates: bool,
+    questions: Sequence[str] | None = None,
+) -> dict:
     per_question = {}
-    n_ok = 0
-    for q in dataset.questions:
+    for q in dataset.questions if questions is None else questions:
         try:
             table = contingency_from(dataset, q)
             result = chi_square_independence(table, alpha=alpha, yates=yates)
             per_question[q] = {"status": "ok", **test_payload(result)}
-            n_ok += 1
         except ReviewAuditError as exc:
             per_question[q] = {"status": "error", "error": str(exc)}
-    if n_ok == 0:
-        return {
-            "status": "error",
-            "error": "no question yields a testable contingency table",
-            "per_question": per_question,
-        }
+    if all(body["status"] == "error" for body in per_question.values()):
+        raise _with_partial(
+            ReviewAuditError("no question yields a testable contingency table"),
+            per_question=per_question,
+        )
     return {"status": "ok", "per_question": per_question}
 
 
 def _team_section(
     dataset: ReviewDataset,
-    outcomes: dict[tuple[str, str], int] | None,
-    basis: str | None,
-    outcome_error: str | None,
+    ground_truth: Mapping[str, str] | None,
     alpha: float,
+    test: str | None = None,
+    variant: str = "welch",
+    tail: str = "two_sided",
 ) -> dict:
-    unit_teams = _unit_teams(dataset)
-    teams = sorted({t for t in unit_teams.values() if t is not None})
+    """Error rates by team, compared by a t test (two teams) or ANOVA (more).
+
+    test forces "t" or "anova"; variant and tail apply to the t test.
+    """
+    teams = sorted({unit.team for unit in dataset.units.values()} - {None})
     if not teams:
         return {"status": "skipped", "reason": "no team data"}
     if len(teams) == 1:
         return {"status": "skipped", "reason": f"single team {teams[0]!r}"}
-    if outcomes is None:
-        return {"status": "error", "error": outcome_error or "unit outcomes unavailable"}
-    groups = {
-        team: [
-            float(outcomes[key])
-            for key in sorted(outcomes)
-            if unit_teams.get(key) == team
-        ]
-        for team in teams
-    }
+    outcomes, basis = _unit_error_outcomes(dataset, ground_truth)
+    groups: dict[str, list[float]] = {team: [] for team in teams}
+    for key, unit in dataset.units.items():
+        if unit.team is not None:
+            groups[unit.team].append(float(outcomes[key]))
     payload = {
         "outcome_basis": basis,
         "teams": teams,
@@ -452,9 +439,16 @@ def _team_section(
             for team in teams
         },
     }
+    test = test or ("t" if len(teams) == 2 else "anova")
+    if test == "t" and len(teams) != 2:
+        raise DatasetValidationError(
+            f"t test compares exactly 2 teams, found {len(teams)}; use anova"
+        )
     try:
-        if len(teams) == 2:
-            result = two_sample_t(groups[teams[0]], groups[teams[1]], alpha=alpha)
+        if test == "t":
+            result = two_sample_t(
+                groups[teams[0]], groups[teams[1]], variant=variant, tail=tail, alpha=alpha
+            )
             return {"status": "ok", "test": test_payload(result), **payload}
         result, decomposition = one_way_anova([groups[t] for t in teams], alpha=alpha)
         return {
@@ -471,23 +465,20 @@ def _team_section(
             **payload,
         }
     except (ReviewAuditError, ValueError) as exc:
-        return {"status": "error", "error": str(exc), **payload}
+        raise _with_partial(exc, **payload)
 
 
 def _extrapolation_section(
     dataset: ReviewDataset,
-    outcomes: dict[tuple[str, str], int] | None,
-    basis: str | None,
-    outcome_error: str | None,
+    ground_truth: Mapping[str, str] | None,
     method: str,
     level: float,
 ) -> dict:
-    if outcomes is None:
-        return {"status": "error", "error": outcome_error or "unit outcomes unavailable"}
+    outcomes, basis = _unit_error_outcomes(dataset, ground_truth)
     if not outcomes:
         return {"status": "skipped", "reason": "no units to extrapolate"}
     groups: dict[str, list[int]] = {"all": []}
-    for (product, reviewer), err in sorted(outcomes.items()):
+    for (product, reviewer), err in outcomes.items():
         groups["all"].append(err)
         groups.setdefault(f"reviewer:{reviewer}", []).append(err)
     intervals = {}
@@ -499,31 +490,32 @@ def _extrapolation_section(
     return {"status": "ok", "outcome_basis": basis, "groups": intervals}
 
 
-def _bias_section(dataset: ReviewDataset) -> dict:
-    try:
-        return bias_payload(bias_factor_report(dataset))
-    except (ReviewAuditError, ValueError) as exc:
-        return {"status": "error", "error": str(exc)}
+def _bias_section(dataset: ReviewDataset, factors: Sequence[str] | None = None) -> dict:
+    return bias_payload(bias_factor_report(dataset, factors))
 
 
-def _did_section(did_panel: DidPanel | DidPair | None) -> dict:
+def _did_section(did_panel: DidPanel | DidPair | None, period_balanced: bool = False) -> dict:
     if did_panel is None:
         return {"status": "skipped", "reason": "no difference-in-differences input"}
-    try:
-        if isinstance(did_panel, DidPair):
-            from .did import did_with_error_rates
+    if isinstance(did_panel, DidPair):
+        result = did_with_error_rates(
+            did_panel.treated,
+            did_panel.control,
+            did_panel.ground_truth,
+            did_panel.change_period,
+            period_balanced=period_balanced,
+        )
+    else:
+        result = did_estimate(did_panel, period_balanced=period_balanced)
+    return did_payload(result)
 
-            result = did_with_error_rates(
-                did_panel.treated,
-                did_panel.control,
-                did_panel.ground_truth,
-                did_panel.change_period,
-            )
-        else:
-            result = did_estimate(did_panel)
-        return did_payload(result)
-    except ReviewAuditError as exc:
-        return {"status": "error", "error": str(exc)}
+
+def _run_section(build, *args) -> dict:
+    """The section's body, or its error body when the builder raises."""
+    try:
+        return build(*args)
+    except (ReviewAuditError, ValueError) as exc:
+        return {"status": "error", "error": str(exc), **getattr(exc, "partial", {})}
 
 
 def run_audit(
@@ -554,23 +546,15 @@ def run_audit(
     if not (0.0 < ci_level < 1.0):
         raise ValueError(f"ci_level must be in (0, 1), got {ci_level}")
 
-    outcomes = None
-    basis = None
-    outcome_error = None
-    try:
-        outcomes, basis = _unit_error_outcomes(dataset, ground_truth)
-    except ReviewAuditError as exc:
-        outcome_error = str(exc)
-
     sections = {
-        "agreement": _agreement_section(dataset, overall_kappa_mode),
-        "chi_square": _chi_square_section(dataset, alpha, yates),
-        "team_comparison": _team_section(dataset, outcomes, basis, outcome_error, alpha),
-        "error_extrapolation": _extrapolation_section(
-            dataset, outcomes, basis, outcome_error, ci_method, ci_level
+        "agreement": _run_section(_agreement_section, dataset, overall_kappa_mode),
+        "chi_square": _run_section(_chi_square_section, dataset, alpha, yates),
+        "team_comparison": _run_section(_team_section, dataset, ground_truth, alpha),
+        "error_extrapolation": _run_section(
+            _extrapolation_section, dataset, ground_truth, ci_method, ci_level
         ),
-        "bias_factors": _bias_section(dataset),
-        "did": _did_section(did_panel),
+        "bias_factors": _run_section(_bias_section, dataset),
+        "did": _run_section(_did_section, did_panel),
     }
     config = {
         "alpha": alpha,
@@ -603,6 +587,11 @@ def run_audit(
 
 # --- serialization -----------------------------------------------------------
 
+def _json_text(payload) -> str:
+    """Canonical JSON: sorted keys, two-space indent, and never NaN or Infinity."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def emit_report(report: AuditReport, fmt: str = "json") -> str:
     """Serialize a report: canonical JSON (sorted keys) or readable text."""
     if fmt == "json":
@@ -613,7 +602,7 @@ def emit_report(report: AuditReport, fmt: str = "json") -> str:
             "dataset_summary": report.dataset_summary,
             "sections": report.sections,
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload)
     if fmt == "text":
         return render_text(report)
     raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")

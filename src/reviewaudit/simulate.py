@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 from .errors import ConfigError
-from .model import ReviewDataset, ReviewRecord, validate_dataset
+from .model import ReviewDataset, ReviewRecord, majority, validate_dataset
 from .rng import SplitMix64, derive_stream
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
@@ -167,13 +167,6 @@ def _class_label(index: int, max_k: int) -> str:
     return f"class{index:0{width}d}"
 
 
-def _majority_index(indices: Sequence[int]) -> int:
-    counts: dict[int, int] = {}
-    for idx in indices:
-        counts[idx] = counts.get(idx, 0) + 1
-    return min(counts, key=lambda idx: (-counts[idx], idx))
-
-
 def _draw_answer(
     stream: SplitMix64,
     latent: int,
@@ -221,12 +214,10 @@ def _generate_records(
                     answer = _draw_answer(stream, latent, question, bias)
                 answers[(ri, qi)] = answer
                 previous = answer
-        truth_index = _majority_index(latent_votes)
+        truth_index = majority(latent_votes)
         truth[product_id] = _class_label(truth_index, max_k)
         for ri, reviewer in enumerate(reviewers):
-            verdict = _majority_index(
-                [answers[(ri, qi)] for qi in range(len(config.questions))]
-            )
+            verdict = majority([answers[(ri, qi)] for qi in range(len(config.questions))])
             if flip_delta > 0.0:
                 flip_stream = derive_stream(config.seed, *salt, i, _FLIP_KEY, ri)
                 if flip_stream.random() < flip_delta and verdict == truth_index:

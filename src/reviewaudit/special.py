@@ -272,6 +272,19 @@ def normal_upper_tail(z: float) -> float:
     return 0.5 * regularized_incomplete_gamma_upper(0.5, 0.5 * z * z)
 
 
+def tail_area(upper_tail, statistic: float, tail: str, *df: float) -> float:
+    """Tail area of a test statistic from its distribution's upper tail.
+
+    "upper" is P(X >= statistic), "lower" its complement, and "two_sided"
+    doubles the upper tail at |statistic| (for symmetric distributions).
+    """
+    if tail == "upper":
+        return upper_tail(statistic, *df)
+    if tail == "lower":
+        return 1.0 - upper_tail(statistic, *df)
+    return 2.0 * upper_tail(abs(statistic), *df)
+
+
 _DISTRIBUTIONS = ("chi_square", "student_t", "f")
 _TAILS = ("upper", "lower", "two_sided")
 
@@ -316,15 +329,9 @@ def tail_probability(query: TailProbabilityQuery) -> float:
     """
     dist, stat, tail = query.distribution, query.statistic, query.tail
     if dist == "student_t":
-        if tail == "upper":
-            return student_t_upper_tail(stat, query.df)
-        if tail == "lower":
-            return 1.0 - student_t_upper_tail(stat, query.df)
-        return 2.0 * student_t_upper_tail(abs(stat), query.df)
+        return tail_area(student_t_upper_tail, stat, tail, query.df)
     if tail == "two_sided":
         raise ValueError(f"two_sided tail is not defined for {dist}")
     if dist == "chi_square":
-        upper = chi_square_upper_tail(stat, query.df)
-    else:
-        upper = f_upper_tail(stat, query.df1, query.df2)
-    return upper if tail == "upper" else 1.0 - upper
+        return tail_area(chi_square_upper_tail, stat, tail, query.df)
+    return tail_area(f_upper_tail, stat, tail, query.df1, query.df2)

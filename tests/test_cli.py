@@ -102,6 +102,17 @@ class TestAudit:
         assert out == ""
         assert json.loads(target.read_text())["schema_version"] == 1
 
+    def test_utf8_bom_input(self, panel, tmp_path, capsys):
+        panel_path, truth_path = panel
+        plain = run(capsys, ["audit", "--input", str(panel_path),
+                             "--ground-truth", str(truth_path)])
+        bom_panel, bom_truth = tmp_path / "bom_panel.csv", tmp_path / "bom_truth.csv"
+        bom_panel.write_bytes(b"\xef\xbb\xbf" + panel_path.read_bytes())
+        bom_truth.write_bytes(b"\xef\xbb\xbf" + truth_path.read_bytes())
+        with_bom = run(capsys, ["audit", "--input", str(bom_panel),
+                                "--ground-truth", str(bom_truth)])
+        assert with_bom == plain
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["audit", "--input", "/nonexistent.csv"])
         assert code == 2
@@ -295,6 +306,32 @@ class TestDidCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["effect"] == pytest.approx(0.15, abs=0.05)
+
+    def test_quoted_outcome_header(self, tmp_path, capsys):
+        did_csv = tmp_path / "did.csv"
+        did_csv.write_text(
+            '"group","period","outcome"\n'
+            "control,0,10\ncontrol,1,14\ntreated,0,20\ntreated,1,30\n"
+        )
+        code, out, err = run(capsys, ["did", "--input", str(did_csv),
+                                      "--change-period", "1"])
+        assert code == 0, err
+        assert json.loads(out)["effect"] == 6.0
+
+    def test_review_format_errors_cite_file_lines(self, tmp_path, capsys):
+        panel_path = tmp_path / "did_panel.csv"
+        panel_path.write_text(
+            "product_id,reviewer_id,question_id,answer,final_classification,period,group\n"
+            "p1,r1,q1,yes,approve,0,control\n"
+            "p2,r1,q1,yes,approve,0,treated\n"
+            "p3,r1,q1,yes,approve,x,control\n"
+        )
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("product_id,classification\np1,approve\n")
+        code, _, err = run(capsys, ["did", "--input", str(panel_path), "--change-period", "1",
+                                    "--ground-truth", str(truth_path)])
+        assert code == 2
+        assert "row 4" in err
 
     def test_review_format_requires_truth(self, tmp_path, capsys):
         config = write_config(

@@ -1,16 +1,19 @@
 """CSV ingestion, audit orchestration, serialization round trips."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
 from reviewaudit import (
+    ConvergenceError,
     CsvFormatError,
     DidPanel,
     ingest_csv,
     validate_dataset,
 )
+from reviewaudit import report as report_module
 from reviewaudit.report import (
     emit_report,
     parse_report,
@@ -74,6 +77,12 @@ class TestIngestCsv:
         with pytest.raises(CsvFormatError, match="question_id") as err:
             ingest_csv(stream)
         assert err.value.row == 3
+
+    def test_utf8_bom_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + CSV_HEADER + "\np1,r1,q1,yes,approve\n").encode("utf-8"))
+        records = ingest_csv(str(path))
+        assert records[0].product_id == "p1"
 
     def test_ground_truth_reader(self):
         truth = read_ground_truth_csv(
@@ -216,6 +225,71 @@ class TestRunAudit:
             run_audit(dataset, alpha=1.5)
 
 
+def _did_panel():
+    return DidPanel(
+        observations=(
+            ("control", 0, 10.0), ("control", 1, 14.0),
+            ("treated", 0, 20.0), ("treated", 1, 30.0),
+        ),
+        change_period=1,
+    )
+
+
+class TestSectionGuard:
+    """A fault inside one section becomes that section's error body; the
+    other sections are unchanged and run_audit itself does not raise."""
+
+    @pytest.mark.parametrize("section, target, exc", [
+        ("agreement", "analyze_agreement", ConvergenceError("kappa", 7)),
+        ("chi_square", "chi_square_independence", ValueError("bad table")),
+        ("team_comparison", "two_sample_t", ConvergenceError("t tail", 7)),
+        ("error_extrapolation", "binomial_ci", ConvergenceError("beta", 500)),
+        ("bias_factors", "bias_factor_report", ConvergenceError("IRLS", 100)),
+        ("did", "did_estimate", ValueError("bad panel")),
+    ])
+    def test_fault_stays_in_its_section(self, monkeypatch, section, target, exc):
+        dataset, truth = _team_panel()
+        base = run_audit(dataset, ground_truth=truth, did_panel=_did_panel())
+        assert set(base.statuses().values()) == {"ok"}
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(report_module, target, fail)
+        faulty = run_audit(dataset, ground_truth=truth, did_panel=_did_panel())
+        body = faulty.section(section)
+        assert body["status"] == "error"
+        assert body["error"] == str(exc)
+        for name in base.sections:
+            if name != section:
+                assert faulty.section(name) == base.section(name), name
+
+    def test_team_error_keeps_sizes_and_rates(self, monkeypatch):
+        dataset, truth = _team_panel()
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("t tail", 7)
+
+        monkeypatch.setattr(report_module, "two_sample_t", fail)
+        team = run_audit(dataset, ground_truth=truth).section("team_comparison")
+        assert team["group_sizes"] == {"team0": 16, "team1": 16}
+        assert team["group_error_rates"] == {"team0": 0.25, "team1": 0.0}
+
+    def test_chi_square_error_keeps_per_question(self, monkeypatch):
+        dataset, truth = _team_panel()
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("gamma", 500)
+
+        monkeypatch.setattr(report_module, "chi_square_independence", fail)
+        chi = run_audit(dataset, ground_truth=truth).section("chi_square")
+        assert chi["status"] == "error"
+        assert chi["per_question"] == {
+            "q1": {"status": "error",
+                   "error": "gamma did not converge within 500 iterations"},
+        }
+
+
 class TestSerialization:
     def test_round_trip_and_determinism(self):
         dataset, truth = _team_panel()
@@ -250,6 +324,13 @@ class TestSerialization:
         emitted = emit_report(run_audit(dataset, ground_truth=truth))
         parsed = json.loads(emitted)
         assert list(parsed) == sorted(parsed)
+
+    def test_nan_is_refused(self):
+        dataset, _ = _team_panel()
+        report = run_audit(dataset)
+        broken = dataclasses.replace(report, config={**report.config, "alpha": float("nan")})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit_report(broken, "json")
 
     def test_format_validation(self):
         dataset, truth = _team_panel()
