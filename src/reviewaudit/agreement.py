@@ -106,12 +106,12 @@ class AgreementReport:
     plain mean of per-question kappas.
     """
 
-    per_question: Mapping[str, KappaResult]
-    annotations: Mapping[str, str]
     overall_mode: str
     overall_kappa: float
     overall_detail: KappaResult | None
     agreement_rate: float | None
+    per_question: Mapping[str, KappaResult]
+    annotations: Mapping[str, str]
     disagreement_ranking: tuple[str, ...]
     notes: tuple[str, ...]
 

@@ -12,7 +12,7 @@ import argparse
 import csv
 import dataclasses
 import sys
-from typing import IO, Mapping
+from typing import IO
 
 from . import __version__
 from .did import DidPanel
@@ -32,12 +32,11 @@ from .report import (
     _extrapolation_section,
     _json_text,
     _open_source,
-    _round12,
+    _plain,
     _team_section,
     emit_report,
     ingest_csv,
     ingest_csv_groups,
-    interval_payload,
     read_ground_truth_csv,
     read_outcome_panel_csv,
     run_audit,
@@ -50,31 +49,29 @@ CI_METHOD_FLAGS = {"clopper-pearson": "clopper_pearson", "wilson": "wilson"}
 KAPPA_MODE_FLAGS = {"pooled": "pooled", "mean": "mean_of_questions"}
 
 
-def _emit(payload: dict, args, out: IO[str]) -> None:
+def _emit(payload, args, out: IO[str]) -> None:
+    """Write a section body or result: rounded JSON, or text at full precision."""
     if args.format == "json":
-        out.write(_json_text(_round12(payload)))
+        out.write(_json_text(_plain(payload)))
     else:
-        _write_text(payload, out)
+        _write_text(_plain(payload, round_floats=False), out)
 
 
-def _write_text(payload, out: IO[str], indent: int = 0) -> None:
+def _write_text(payload: dict | list, out: IO[str], indent: int = 0) -> None:
     pad = "  " * indent
-    if isinstance(payload, Mapping):
-        for key in payload:
-            value = payload[key]
-            if isinstance(value, (Mapping, list)):
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            if isinstance(value, (dict, list)):
                 out.write(f"{pad}{key}:\n")
                 _write_text(value, out, indent + 1)
             else:
                 out.write(f"{pad}{key}: {value}\n")
-    elif isinstance(payload, list):
+    else:
         for value in payload:
-            if isinstance(value, (Mapping, list)):
+            if isinstance(value, (dict, list)):
                 _write_text(value, out, indent)
             else:
                 out.write(f"{pad}- {value}\n")
-    else:
-        out.write(f"{pad}{payload}\n")
 
 
 def _load_dataset(args) -> ReviewDataset:
@@ -129,7 +126,7 @@ def _cmd_ci(args, out: IO[str]) -> int:
         if args.x is None or args.n is None:
             raise ValueError("--x and --n must be given together")
         interval = binomial_ci(args.x, args.n, level=args.level, method=method)
-        _emit(interval_payload(interval), args, out)
+        _emit(interval, args, out)
         return 0
     if not args.input:
         raise ValueError("provide either --x/--n or --input")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import MissingGroundTruthError, PanelError
+from .errors import PanelError
 from .model import ReviewDataset
 from .rng import derive_stream
 
@@ -189,16 +189,14 @@ def did_with_error_rates(
     """
     observations: list[tuple[str, int, float]] = []
     for group, dataset in (("treated", treated), ("control", control)):
-        for (product, _reviewer), (label, period) in reviewer_classifications(dataset).items():
-            if product not in ground_truth:
-                raise MissingGroundTruthError(product)
+        periods = reviewer_classifications(dataset)
+        errors, _ = dataset.unit_errors(ground_truth)
+        for key, (_label, period) in periods.items():
             if period is None:
                 raise PanelError(
-                    f"record for product {product!r} lacks a period; "
+                    f"record for product {key[0]!r} lacks a period; "
                     "difference-in-differences needs period-tagged data"
                 )
-            observations.append(
-                (group, period, 0.0 if label == ground_truth[product] else 1.0)
-            )
+            observations.append((group, period, float(errors[key])))
     panel = DidPanel(observations=tuple(observations), change_period=change_period)
     return did_estimate(panel, period_balanced=period_balanced)

@@ -287,7 +287,7 @@ def logistic_fit(
 @dataclass(frozen=True)
 class FactorEffect:
     name: str
-    ols_coefficient: float | None
+    ols_coefficient: float
     logistic_coefficient: float | None
 
 
@@ -297,19 +297,20 @@ class BiasFactorReport:
 
     Rows are ranked by absolute logistic coefficient when the logistic fit
     succeeded, otherwise by absolute OLS coefficient (ranked_by says
-    which). A model that failed contributes None coefficients and its
-    error message.
+    which). A failed logistic fit contributes None coefficients and its
+    error message. OLS fails only on a bad design, which fails the whole
+    report, so ols_error is always None; the report schema keeps it.
     """
 
     target_labels: tuple[str, str]
     n_rows: int
     factors: tuple[str, ...]
-    effects: tuple[FactorEffect, ...]
     ranked_by: str
-    ols_intercept: float | None
+    ols_intercept: float
     logistic_intercept: float | None
-    ols_error: str | None
+    ols_error: None
     logistic_error: str | None
+    effects: tuple[FactorEffect, ...]
 
 
 def _encode_units(
@@ -378,8 +379,9 @@ def bias_factor_report(
     """Rank candidate bias factors by influence on the final classification.
 
     Fits OLS on the 0/1-encoded classification and logistic regression on
-    the same design, reports coefficients side by side, and succeeds as
-    long as at least one model fits.
+    the same design and reports coefficients side by side. A design that
+    OLS cannot fit (fewer rows than columns, rank deficiency) raises; a
+    logistic failure is reported in logistic_error.
     """
     if factors is None:
         factors = dataset.questions
@@ -387,35 +389,21 @@ def bias_factor_report(
     if not factors:
         raise ValueError("factors must be non-empty")
     design, columns, target, labels = _encode_units(dataset, factors)
-    # a shared degenerate design (e.g. a constant factor column) fails both
-    # models identically, so surface the structural error directly
-    full, names = _as_design(design, columns)
-    _check_rank(full, names)
-
-    ols_result: RegressionFit | None = None
+    ols_result = ols_fit(design, [float(t) for t in target], column_names=columns)
     logistic_result: RegressionFit | None = None
-    ols_error = logistic_error = None
-    try:
-        ols_result = ols_fit(design, [float(t) for t in target], column_names=columns)
-    except (ReviewAuditError, ValueError) as exc:
-        ols_error = str(exc)
+    logistic_error = None
     try:
         logistic_result = logistic_fit(design, [float(t) for t in target], column_names=columns)
     except (ReviewAuditError, ValueError) as exc:
         logistic_error = str(exc)
-    if ols_result is None and logistic_result is None:
-        raise ReviewAuditError(
-            f"both models failed: ols: {ols_error}; logistic: {logistic_error}"
-        )
-
-    def coef(fit: RegressionFit | None, j: int) -> float | None:
-        return None if fit is None else fit.coefficients[j + 1]
 
     effects = [
         FactorEffect(
             name=name,
-            ols_coefficient=coef(ols_result, j),
-            logistic_coefficient=coef(logistic_result, j),
+            ols_coefficient=ols_result.coefficients[j + 1],
+            logistic_coefficient=(
+                None if logistic_result is None else logistic_result.coefficients[j + 1]
+            ),
         )
         for j, name in enumerate(columns)
     ]
@@ -432,10 +420,10 @@ def bias_factor_report(
         target_labels=labels,
         n_rows=len(design),
         factors=tuple(factors),
-        effects=tuple(effects),
         ranked_by=ranked_by,
-        ols_intercept=None if ols_result is None else ols_result.intercept,
+        ols_intercept=ols_result.intercept,
         logistic_intercept=None if logistic_result is None else logistic_result.intercept,
-        ols_error=ols_error,
+        ols_error=None,
         logistic_error=logistic_error,
+        effects=tuple(effects),
     )

@@ -24,6 +24,7 @@ from .errors import (
     EmptyMatrixError,
     IncompleteCellError,
     KappaUndefinedError,
+    MissingGroundTruthError,
     UnknownQuestionError,
 )
 
@@ -82,8 +83,8 @@ class ValidationSummary:
 
 class Unit(NamedTuple):
     """One (product, reviewer) unit: the reviewer's majority final
-    classification over the product's questions, and the team of the
-    unit's first record."""
+    classification over the product's questions, and the team that every
+    record of the unit carries."""
 
     classification: str
     team: str | None
@@ -118,6 +119,7 @@ class ReviewDataset:
         """The per-unit table, keyed by (product, reviewer) in sorted order.
 
         Built on first use and kept, so validation itself does no extra work.
+        Raises DatasetValidationError when a unit's records disagree on team.
         """
         labels: dict[tuple[str, str], list[str]] = {}
         teams: dict[tuple[str, str], str | None] = {}
@@ -125,12 +127,42 @@ class ReviewDataset:
             key = (rec.product_id, rec.reviewer_id)
             if key in labels:
                 labels[key].append(rec.final_classification)
+                if rec.team != teams[key]:
+                    raise DatasetValidationError(
+                        f"unit (product={key[0]!r}, reviewer={key[1]!r}) has records "
+                        f"in teams {teams[key]!r} and {rec.team!r}"
+                    )
             else:
                 labels[key] = [rec.final_classification]
                 teams[key] = rec.team
         return MappingProxyType(
             {key: Unit(majority(labels[key]), teams[key]) for key in sorted(labels)}
         )
+
+    def unit_errors(
+        self, ground_truth: Mapping[str, str] | None
+    ) -> tuple[dict[tuple[str, str], int], str]:
+        """0/1 misclassification indicator per unit, and the basis used.
+
+        Compared against ground truth when supplied, otherwise against the
+        product's consensus classification (the majority of its units'
+        classifications, ties lexicographic).
+        """
+        units = self.units
+        if ground_truth is None:
+            by_product: dict[str, list[str]] = {}
+            for (product, _), unit in units.items():
+                by_product.setdefault(product, []).append(unit.classification)
+            reference = {product: majority(labels) for product, labels in by_product.items()}
+            basis = "consensus"
+        else:
+            reference, basis = ground_truth, "ground_truth"
+        outcomes = {}
+        for key, unit in units.items():
+            if key[0] not in reference:
+                raise MissingGroundTruthError(key[0])
+            outcomes[key] = int(unit.classification != reference[key[0]])
+        return outcomes, basis
 
     def records_for_question(self, question: str) -> tuple[ReviewRecord, ...]:
         if question not in self.questions:

@@ -19,27 +19,16 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import IO, ContextManager, Iterable, Mapping, Sequence
 
 from . import __version__
-from .agreement import OVERALL_KAPPA_MODES, AgreementReport, KappaResult, analyze_agreement
-from .did import DidPanel, DidResult, did_estimate, did_with_error_rates
-from .errors import (
-    CsvFormatError,
-    DatasetValidationError,
-    MissingGroundTruthError,
-    ReviewAuditError,
-)
-from .estimation import (
-    CI_METHODS,
-    BiasFactorReport,
-    BinomialInterval,
-    bias_factor_report,
-    binomial_ci,
-)
-from .hypotheses import TestResult, chi_square_independence, one_way_anova, two_sample_t
-from .model import ReviewDataset, ReviewRecord, contingency_from, majority
+from .agreement import OVERALL_KAPPA_MODES, analyze_agreement
+from .did import DidPanel, did_estimate, did_with_error_rates
+from .errors import CsvFormatError, DatasetValidationError, ReviewAuditError
+from .estimation import CI_METHODS, bias_factor_report, binomial_ci
+from .hypotheses import chi_square_independence, one_way_anova, two_sample_t
+from .model import ReviewDataset, ReviewRecord, contingency_from
 from .simulate import DidPair
 
 SCHEMA_VERSION = 1
@@ -53,17 +42,30 @@ REQUIRED_COLUMNS = (
 )
 
 
-def _round12(value):
-    """Round floats to 12 significant digits, recursively; tuples become lists."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+def _fields(result) -> dict:
+    return {f.name: getattr(result, f.name) for f in fields(result)}
+
+
+def _plain(value, round_floats: bool = True):
+    """JSON-ready data: result dataclasses become dicts of their fields (in
+    field order), mappings dicts and tuples lists, recursively; floats are
+    rounded to 12 significant digits unless round_floats is False."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.12g}") if round_floats else value
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, Mapping):
-        return {k: _round12(v) for k, v in value.items()}
+        return {k: _plain(v, round_floats) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
+        return [_plain(v, round_floats) for v in value]
     raise TypeError(f"unsupported report value type {type(value)!r}")
+
+
+def _ok(result) -> dict:
+    """A section body: status ok, then the result's fields in field order."""
+    return {"status": "ok", **_fields(result)}
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -79,11 +81,12 @@ def _open_source(source: str | IO[str]) -> ContextManager[IO[str]]:
     return contextlib.nullcontext(source)
 
 
-def _review_reader(stream: IO[str]) -> csv.DictReader:
+def _csv_reader(stream: IO[str], required: Sequence[str]) -> csv.DictReader:
+    """A dict reader over a stream whose header names every required column."""
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         raise CsvFormatError("empty file: no header row")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in required if c not in reader.fieldnames]
     if missing:
         raise CsvFormatError(
             f"missing required column(s): {', '.join(missing)}",
@@ -128,7 +131,7 @@ def ingest_csv(source: str | IO[str]) -> list[ReviewRecord]:
     (integer). Errors name the offending column and file line.
     """
     with _open_source(source) as stream:
-        reader = _review_reader(stream)
+        reader = _csv_reader(stream, REQUIRED_COLUMNS)
         records = [_review_record(row, reader.line_num) for row in reader]
     if not records:
         raise CsvFormatError("no data rows")
@@ -139,7 +142,7 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, list[ReviewRecord]]:
     """Read a review CSV with a group column into records per group."""
     groups: dict[str, list[ReviewRecord]] = {}
     with _open_source(source) as stream:
-        reader = _review_reader(stream)
+        reader = _csv_reader(stream, REQUIRED_COLUMNS)
         if "group" not in reader.fieldnames:
             raise CsvFormatError("review-format DiD input needs a 'group' column",
                                  column="group")
@@ -152,12 +155,7 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, list[ReviewRecord]]:
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
     """Read product_id -> classification pairs."""
     with _open_source(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise CsvFormatError("empty ground-truth file")
-        for col in ("product_id", "classification"):
-            if col not in reader.fieldnames:
-                raise CsvFormatError(f"ground-truth file missing column {col!r}", column=col)
+        reader = _csv_reader(stream, ("product_id", "classification"))
         truth: dict[str, str] = {}
         for row in reader:
             product = (row["product_id"] or "").strip()
@@ -208,12 +206,7 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation."""
     with _open_source(source) as stream:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
-            raise CsvFormatError("empty file: no header row")
-        for col in ("group", "period", "outcome"):
-            if col not in reader.fieldnames:
-                raise CsvFormatError(f"missing required column(s): {col}", column=col)
+        reader = _csv_reader(stream, ("group", "period", "outcome"))
         rows: list[tuple[str, int, float]] = []
         for row in reader:
             line = reader.line_num
@@ -232,101 +225,6 @@ def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]
         if not rows:
             raise CsvFormatError("no data rows")
         return rows
-
-
-# --- payload builders --------------------------------------------------------
-
-def kappa_payload(result: KappaResult) -> dict:
-    return {
-        "kappa": result.kappa,
-        "p_bar": result.p_bar,
-        "p_e_bar": result.p_e_bar,
-        "n_subjects": result.n_subjects,
-        "n_raters": result.n_raters,
-        "n_categories": result.n_categories,
-    }
-
-
-def agreement_payload(report: AgreementReport) -> dict:
-    return {
-        "status": "ok",
-        "overall_mode": report.overall_mode,
-        "overall_kappa": report.overall_kappa,
-        "overall_detail": (
-            None if report.overall_detail is None else kappa_payload(report.overall_detail)
-        ),
-        "agreement_rate": report.agreement_rate,
-        "per_question": {q: kappa_payload(r) for q, r in report.per_question.items()},
-        "annotations": dict(report.annotations),
-        "disagreement_ranking": list(report.disagreement_ranking),
-        "notes": list(report.notes),
-    }
-
-
-def test_payload(result: TestResult) -> dict:
-    df = result.df
-    if isinstance(df, tuple):
-        df = list(df)
-    return {
-        "test_kind": result.test_kind,
-        "statistic": result.statistic,
-        "df": df,
-        "p_value": result.p_value,
-        "tail": result.tail,
-        "alpha": result.alpha,
-        "reject_null": result.reject_null,
-        "warnings": list(result.warnings),
-    }
-
-
-def interval_payload(interval: BinomialInterval) -> dict:
-    return {
-        "x": interval.x,
-        "n": interval.n,
-        "level": interval.level,
-        "lower": interval.lower,
-        "upper": interval.upper,
-        "method": interval.method,
-    }
-
-
-def bias_payload(report: BiasFactorReport) -> dict:
-    return {
-        "status": "ok",
-        "target_labels": list(report.target_labels),
-        "n_rows": report.n_rows,
-        "factors": list(report.factors),
-        "ranked_by": report.ranked_by,
-        "ols_intercept": report.ols_intercept,
-        "logistic_intercept": report.logistic_intercept,
-        "ols_error": report.ols_error,
-        "logistic_error": report.logistic_error,
-        "effects": [
-            {
-                "name": e.name,
-                "ols_coefficient": e.ols_coefficient,
-                "logistic_coefficient": e.logistic_coefficient,
-            }
-            for e in report.effects
-        ],
-    }
-
-
-def did_payload(result: DidResult) -> dict:
-    return {
-        "status": "ok",
-        "effect": result.effect,
-        "treated_pre_mean": result.treated_pre_mean,
-        "treated_post_mean": result.treated_post_mean,
-        "control_pre_mean": result.control_pre_mean,
-        "control_post_mean": result.control_post_mean,
-        "counterfactual": [[p, v] for p, v in result.counterfactual],
-        "per_group_series": {
-            group: [[p, v] for p, v in series]
-            for group, series in result.per_group_series.items()
-        },
-        "effect_se": result.effect_se,
-    }
 
 
 # --- audit pipeline ----------------------------------------------------------
@@ -348,32 +246,6 @@ class AuditReport:
         return {name: body["status"] for name, body in self.sections.items()}
 
 
-def _unit_error_outcomes(
-    dataset: ReviewDataset, ground_truth: Mapping[str, str] | None
-) -> tuple[dict[tuple[str, str], int], str]:
-    """0/1 misclassification indicator per (product, reviewer) unit.
-
-    Compared against ground truth when supplied, otherwise against the
-    product's consensus classification (the majority of its units'
-    classifications, ties lexicographic).
-    """
-    units = dataset.units
-    if ground_truth is None:
-        by_product: dict[str, list[str]] = {}
-        for (product, _), unit in units.items():
-            by_product.setdefault(product, []).append(unit.classification)
-        reference = {product: majority(labels) for product, labels in by_product.items()}
-        basis = "consensus"
-    else:
-        reference, basis = ground_truth, "ground_truth"
-    outcomes = {}
-    for key, unit in units.items():
-        if key[0] not in reference:
-            raise MissingGroundTruthError(key[0])
-        outcomes[key] = int(unit.classification != reference[key[0]])
-    return outcomes, basis
-
-
 def _with_partial(exc: Exception, **partial) -> Exception:
     """Attach what a section computed before failing; the error body keeps it."""
     exc.partial = partial
@@ -385,7 +257,7 @@ def _with_partial(exc: Exception, **partial) -> Exception:
 # same bodies.
 
 def _agreement_section(dataset: ReviewDataset, mode: str) -> dict:
-    return agreement_payload(analyze_agreement(dataset, mode))
+    return _ok(analyze_agreement(dataset, mode))
 
 
 def _chi_square_section(
@@ -397,7 +269,7 @@ def _chi_square_section(
         try:
             table = contingency_from(dataset, q)
             result = chi_square_independence(table, alpha=alpha, yates=yates)
-            per_question[q] = {"status": "ok", **test_payload(result)}
+            per_question[q] = _ok(result)
         except ReviewAuditError as exc:
             per_question[q] = {"status": "error", "error": str(exc)}
     if all(body["status"] == "error" for body in per_question.values()):
@@ -425,7 +297,7 @@ def _team_section(
         return {"status": "skipped", "reason": "no team data"}
     if len(teams) == 1:
         return {"status": "skipped", "reason": f"single team {teams[0]!r}"}
-    outcomes, basis = _unit_error_outcomes(dataset, ground_truth)
+    outcomes, basis = dataset.unit_errors(ground_truth)
     groups: dict[str, list[float]] = {team: [] for team in teams}
     for key, unit in dataset.units.items():
         if unit.team is not None:
@@ -449,11 +321,11 @@ def _team_section(
             result = two_sample_t(
                 groups[teams[0]], groups[teams[1]], variant=variant, tail=tail, alpha=alpha
             )
-            return {"status": "ok", "test": test_payload(result), **payload}
+            return {"status": "ok", "test": result, **payload}
         result, decomposition = one_way_anova([groups[t] for t in teams], alpha=alpha)
         return {
             "status": "ok",
-            "test": test_payload(result),
+            "test": result,
             "anova": {
                 "ss_treatment": decomposition.ss_treatment,
                 "ss_error": decomposition.ss_error,
@@ -474,7 +346,7 @@ def _extrapolation_section(
     method: str,
     level: float,
 ) -> dict:
-    outcomes, basis = _unit_error_outcomes(dataset, ground_truth)
+    outcomes, basis = dataset.unit_errors(ground_truth)
     if not outcomes:
         return {"status": "skipped", "reason": "no units to extrapolate"}
     groups: dict[str, list[int]] = {"all": []}
@@ -484,14 +356,12 @@ def _extrapolation_section(
     intervals = {}
     for name in sorted(groups):
         values = groups[name]
-        intervals[name] = interval_payload(
-            binomial_ci(sum(values), len(values), level=level, method=method)
-        )
+        intervals[name] = binomial_ci(sum(values), len(values), level=level, method=method)
     return {"status": "ok", "outcome_basis": basis, "groups": intervals}
 
 
 def _bias_section(dataset: ReviewDataset, factors: Sequence[str] | None = None) -> dict:
-    return bias_payload(bias_factor_report(dataset, factors))
+    return _ok(bias_factor_report(dataset, factors))
 
 
 def _did_section(did_panel: DidPanel | DidPair | None, period_balanced: bool = False) -> dict:
@@ -507,7 +377,7 @@ def _did_section(did_panel: DidPanel | DidPair | None, period_balanced: bool = F
         )
     else:
         result = did_estimate(did_panel, period_balanced=period_balanced)
-    return did_payload(result)
+    return _ok(result)
 
 
 def _run_section(build, *args) -> dict:
@@ -579,9 +449,9 @@ def run_audit(
     return AuditReport(
         schema_version=SCHEMA_VERSION,
         toolkit_version=__version__,
-        config=_round12(config),
-        dataset_summary=_round12(dataset_summary),
-        sections=_round12(sections),
+        config=_plain(config),
+        dataset_summary=_plain(dataset_summary),
+        sections=_plain(sections),
     )
 
 
@@ -595,14 +465,7 @@ def _json_text(payload) -> str:
 def emit_report(report: AuditReport, fmt: str = "json") -> str:
     """Serialize a report: canonical JSON (sorted keys) or readable text."""
     if fmt == "json":
-        payload = {
-            "schema_version": report.schema_version,
-            "toolkit_version": report.toolkit_version,
-            "config": report.config,
-            "dataset_summary": report.dataset_summary,
-            "sections": report.sections,
-        }
-        return _json_text(payload)
+        return _json_text(_fields(report))
     if fmt == "text":
         return render_text(report)
     raise ValueError(f"format must be 'json' or 'text', got {fmt!r}")

@@ -209,6 +209,21 @@ class TestTeamCommands:
         assert payload["test"]["test_kind"] == "anova_f"
         assert payload["anova"]["ss_treatment"] >= 0.0
 
+    @pytest.mark.parametrize("command", ["ttest", "anova", "ci", "regress"])
+    def test_unit_with_two_teams_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "teams.csv"
+        lines = ["product_id,reviewer_id,question_id,answer,final_classification,team"]
+        for p in range(4):
+            for reviewer, team in (("r0", "a"), ("r1", "a"), ("r2", "b"), ("r3", "b")):
+                for q in ("q1", "q2"):
+                    moved = (p, reviewer, q) == (2, "r1", "q2")
+                    lines.append(f"p{p},{reviewer},{q},{'yes' if p % 2 else 'no'},"
+                                 f"{'bad' if p % 2 else 'good'},{'b' if moved else team}")
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert "unit (product='p2', reviewer='r1') has records in teams 'a' and 'b'" in err
+
     def test_degenerate_outcomes_exit_1(self, tmp_path, capsys):
         # nobody misclassifies: zero-variance outcomes in both teams
         path = tmp_path / "teams.csv"

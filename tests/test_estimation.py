@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from reviewaudit import estimation
 from reviewaudit import (
     NonBinaryTargetError,
     RankDeficiencyError,
@@ -267,6 +268,27 @@ class TestBiasFactorReport:
         with pytest.raises(RankDeficiencyError) as err:
             bias_factor_report(ds)
         assert err.value.column_name == "q_const=same"
+
+    def test_rank_checked_once_per_fit(self, monkeypatch):
+        calls = []
+        check = estimation._check_rank
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(estimation, "_check_rank", counted)
+        bias_factor_report(_driven_panel(n=50))
+        assert len(calls) == 2  # ols_fit and logistic_fit
+
+    def test_fewer_units_than_columns(self):
+        records = [
+            rec(f"p{p}", "r0", f"q{q}", "y" if (p + q) % 2 else "z", "bad" if p else "good")
+            for p in range(2) for q in range(1, 5)
+        ]
+        with pytest.raises(ValueError) as err:
+            bias_factor_report(validate_dataset(records))
+        assert str(err.value) == "need at least 5 rows for 4 factors plus intercept, got 2"
 
     def test_non_binary_target(self):
         records = []

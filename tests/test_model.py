@@ -84,6 +84,20 @@ class TestValidateDataset:
         with pytest.raises(DuplicateRecordError):
             validate_dataset(records)
 
+    def test_unit_with_two_teams_rejected(self):
+        records = [
+            rec("p1", "r0", "q1", "yes", team="A"),
+            rec("p1", "r0", "q2", "yes", team="B"),
+            rec("p1", "r1", "q1", "yes", team="A"),
+            rec("p1", "r1", "q2", "yes", team="A"),
+        ]
+        ds = validate_dataset(records)
+        with pytest.raises(
+            DatasetValidationError,
+            match=r"unit \(product='p1', reviewer='r0'\) has records in teams 'A' and 'B'",
+        ):
+            ds.units
+
     def test_empty_input_rejected(self):
         with pytest.raises(DatasetValidationError):
             validate_dataset([])

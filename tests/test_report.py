@@ -7,9 +7,12 @@ import json
 import pytest
 
 from reviewaudit import (
+    AgreementReport,
+    BiasFactorReport,
     ConvergenceError,
     CsvFormatError,
     DidPanel,
+    DidResult,
     ingest_csv,
     validate_dataset,
 )
@@ -91,6 +94,19 @@ class TestIngestCsv:
         assert truth == {"p1": "good", "p2": "bad"}
         with pytest.raises(CsvFormatError, match="classification"):
             read_ground_truth_csv(io.StringIO("product_id\np1\n"))
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_ground_truth_csv, "", "empty file: no header row"),
+        (read_ground_truth_csv, "id,label\np1,good\n",
+         "missing required column(s): product_id, classification"),
+        (read_outcome_panel_csv, "", "empty file: no header row"),
+        (read_outcome_panel_csv, "group,value\ntreated,1\n",
+         "missing required column(s): period, outcome"),
+    ])
+    def test_header_errors_name_every_missing_column(self, reader, text, message):
+        with pytest.raises(CsvFormatError) as err:
+            reader(io.StringIO(text))
+        assert str(err.value) == message
 
     def test_outcome_panel_reader(self):
         rows = read_outcome_panel_csv(
@@ -179,6 +195,22 @@ class TestRunAudit:
         assert statuses["error_extrapolation"] == "error"
         assert statuses["agreement"] == "ok"
         assert statuses["chi_square"] == "ok"
+
+    def test_conflicting_teams_fail_unit_sections(self):
+        dataset, truth = _team_panel()
+        # a second question whose record for unit (p3, r1) names another team
+        records = list(dataset.records) + [
+            dataclasses.replace(
+                r, question_id="q2", team="other" if r.key[:2] == ("p3", "r1") else r.team
+            )
+            for r in dataset.records
+        ]
+        report = run_audit(validate_dataset(records), ground_truth=truth)
+        message = "unit (product='p3', reviewer='r1') has records in teams 'team0' and 'other'"
+        for name in ("team_comparison", "error_extrapolation", "bias_factors"):
+            assert report.section(name) == {"status": "error", "error": message}, name
+        assert report.section("agreement")["status"] == "ok"
+        assert report.section("chi_square")["status"] == "ok"
 
     def test_corrupt_team_data_changes_only_team_section(self):
         dataset, truth = _team_panel()
@@ -318,6 +350,14 @@ class TestSerialization:
         assert floats, "report should contain floating-point values"
         for value in floats:
             assert value == float(f"{value:.12g}")
+
+    def test_section_body_is_status_plus_result_fields(self):
+        dataset, truth = _team_panel()
+        report = run_audit(dataset, ground_truth=truth, did_panel=_did_panel())
+        for name, result_type in (("agreement", AgreementReport),
+                                  ("bias_factors", BiasFactorReport), ("did", DidResult)):
+            fields = [f.name for f in dataclasses.fields(result_type)]
+            assert list(report.section(name)) == ["status", *fields], name
 
     def test_stable_key_order(self):
         dataset, truth = _team_panel()
