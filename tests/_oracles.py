@@ -194,3 +194,217 @@ def clopper_pearson_oracle(x: int, n: int, level: float) -> tuple[float, float]:
         lambda p: half_alpha - binomial_cdf_exact(x, n, p), 0.0, 1.0
     )
     return lower, upper
+
+
+# --- review-panel oracle -------------------------------------------------------
+#
+# Plain-Python restatement of panel validation and of the analysis inputs
+# derived from a validated panel. Rows are (product, reviewer, question,
+# answer, classification, team, period) tuples; expected failures raise
+# OracleError carrying the package's error class name and message.
+
+
+class OracleError(Exception):
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _mode(labels):
+    """Most frequent label; a tie goes to the smallest."""
+    counts = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    return min(counts, key=lambda label: (-counts[label], label))
+
+
+def validate_oracle(rows, policy="drop", declared=None) -> dict:
+    """What validation keeps and reports, or the OracleError it raises."""
+    if not rows:
+        raise OracleError("DatasetValidationError", "input records must be non-empty")
+    seen = set()
+    for row in rows:
+        key = tuple(row[:3])
+        if key in seen:
+            raise OracleError(
+                "DuplicateRecordError",
+                f"duplicate record for (product={key[0]!r}, reviewer={key[1]!r}, "
+                f"question={key[2]!r})",
+            )
+        seen.add(key)
+    reviewers = sorted({row[1] for row in rows})
+    questions = sorted({row[2] for row in rows})
+    n = len(reviewers)
+    size = {}
+    for row in rows:
+        size[row[0], row[2]] = size.get((row[0], row[2]), 0) + 1
+    incomplete = sorted(cell for cell, k in size.items() if k < n)
+    if incomplete and policy == "strict":
+        shown = ", ".join(f"({p}, {q})" for p, q in incomplete[:5])
+        more = f" and {len(incomplete) - 5} more" if len(incomplete) > 5 else ""
+        raise OracleError(
+            "IncompleteCellError",
+            f"incomplete (product, question) cells under strict policy: {shown}{more}",
+        )
+    kept = sorted((tuple(row) for row in rows if size[row[0], row[2]] == n),
+                  key=lambda row: row[:3])
+    categories = {}
+    for q in questions:
+        observed = sorted({row[3] for row in kept if row[2] == q})
+        if declared is not None and q in declared:
+            allowed = sorted(set(declared[q]))
+            extra = [a for a in observed if a not in allowed]
+            if extra:
+                raise OracleError(
+                    "DatasetValidationError",
+                    f"question {q!r} has observed answers outside the declared "
+                    f"category list: {extra}",
+                )
+            categories[q] = tuple(allowed)
+        else:
+            categories[q] = tuple(observed)
+    return {
+        "records": kept,
+        "reviewers": tuple(reviewers),
+        "questions": tuple(questions),
+        "n_raters": n,
+        "category_space": categories,
+        "summary": (len(rows), len(kept), len(incomplete), len(rows) - len(kept),
+                    tuple(incomplete), policy),
+        "products": tuple(sorted({row[0] for row in kept})),
+    }
+
+
+def units_oracle(panel: dict) -> dict:
+    """(product, reviewer) -> (majority classification, team)."""
+    labels, teams = {}, {}
+    for row in panel["records"]:
+        key = row[:2]
+        if key in labels:
+            labels[key].append(row[4])
+            if row[5] != teams[key]:
+                raise OracleError(
+                    "DatasetValidationError",
+                    f"unit (product={key[0]!r}, reviewer={key[1]!r}) has records "
+                    f"in teams {teams[key]!r} and {row[5]!r}",
+                )
+        else:
+            labels[key] = [row[4]]
+            teams[key] = row[5]
+    return {key: (_mode(labels[key]), teams[key]) for key in sorted(labels)}
+
+
+def unit_errors_oracle(panel: dict, truth=None) -> tuple[dict, str]:
+    units = units_oracle(panel)
+    if truth is None:
+        by_product = {}
+        for (product, _), (label, _) in units.items():
+            by_product.setdefault(product, []).append(label)
+        reference = {product: _mode(labels) for product, labels in by_product.items()}
+        basis = "consensus"
+    else:
+        reference, basis = truth, "ground_truth"
+    errors = {}
+    for key, (label, _) in units.items():
+        if key[0] not in reference:
+            raise OracleError("MissingGroundTruthError",
+                              f"no ground-truth classification for product {key[0]!r}")
+        errors[key] = int(label != reference[key[0]])
+    return errors, basis
+
+
+def _cells(panel: dict, question: str) -> list:
+    by_product = {}
+    for row in panel["records"]:
+        if row[2] == question:
+            by_product.setdefault(row[0], []).append(row[3])
+    return sorted(by_product.items())
+
+
+def _count_rows(cells, categories):
+    return tuple(tuple(sum(1 for a in answers if a == c) for c in categories)
+                 for _, answers in cells)
+
+
+def rating_matrix_oracle(panel: dict, question: str) -> tuple:
+    """(counts, n, categories, subjects) for one question."""
+    if question not in panel["questions"]:
+        raise OracleError("UnknownQuestionError",
+                          f"question {question!r} not present in dataset")
+    n = panel["n_raters"]
+    if n < 2:
+        raise OracleError("EmptyMatrixError",
+                          f"question {question!r} has {n} rater(s); need at least 2")
+    cells = _cells(panel, question)
+    if not cells:
+        raise OracleError("EmptyMatrixError", f"question {question!r} has no complete cells")
+    categories = panel["category_space"][question]
+    if len(categories) < 2:
+        raise OracleError(
+            "KappaUndefinedError",
+            f"question {question!r} has a single-category space; agreement is undefined",
+        )
+    return (_count_rows(cells, categories), n, categories,
+            tuple(product for product, _ in cells))
+
+
+def pooled_rating_matrix_oracle(panel: dict) -> tuple:
+    """Every complete (product, question) cell over the union category space."""
+    categories = tuple(sorted({c for q in panel["questions"]
+                               for c in panel["category_space"][q]}))
+    if len(categories) < 2:
+        raise OracleError(
+            "KappaUndefinedError",
+            "union category space has a single category; agreement is undefined",
+        )
+    counts, subjects = [], []
+    for q in panel["questions"]:
+        cells = _cells(panel, q)
+        counts.extend(_count_rows(cells, categories))
+        subjects.extend(f"{product}/{q}" for product, _ in cells)
+    if not counts:
+        raise OracleError("EmptyMatrixError", "dataset has no complete cells")
+    n = panel["n_raters"]
+    if n < 2:
+        raise OracleError("EmptyMatrixError", f"rating matrix requires n >= 2 raters, got {n}")
+    return tuple(counts), n, categories, tuple(subjects)
+
+
+def contingency_oracle(panel: dict, question: str) -> tuple:
+    """(observed, expected, answers, classifications) for one question."""
+    if question not in panel["questions"]:
+        raise OracleError("UnknownQuestionError",
+                          f"question {question!r} not present in dataset")
+    rows = [row for row in panel["records"] if row[2] == question]
+    if not rows:
+        raise OracleError("EmptyMatrixError", f"question {question!r} has no records")
+    answers = panel["category_space"][question]
+    classes = tuple(sorted({row[4] for row in rows}))
+    observed = tuple(tuple(sum(1 for row in rows if row[3] == a and row[4] == c)
+                           for c in classes) for a in answers)
+    grand = sum(map(sum, observed))
+    row_totals = [sum(row) for row in observed]
+    col_totals = [sum(row[j] for row in observed) for j in range(len(classes))]
+    if len(answers) < 2 or len(classes) < 2 or 0 in row_totals or 0 in col_totals:
+        raise OracleError(
+            "DegenerateTableError",
+            f"question {question!r} yields a degenerate {len(answers)}x{len(classes)} "
+            "table (needs >= 2 answers and >= 2 classifications with non-zero margins)",
+        )
+    expected = tuple(tuple(row_totals[r] * col_totals[c] / grand for c in range(len(classes)))
+                     for r in range(len(answers)))
+    return observed, expected, answers, classes
+
+
+def agreement_rate_oracle(panel: dict) -> float:
+    complete = consensus = 0
+    for product in panel["products"]:
+        cells = [dict(_cells(panel, q)).get(product) for q in panel["questions"]]
+        if any(c is None for c in cells):
+            continue
+        complete += 1
+        consensus += all(len(set(answers)) == 1 for answers in cells)
+    if not complete:
+        raise OracleError("NoCompleteProductsError",
+                          "no product has complete ratings on every question")
+    return consensus / complete

@@ -87,6 +87,79 @@ class TestIngestCsv:
         records = ingest_csv(str(path))
         assert records[0].product_id == "p1"
 
+    def test_blank_lines_skipped_and_counted(self):
+        stream = io.StringIO(CSV_HEADER + "\n\np1,r1,q1,yes,approve\n\n\np2,r1,q1,,approve\n")
+        with pytest.raises(CsvFormatError, match="empty answer on row 6"):
+            ingest_csv(stream)
+        stream = io.StringIO(CSV_HEADER + "\n\np1,r1,q1,yes,approve\n\n")
+        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes")]
+
+    def test_short_row_reads_missing_fields_as_empty(self):
+        stream = csv_stream("p1,r1,q1,yes", header=CSV_HEADER)
+        with pytest.raises(CsvFormatError, match="empty final_classification on row 2"):
+            ingest_csv(stream)
+        stream = csv_stream("p1,r1,q1,yes,approve", header=CSV_HEADER + ",team,period")
+        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes")]
+
+    def test_extra_fields_ignored(self):
+        stream = csv_stream("p1,r1,q1,yes,approve,teamA,4,extra,more",
+                            header=CSV_HEADER + ",team,period")
+        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes", team="teamA", period=4)]
+
+    def test_duplicated_header_takes_last_column(self):
+        stream = csv_stream("first,p1,r1,q1,yes,approve,last",
+                            header="answer," + CSV_HEADER + ",answer")
+        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "last")]
+
+    def test_first_empty_required_column_before_period(self):
+        header = "final_classification,period,answer,question_id,reviewer_id,product_id"
+        stream = csv_stream("approve,1,yes,q1,r1,p1", ",bad,yes,q1,r1,", header=header)
+        with pytest.raises(CsvFormatError, match="empty product_id on row 3") as err:
+            ingest_csv(stream)
+        assert err.value.column == "product_id"
+
+    def test_period_parsed_by_int(self):
+        stream = csv_stream("p1,r1,q1,yes,approve, 7 ", "p2,r1,q1,yes,approve,+3",
+                            "p3,r1,q1,yes,approve,1_0", "p4,r1,q1,yes,approve,-2",
+                            header=CSV_HEADER + ",period")
+        assert [r.period for r in ingest_csv(stream)] == [7, 3, 10, -2]
+
+    def test_repeated_bad_period_cites_first_line(self):
+        stream = csv_stream("p1,r1,q1,yes,approve,1", "p2,r1,q1,yes,approve,1.5",
+                            "p3,r1,q1,yes,approve,1.5", header=CSV_HEADER + ",period")
+        with pytest.raises(CsvFormatError, match=r"unparseable period '1\.5' on row 3") as err:
+            ingest_csv(stream)
+        assert (err.value.row, err.value.column) == (3, "period")
+
+    def test_quoted_newline_counts_file_lines(self):
+        stream = csv_stream('p1,r1,q1,"two\nlines",approve', "p2,r1,q1,yes,")
+        with pytest.raises(CsvFormatError, match="empty final_classification on row 4"):
+            ingest_csv(stream)
+        stream = csv_stream('p1,r1,q1,"two\nlines",approve')
+        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "two\nlines")]
+
+    def test_values_stripped(self):
+        stream = csv_stream(" p1 , r1 ,q1,\tyes ,approve ,  ,", header=CSV_HEADER + ",team,period")
+        records = ingest_csv(stream)
+        assert len(records) == 1
+        assert records[0] == rec("p1", "r1", "q1", "yes")
+        assert records[-1] == records[0]
+
+    def test_groups_split_one_parse(self):
+        stream = csv_stream("p1,r1,q1,yes,approve,treated", "p2,r1,q1,no,reject,control",
+                            "p3,r1,q1,no,reject", "p4,r1,q1,yes,approve, treated ",
+                            header=CSV_HEADER + ",group")
+        groups = report_module.ingest_csv_groups(stream)
+        assert {g: list(records) for g, records in groups.items()} == {
+            "treated": [rec("p1", "r1", "q1", "yes"), rec("p4", "r1", "q1", "yes")],
+            "control": [rec("p2", "r1", "q1", "no", "reject")],
+            "": [rec("p3", "r1", "q1", "no", "reject")],
+        }
+        with pytest.raises(CsvFormatError, match="empty answer on row 3"):
+            report_module.ingest_csv_groups(
+                csv_stream("p1,r1,q1,yes,approve,treated", "p2,r1,q1,,approve,control",
+                           header=CSV_HEADER + ",group"))
+
     def test_ground_truth_reader(self):
         truth = read_ground_truth_csv(
             io.StringIO("product_id,classification\np1,good\np2,bad\n")
