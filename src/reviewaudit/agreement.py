@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     EmptyMatrixError,
     KappaUndefinedError,
@@ -78,15 +80,11 @@ def agreement_rate(dataset: ReviewDataset) -> float:
     cell for every question; it counts toward the numerator when all
     reviewers gave identical answers on every question.
     """
-    complete = 0
-    consensus = 0
-    for product in dataset.products:
-        cells = [dataset.cell(product, q) for q in dataset.questions]
-        if any(not c for c in cells):
-            continue
-        complete += 1
-        if all(len({rec.answer for rec in recs}) == 1 for recs in cells):
-            consensus += 1
+    cells = dataset._cells
+    unanimous = (cells.answers == cells.answers[:, :1]).all(axis=1)
+    n_questions = len(dataset.questions)
+    complete = int(np.count_nonzero(np.bincount(cells.product) == n_questions))
+    consensus = int(np.count_nonzero(np.bincount(cells.product[unanimous]) == n_questions))
     if complete == 0:
         raise NoCompleteProductsError(
             "no product has complete ratings on every question"
@@ -127,23 +125,17 @@ def pooled_rating_matrix(dataset: ReviewDataset) -> RatingMatrix:
         raise KappaUndefinedError(
             "union category space has a single category; agreement is undefined"
         )
-    index = {label: j for j, label in enumerate(categories)}
-    rows = []
-    subjects = []
-    for q in dataset.questions:
-        for product, recs in dataset.cells_for_question(q):
-            row = [0] * len(categories)
-            for rec in recs:
-                row[index[rec.answer]] += 1
-            rows.append(tuple(row))
-            subjects.append(f"{product}/{q}")
-    if not rows:
+    counts, products = dataset._category_counts(slice(None), categories)
+    if not counts:
         raise EmptyMatrixError("dataset has no complete cells")
+    per_question = np.diff(dataset._cells.bounds)
+    questions = np.repeat(np.arange(len(per_question)), per_question).tolist()
     return RatingMatrix(
-        counts=tuple(rows),
+        counts=counts,
         n=dataset.n_raters,
         categories=categories,
-        subjects=tuple(subjects),
+        subjects=tuple(map("{}/{}".format, products,
+                           map(dataset.questions.__getitem__, questions))),
     )
 
 

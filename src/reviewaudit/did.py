@@ -153,24 +153,19 @@ def did_estimate(
     )
 
 
-def reviewer_classifications(dataset: ReviewDataset) -> dict[tuple[str, str], tuple[str, int | None]]:
-    """Majority final classification and period per (product, reviewer) unit.
+def reviewer_classifications(dataset: ReviewDataset) -> dict[tuple[str, str], int | None]:
+    """Period per (product, reviewer) unit, keyed in sorted unit order.
 
-    The classification comes from the dataset's unit table; the period is
-    taken from the unit's records and must be consistent.
+    Every record of a unit must carry the same period (or none); a unit
+    spanning periods raises PanelError.
     """
-    units = dataset.units
-    out: dict[tuple[str, str], tuple[str, int | None]] = {}
-    for rec in dataset.records:
-        key = (rec.product_id, rec.reviewer_id)
-        seen = out.get(key)
-        if seen is None:
-            out[key] = (units[key].classification, rec.period)
-        elif seen[1] != rec.period:
-            raise PanelError(
-                f"unit (product={key[0]!r}, reviewer={key[1]!r}) spans multiple periods"
-            )
-    return out
+    periods, conflict = dataset.unit_field("period")
+    if conflict is not None:
+        (product, reviewer), _, _ = conflict
+        raise PanelError(
+            f"unit (product={product!r}, reviewer={reviewer!r}) spans multiple periods"
+        )
+    return periods
 
 
 def did_with_error_rates(
@@ -189,14 +184,15 @@ def did_with_error_rates(
     """
     observations: list[tuple[str, int, float]] = []
     for group, dataset in (("treated", treated), ("control", control)):
+        units = dataset.units  # first, so a team conflict is reported first
         periods = reviewer_classifications(dataset)
         errors, _ = dataset.unit_errors(ground_truth)
-        for key, (_label, period) in periods.items():
-            if period is None:
+        for key in units:
+            if periods[key] is None:
                 raise PanelError(
                     f"record for product {key[0]!r} lacks a period; "
                     "difference-in-differences needs period-tagged data"
                 )
-            observations.append((group, period, float(errors[key])))
+            observations.append((group, periods[key], float(errors[key])))
     panel = DidPanel(observations=tuple(observations), change_period=change_period)
     return did_estimate(panel, period_balanced=period_balanced)

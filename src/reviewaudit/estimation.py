@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -315,8 +316,8 @@ class BiasFactorReport:
 
 def _encode_units(
     dataset: ReviewDataset, factors: Sequence[str]
-) -> tuple[list[list[float]], list[str], list[int], tuple[str, str]]:
-    """One-hot design over (product, reviewer) units.
+) -> tuple[np.ndarray, list[str], list[int], tuple[str, str]]:
+    """One-hot design over (product, reviewer) units, in sorted unit order.
 
     A unit enters only if it has a record for every factor question; its
     target is its majority classification from the dataset's unit table.
@@ -329,47 +330,37 @@ def _encode_units(
             raise DatasetValidationError(f"factor {q!r} is not a question in the dataset")
 
     units = dataset.units
-    answers: dict[tuple[str, str], dict[str, str]] = {}
-    for rec in dataset.records:
-        if rec.question_id in questions:
-            answers.setdefault((rec.product_id, rec.reviewer_id), {})[rec.question_id] = rec.answer
-
-    complete_keys = sorted(
-        k for k, unit_answers in answers.items() if len(unit_answers) == len(questions)
-    )
-    if not complete_keys and not questions and use_team:
-        complete_keys = list(units)
-    if not complete_keys:
+    # A factor named twice can never be covered by a unit's distinct answers.
+    covered = np.full(len(units), len(set(questions)) == len(questions))
+    columns: list[str] = []
+    blocks: list[np.ndarray] = []
+    for q in questions:
+        levels = dataset.category_space[q][1:]
+        answered, indicators = dataset.unit_indicators(q, levels)
+        covered &= answered
+        columns.extend(f"{q}={label}" for label in levels)
+        blocks.append(indicators)
+    keys = list(compress(units, covered.tolist()))
+    if not keys:
         raise DatasetValidationError("no (product, reviewer) unit covers every factor")
 
-    labels = tuple(sorted({units[key].classification for key in complete_keys}))
+    classes = [units[key].classification for key in keys]
+    labels = tuple(sorted(set(classes)))
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
 
-    columns: list[str] = []
-    encoders: list[tuple[str, str]] = []
-    for q in questions:
-        space = dataset.category_space[q]
-        for label in space[1:]:
-            columns.append(f"{q}={label}")
-            encoders.append((q, label))
-    team_levels: tuple[str, ...] = ()
+    design = (np.hstack([block[covered] for block in blocks]) if blocks
+              else np.zeros((len(keys), 0)))
     if use_team:
-        teams = {units[k].team for k in complete_keys}
+        teams = [units[key].team for key in keys]
         if None in teams:
             raise DatasetValidationError("factor 'team' requested but some units lack a team")
-        team_levels = tuple(sorted(teams))
-        for level in team_levels[1:]:
-            columns.append(f"team={level}")
-
-    design: list[list[float]] = []
-    target: list[int] = []
-    for key in complete_keys:
-        row = [1.0 if answers.get(key, {}).get(q) == label else 0.0 for q, label in encoders]
-        if use_team:
-            row.extend(1.0 if units[key].team == level else 0.0 for level in team_levels[1:])
-        design.append(row)
-        target.append(0 if units[key].classification == labels[0] else 1)
+        team_levels = sorted(set(teams))[1:]
+        columns.extend(f"team={level}" for level in team_levels)
+        design = np.hstack([design, np.array(
+            [[team == level for level in team_levels] for team in teams], dtype=float
+        )])
+    target = [0 if label == labels[0] else 1 for label in classes]
     return design, columns, target, labels
 
 
@@ -396,6 +387,12 @@ def bias_factor_report(
         logistic_result = logistic_fit(design, [float(t) for t in target], column_names=columns)
     except (ReviewAuditError, ValueError) as exc:
         logistic_error = str(exc)
+    else:
+        if not logistic_result.converged:
+            logistic_error = (
+                f"logistic fit did not converge in {logistic_result.iterations} iterations"
+            )
+            logistic_result = None
 
     effects = [
         FactorEffect(

@@ -8,14 +8,24 @@ agreement, contingency tables for independence tests) are derived from the
 validated dataset, as is the per-unit table: one row per (product,
 reviewer) unit with the reviewer's majority classification and team. All
 types are immutable after construction and all operations are pure.
+
+A validated panel is stored column-wise (RecordColumns): one int32 code
+array per record field, each code an index into the field's sorted label
+table, so that code order is label order and every derived input is a
+sort or a bincount over codes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+
+import numpy as np
 
 from .errors import (
     DatasetValidationError,
@@ -69,6 +79,127 @@ class ReviewRecord:
         return (self.product_id, self.reviewer_id, self.question_id)
 
 
+FIELDS = tuple(f.name for f in fields(ReviewRecord))
+PRODUCT, REVIEWER, QUESTION, ANSWER, CLASSIFICATION, TEAM, PERIOD = range(len(FIELDS))
+OPTIONAL = (TEAM, PERIOD)
+
+
+class ColumnCoder:
+    """Integer codes for one column's values, added in chunks.
+
+    Values are numbered in order of first sight while chunks arrive;
+    finish() renumbers them so that the codes index the sorted label table.
+    An optional column's table starts with None.
+    """
+
+    def __init__(self, optional: bool = False):
+        self.optional = optional
+        self.index: dict = {None: 0} if optional else {}
+        self.parts: list[np.ndarray] = []
+
+    def add(self, values: Sequence) -> set:
+        """Code a chunk of values; returns the values not seen before."""
+        index = self.index
+        new = set(values).difference(index)
+        if new:
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+        self.parts.append(np.fromiter(map(index.__getitem__, values), np.int32, len(values)))
+        return new
+
+    def finish(self, convert: Callable | None = None) -> tuple[np.ndarray, tuple]:
+        """The codes and the label table; convert maps each distinct value
+        to its label (values converting to one label share its code)."""
+        seen = list(self.index)
+        if convert is not None:
+            seen = [convert(value) for value in seen]
+        table = sorted(set(seen) - {None})
+        if self.optional:
+            table.insert(0, None)
+        position = {label: i for i, label in enumerate(table)}
+        lut = np.array([position[label] for label in seen], np.int32)
+        if not self.parts:
+            return np.zeros(0, np.int32), tuple(table)
+        raw = self.parts[0] if len(self.parts) == 1 else np.concatenate(self.parts)
+        return lut[raw], tuple(table)
+
+
+class RecordColumns(Sequence[ReviewRecord]):
+    """Review records stored as one int32 code array per ReviewRecord field.
+
+    codes[f][i] indexes labels[f], the field's sorted label table (None
+    first for team and period), so code order is label order. Indexing and
+    iteration give records: the objects the columns were built from, when
+    there are any, otherwise records made from the labels.
+    """
+
+    __slots__ = ("codes", "labels", "_objects")
+
+    def __init__(self, codes: Sequence[np.ndarray], labels: Sequence[tuple],
+                 objects: Sequence[ReviewRecord] | None = None):
+        self.codes = tuple(codes)
+        self.labels = tuple(labels)
+        self._objects = objects
+
+    @classmethod
+    def from_records(cls, records: Sequence[ReviewRecord]) -> "RecordColumns":
+        """Columns over the given records, which are kept, not copied."""
+        coded = []
+        for i, name in enumerate(FIELDS):
+            coder = ColumnCoder(i in OPTIONAL)
+            coder.add(list(map(operator.attrgetter(name), records)))
+            coded.append(coder.finish())
+        codes, labels = zip(*coded)
+        return cls(codes, labels, records)
+
+    def __len__(self) -> int:
+        return len(self.codes[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        if self._objects is not None:
+            return self._objects[index]
+        return ReviewRecord(*(table[c[index]] for c, table in zip(self.codes, self.labels)))
+
+    def __iter__(self) -> Iterator[ReviewRecord]:
+        if self._objects is not None:
+            return iter(self._objects)
+        return map(ReviewRecord, *(map(table.__getitem__, c.tolist())
+                                   for c, table in zip(self.codes, self.labels)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (RecordColumns, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def to_tuple(self) -> tuple[ReviewRecord, ...]:
+        """Every record, as a tuple (the objects' own tuple when it is one)."""
+        return tuple(self if self._objects is None else self._objects)
+
+    def take(self, index: np.ndarray) -> "RecordColumns":
+        """The rows at the given positions, over the same label tables."""
+        objects = self._objects
+        if objects is not None:
+            objects = tuple(map(objects.__getitem__, index.tolist()))
+        return RecordColumns([c[index] for c in self.codes], self.labels, objects)
+
+    def compact(self) -> "RecordColumns":
+        """The same rows, with label tables cut to the values they use."""
+        codes, labels = [], []
+        for i, (c, table) in enumerate(zip(self.codes, self.labels)):
+            used = np.bincount(c, minlength=len(table)) > 0
+            if i in OPTIONAL:
+                used[0] = True
+            if not used.all():
+                c = (np.cumsum(used, dtype=np.int32) - 1)[c]
+                table = tuple(compress(table, used.tolist()))
+            codes.append(c)
+            labels.append(table)
+        return RecordColumns(codes, labels, self._objects)
+
+
 @dataclass(frozen=True)
 class ValidationSummary:
     """What validation kept and what it dropped."""
@@ -90,6 +221,29 @@ class Unit(NamedTuple):
     team: str | None
 
 
+class _Cells(NamedTuple):
+    """Kept records as blocks of n_raters, one block per (product, question)
+    cell, cells in (question, product) order and reviewers sorted within."""
+
+    product: np.ndarray  # product code per cell
+    answers: np.ndarray  # cells x n_raters answer codes
+    classifications: np.ndarray  # cells x n_raters classification codes
+    bounds: np.ndarray  # the cells of question i are bounds[i]:bounds[i + 1]
+
+
+def _mode(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The most frequent value of each group, a tie going to the smallest;
+    groups are numbered 0, 1, ... and each occurs."""
+    width = int(values.max()) + 1 if len(values) else 1
+    pairs, counts = np.unique(groups.astype(np.int64) * width + values, return_counts=True)
+    group, value = np.divmod(pairs, width)
+    order = np.lexsort((value, -counts, group))
+    group, value = group[order], value[order]
+    head = np.ones(len(order), bool)
+    head[1:] = group[1:] != group[:-1]
+    return value[head]
+
+
 @dataclass(frozen=True)
 class ReviewDataset:
     """A validated panel. Construct via validate_dataset, not directly.
@@ -97,22 +251,61 @@ class ReviewDataset:
     reviewers and questions are the distinct identifiers observed in the
     input (before any dropping), sorted lexicographically. n_raters is the
     size of the reviewer roster; every surviving (product, question) cell
-    carries exactly n_raters ratings.
+    carries exactly n_raters ratings. columns holds the kept records, sorted,
+    as code columns whose reviewer and question tables are reviewers and
+    questions; records, products and the per-unit table are derived from it
+    on first use.
     """
 
-    records: tuple[ReviewRecord, ...]
     reviewers: tuple[str, ...]
     questions: tuple[str, ...]
     category_space: Mapping[str, tuple[str, ...]]
     n_raters: int
     summary: ValidationSummary
-    _cells: Mapping[tuple[str, str], tuple[ReviewRecord, ...]] = field(
-        repr=False, compare=False, default_factory=dict
-    )
+    columns: RecordColumns = field(repr=False)
 
-    @property
+    @cached_property
+    def records(self) -> tuple[ReviewRecord, ...]:
+        return self.columns.to_tuple()
+
+    @cached_property
     def products(self) -> tuple[str, ...]:
-        return tuple(sorted({r.product_id for r in self.records}))
+        table = self.columns.labels[PRODUCT]
+        used = np.bincount(self.columns.codes[PRODUCT], minlength=len(table))
+        return tuple(map(table.__getitem__, np.flatnonzero(used).tolist()))
+
+    @cached_property
+    def _unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each kept record's unit number and each unit's first record; units
+        are numbered in sorted (product, reviewer) order."""
+        product, reviewer = self.columns.codes[PRODUCT], self.columns.codes[REVIEWER]
+        first = np.ones(len(product), bool)
+        first[1:] = (product[1:] != product[:-1]) | (reviewer[1:] != reviewer[:-1])
+        return np.cumsum(first, dtype=np.int32) - 1, np.flatnonzero(first)
+
+    @cached_property
+    def _unit_keys(self) -> list[tuple[str, str]]:
+        starts = self._unit_rows[1]
+        products, reviewers = self.columns.labels[PRODUCT], self.columns.labels[REVIEWER]
+        return list(zip(map(products.__getitem__, self.columns.codes[PRODUCT][starts].tolist()),
+                        map(reviewers.__getitem__, self.columns.codes[REVIEWER][starts].tolist())))
+
+    def unit_field(self, name: str) -> tuple[dict[tuple[str, str], object], tuple | None]:
+        """A field that should be constant within each unit: its value per
+        unit, keyed by (product, reviewer) in sorted order and taken from the
+        unit's first record, and the first conflict in sorted order, as
+        (unit key, first value, differing value), or None."""
+        i = FIELDS.index(name)
+        unit, starts = self._unit_rows
+        codes, table = self.columns.codes[i], self.columns.labels[i]
+        first = codes[starts]
+        keys = self._unit_keys
+        conflict = None
+        differing = np.flatnonzero(codes != first[unit])
+        if differing.size:
+            row = differing[0]
+            conflict = (keys[unit[row]], table[first[unit[row]]], table[codes[row]])
+        return dict(zip(keys, map(table.__getitem__, first.tolist()))), conflict
 
     @cached_property
     def units(self) -> Mapping[tuple[str, str], Unit]:
@@ -121,22 +314,17 @@ class ReviewDataset:
         Built on first use and kept, so validation itself does no extra work.
         Raises DatasetValidationError when a unit's records disagree on team.
         """
-        labels: dict[tuple[str, str], list[str]] = {}
-        teams: dict[tuple[str, str], str | None] = {}
-        for rec in self.records:
-            key = (rec.product_id, rec.reviewer_id)
-            if key in labels:
-                labels[key].append(rec.final_classification)
-                if rec.team != teams[key]:
-                    raise DatasetValidationError(
-                        f"unit (product={key[0]!r}, reviewer={key[1]!r}) has records "
-                        f"in teams {teams[key]!r} and {rec.team!r}"
-                    )
-            else:
-                labels[key] = [rec.final_classification]
-                teams[key] = rec.team
+        teams, conflict = self.unit_field("team")
+        if conflict is not None:
+            (product, reviewer), first, other = conflict
+            raise DatasetValidationError(
+                f"unit (product={product!r}, reviewer={reviewer!r}) has records "
+                f"in teams {first!r} and {other!r}"
+            )
+        labels = self.columns.labels[CLASSIFICATION]
+        votes = _mode(self._unit_rows[0], self.columns.codes[CLASSIFICATION]).tolist()
         return MappingProxyType(
-            {key: Unit(majority(labels[key]), teams[key]) for key in sorted(labels)}
+            dict(zip(teams, map(Unit, map(labels.__getitem__, votes), teams.values())))
         )
 
     def unit_errors(
@@ -164,21 +352,84 @@ class ReviewDataset:
             outcomes[key] = int(unit.classification != reference[key[0]])
         return outcomes, basis
 
+    def unit_indicators(
+        self, question: str, labels: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per unit, in sorted order: whether it has a record for the
+        question, and a 0/1 float column per label marking its answer."""
+        unit, starts = self._unit_rows
+        rows = np.flatnonzero(self.columns.codes[QUESTION] == self.questions.index(question))
+        answered = np.zeros(len(starts), bool)
+        answered[unit[rows]] = True
+        column = self._answer_positions(labels)[self.columns.codes[ANSWER][rows]]
+        marked = column >= 0
+        indicators = np.zeros((len(starts), len(labels)))
+        indicators[unit[rows][marked], column[marked]] = 1.0
+        return answered, indicators
+
+    def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
+        """Each answer code's position in labels, or -1."""
+        index = {label: j for j, label in enumerate(labels)}
+        return np.array([index.get(label, -1) for label in self.columns.labels[ANSWER]], np.int64)
+
+    @cached_property
+    def _cells(self) -> _Cells:
+        codes, n = self.columns.codes, self.n_raters
+        # lexsort is stable, so each cell keeps its reviewers in sorted order
+        order = np.lexsort((codes[PRODUCT], codes[QUESTION]))
+        questions = codes[QUESTION][order][::n]
+        return _Cells(
+            product=codes[PRODUCT][order][::n],
+            answers=codes[ANSWER][order].reshape(-1, n),
+            classifications=codes[CLASSIFICATION][order].reshape(-1, n),
+            bounds=np.searchsorted(questions, np.arange(len(self.questions) + 1)),
+        )
+
+    def _question_cells(self, question: str) -> slice:
+        """The cells of a question in _cells."""
+        try:
+            i = self.questions.index(question)
+        except ValueError:
+            raise UnknownQuestionError(question) from None
+        bounds = self._cells.bounds
+        return slice(int(bounds[i]), int(bounds[i + 1]))
+
+    def _category_counts(
+        self, cells: slice, categories: tuple[str, ...]
+    ) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
+        """Per cell, how many reviewers chose each category (which must
+        cover the cells' answers), and the cells' products."""
+        chosen = self._answer_positions(categories)[self._cells.answers[cells]]
+        n_cells, width = len(chosen), len(categories)
+        flat = (np.arange(n_cells)[:, None] * width + chosen).ravel()
+        counts = np.bincount(flat, minlength=n_cells * width).reshape(n_cells, width)
+        products = self.columns.labels[PRODUCT]
+        return (tuple(map(tuple, counts.tolist())),
+                list(map(products.__getitem__, self._cells.product[cells].tolist())))
+
     def records_for_question(self, question: str) -> tuple[ReviewRecord, ...]:
         if question not in self.questions:
             raise UnknownQuestionError(question)
         return tuple(r for r in self.records if r.question_id == question)
 
     def cell(self, product: str, question: str) -> tuple[ReviewRecord, ...]:
-        return self._cells.get((product, question), ())
+        return tuple(r for r in self.records
+                     if r.product_id == product and r.question_id == question)
 
     def cells_for_question(self, question: str) -> list[tuple[str, tuple[ReviewRecord, ...]]]:
         """Complete cells for a question, sorted by product id."""
-        if question not in self.questions:
-            raise UnknownQuestionError(question)
-        out = [(p, recs) for (p, q), recs in self._cells.items() if q == question]
-        out.sort(key=lambda item: item[0])
-        return out
+        by_product: dict[str, list[ReviewRecord]] = {}
+        for r in self.records_for_question(question):
+            by_product.setdefault(r.product_id, []).append(r)
+        return [(product, tuple(recs)) for product, recs in by_product.items()]
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Whether each sorted row after the first repeats its predecessor's key."""
+    same = np.ones(len(keys[0]) - 1, bool)
+    for key in keys:
+        same &= key[1:] == key[:-1]
+    return same
 
 
 def validate_dataset(
@@ -193,46 +444,56 @@ def validate_dataset(
     dropped (policy="drop", with an audit trail in the summary) or rejected
     (policy="strict"). An optional declared category list per question
     replaces the observed label union; observed labels outside it are
-    rejected.
+    rejected. Given record objects, the dataset's records are those same
+    objects; given RecordColumns (as ingest_csv returns), no record objects
+    are made until dataset.records is read.
     """
     if policy not in INCOMPLETE_CELL_POLICIES:
         raise ValueError(f"policy must be one of {INCOMPLETE_CELL_POLICIES}, got {policy!r}")
-    records = list(records)
-    if not records:
+    if not isinstance(records, RecordColumns):
+        records = RecordColumns.from_records(list(records))
+    if not len(records):
         raise DatasetValidationError("input records must be non-empty")
+    records = records.compact()
+    products, reviewers, questions = records.labels[:3]
+    product, reviewer, question = records.codes[:3]
 
-    seen: set[tuple[str, str, str]] = set()
-    for rec in records:
-        if rec.key in seen:
-            raise DuplicateRecordError(rec.key)
-        seen.add(rec.key)
+    # Sorted by (product, question, reviewer), a cell's records are adjacent,
+    # and so are the repeats of a key; the sort is stable, so the smallest
+    # repeat position is the first record whose key was seen before.
+    order = np.lexsort((reviewer, question, product))
+    p, q = product[order], question[order]
+    same_cell = _repeats(p, q)
+    repeat = same_cell & _repeats(reviewer[order])
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        raise DuplicateRecordError(
+            (products[product[i]], reviewers[reviewer[i]], questions[question[i]])
+        )
 
-    reviewers = tuple(sorted({r.reviewer_id for r in records}))
-    questions = tuple(sorted({r.question_id for r in records}))
     n_raters = len(reviewers)
-
-    by_cell: dict[tuple[str, str], list[ReviewRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.product_id, rec.question_id), []).append(rec)
-
-    incomplete = sorted(cell for cell, recs in by_cell.items() if len(recs) < n_raters)
+    starts = np.flatnonzero(np.concatenate(([True], ~same_cell)))
+    sizes = np.diff(np.append(starts, len(order)))
+    short = sizes < n_raters
+    incomplete = [(products[i], questions[j])
+                  for i, j in zip(p[starts[short]].tolist(), q[starts[short]].tolist())]
     if incomplete and policy == "strict":
         raise IncompleteCellError(incomplete)
+    rows = order[np.repeat(~short, sizes)]
+    del order, p, q, same_cell, repeat  # freed before the kept columns are made
+    kept = records.take(rows[np.lexsort((question[rows], reviewer[rows], product[rows]))])
 
-    kept_cells = {
-        cell: tuple(sorted(recs))
-        for cell, recs in by_cell.items()
-        if len(recs) == n_raters
-    }
-    kept_records = tuple(sorted(r for recs in kept_cells.values() for r in recs))
-    n_dropped_records = len(records) - len(kept_records)
-
+    answers = kept.labels[ANSWER]
+    observed: dict[str, list[str]] = {}
+    pairs = np.unique(kept.codes[QUESTION].astype(np.int64) * len(answers) + kept.codes[ANSWER])
+    for pair in pairs.tolist():
+        observed.setdefault(questions[pair // len(answers)], []).append(answers[pair % len(answers)])
     categories: dict[str, tuple[str, ...]] = {}
     for q in questions:
-        observed = sorted({r.answer for r in kept_records if r.question_id == q})
+        seen = observed.get(q, [])
         if declared_categories is not None and q in declared_categories:
             declared = sorted(set(declared_categories[q]))
-            extra = [a for a in observed if a not in declared]
+            extra = [a for a in seen if a not in declared]
             if extra:
                 raise DatasetValidationError(
                     f"question {q!r} has observed answers outside the declared "
@@ -240,24 +501,23 @@ def validate_dataset(
                 )
             categories[q] = tuple(declared)
         else:
-            categories[q] = tuple(observed)
+            categories[q] = tuple(seen)
 
     summary = ValidationSummary(
         n_input_records=len(records),
-        n_records=len(kept_records),
+        n_records=len(kept),
         n_dropped_cells=len(incomplete),
-        n_dropped_records=n_dropped_records,
+        n_dropped_records=len(records) - len(kept),
         dropped_cells=tuple(incomplete),
         policy=policy,
     )
     return ReviewDataset(
-        records=kept_records,
         reviewers=reviewers,
         questions=questions,
         category_space=MappingProxyType(categories),
         n_raters=n_raters,
         summary=summary,
-        _cells=MappingProxyType(kept_cells),
+        columns=kept,
     )
 
 
@@ -281,8 +541,12 @@ class RatingMatrix:
             )
         if len(self.subjects) != len(self.counts):
             raise ValueError("subjects and counts must have equal length")
+        width = len(self.categories)
+        if (set(map(len, self.counts)) == {width} and min(map(min, self.counts)) >= 0
+                and set(map(sum, self.counts)) == {self.n}):
+            return
         for subject, row in zip(self.subjects, self.counts):
-            if len(row) != len(self.categories):
+            if len(row) != width:
                 raise ValueError(f"row width mismatch for subject {subject!r}")
             if any(c < 0 for c in row):
                 raise ValueError(f"negative count for subject {subject!r}")
@@ -306,32 +570,24 @@ def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
     Rows are restricted to products with a complete cell for the question,
     in sorted product order; columns follow the question's category space.
     """
-    cells = dataset.cells_for_question(question)
+    cells = dataset._question_cells(question)
     if dataset.n_raters < 2:
         raise EmptyMatrixError(
             f"question {question!r} has {dataset.n_raters} rater(s); need at least 2"
         )
-    if not cells:
+    if cells.start == cells.stop:
         raise EmptyMatrixError(f"question {question!r} has no complete cells")
     categories = dataset.category_space[question]
     if len(categories) < 2:
         raise KappaUndefinedError(
             f"question {question!r} has a single-category space; agreement is undefined"
         )
-    index = {label: j for j, label in enumerate(categories)}
-    rows = []
-    subjects = []
-    for product, recs in cells:
-        row = [0] * len(categories)
-        for rec in recs:
-            row[index[rec.answer]] += 1
-        rows.append(tuple(row))
-        subjects.append(product)
+    counts, products = dataset._category_counts(cells, categories)
     return RatingMatrix(
-        counts=tuple(rows),
+        counts=counts,
         n=dataset.n_raters,
         categories=categories,
-        subjects=tuple(subjects),
+        subjects=tuple(products),
     )
 
 
@@ -415,15 +671,17 @@ def contingency_from(dataset: ReviewDataset, question: str) -> ContingencyTable:
     margin (possible under a declared category space), is degenerate and
     raises rather than being silently reduced.
     """
-    records = dataset.records_for_question(question)
-    if not records:
+    cells = dataset._question_cells(question)
+    if cells.start == cells.stop:
         raise EmptyMatrixError(f"question {question!r} has no records")
     answers = dataset.category_space[question]
-    classifications = tuple(sorted({r.final_classification for r in records}))
-    table_counts = {(a, c): 0 for a in answers for c in classifications}
-    for rec in records:
-        table_counts[(rec.answer, rec.final_classification)] += 1
-    observed = [[table_counts[(a, c)] for c in classifications] for a in answers]
+    row = dataset._answer_positions(answers)[dataset._cells.answers[cells].ravel()]
+    used, column = np.unique(dataset._cells.classifications[cells].ravel(), return_inverse=True)
+    labels = dataset.columns.labels[CLASSIFICATION]
+    classifications = tuple(map(labels.__getitem__, used.tolist()))
+    width = len(classifications)
+    observed = np.bincount(row * width + column, minlength=len(answers) * width)
+    observed = observed.reshape(len(answers), width).tolist()
     table = ContingencyTable.from_observed(observed, answers, classifications)
     if table.is_degenerate():
         raise DegenerateTableError(

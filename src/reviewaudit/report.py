@@ -20,7 +20,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from operator import itemgetter
 from typing import IO, ContextManager, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 from .agreement import OVERALL_KAPPA_MODES, analyze_agreement
@@ -28,7 +31,14 @@ from .did import DidPanel, did_estimate, did_with_error_rates
 from .errors import CsvFormatError, DatasetValidationError, ReviewAuditError
 from .estimation import CI_METHODS, bias_factor_report, binomial_ci
 from .hypotheses import chi_square_independence, one_way_anova, two_sample_t
-from .model import ReviewDataset, ReviewRecord, contingency_from
+from .model import (
+    FIELDS,
+    ColumnCoder,
+    RecordColumns,
+    ReviewDataset,
+    ReviewRecord,
+    contingency_from,
+)
 from .simulate import DidPair
 
 SCHEMA_VERSION = 1
@@ -81,75 +91,151 @@ def _open_source(source: str | IO[str]) -> ContextManager[IO[str]]:
     return contextlib.nullcontext(source)
 
 
-def _csv_reader(stream: IO[str], required: Sequence[str]) -> csv.DictReader:
-    """A dict reader over a stream whose header names every required column."""
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+def _check_header(fieldnames: Sequence[str] | None, required: Sequence[str]) -> None:
+    """Raise unless a header row exists and names every required column."""
+    if fieldnames is None:
         raise CsvFormatError("empty file: no header row")
-    missing = [c for c in required if c not in reader.fieldnames]
+    missing = [c for c in required if c not in fieldnames]
     if missing:
         raise CsvFormatError(
             f"missing required column(s): {', '.join(missing)}",
             column=missing[0],
         )
+
+
+def _csv_reader(stream: IO[str], required: Sequence[str]) -> csv.DictReader:
+    """A dict reader over a stream whose header names every required column."""
+    reader = csv.DictReader(stream)
+    _check_header(reader.fieldnames, required)
     return reader
 
 
-def _review_record(row: Mapping[str, str | None], line: int) -> ReviewRecord:
-    """One CSV row as a record; errors name the offending column and line."""
-    for col in REQUIRED_COLUMNS:
-        if not (row[col] or "").strip():
-            raise CsvFormatError(f"empty {col} on row {line}", row=line, column=col)
-    team = (row.get("team") or "").strip() or None
-    period_raw = (row.get("period") or "").strip()
-    period: int | None = None
-    if period_raw:
-        try:
-            period = int(period_raw)
-        except ValueError:
-            raise CsvFormatError(
-                f"unparseable period {period_raw!r} on row {line}",
-                row=line,
-                column="period",
-            ) from None
-    return ReviewRecord(
-        product_id=row["product_id"].strip(),
-        reviewer_id=row["reviewer_id"].strip(),
-        question_id=row["question_id"].strip(),
-        answer=row["answer"].strip(),
-        final_classification=row["final_classification"].strip(),
-        team=team,
-        period=period,
-    )
+# Rows are coded in batches of this many, so only one batch of raw rows is
+# held at a time.
+_BATCH = 4096
+
+# How a column's distinct stripped values become labels ("" is blank).
+_LABELS = {
+    "team": lambda value: value or None,
+    "period": lambda value: int(value) if value else None,
+}
 
 
-def ingest_csv(source: str | IO[str]) -> list[ReviewRecord]:
+def _parses_as_int(value: str) -> bool:
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _check_row(row: Sequence[str], line: int, position: Mapping[str, int]) -> None:
+    """Raise for a row's first bad field: an empty required column, in
+    REQUIRED_COLUMNS order, then an unparseable period."""
+
+    def value(column: str) -> str:
+        i = position.get(column)
+        return row[i].strip() if i is not None and i < len(row) else ""
+
+    for column in REQUIRED_COLUMNS:
+        if not value(column):
+            raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
+    period = value("period")
+    if period and not _parses_as_int(period):
+        raise CsvFormatError(
+            f"unparseable period {period!r} on row {line}", row=line, column="period"
+        )
+
+
+def _read_review_csv(
+    stream: IO[str], group: bool = False
+) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
+    """Parse a review CSV straight into code columns, and the group column's
+    codes and labels when group is set.
+
+    Rows are read as csv.DictReader reads them: blank lines are skipped,
+    missing trailing fields read as empty, extra fields are ignored and a
+    repeated header name means its last column. Values are stripped; team
+    and period may be blank. Errors name the offending column and file line.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    _check_header(header, REQUIRED_COLUMNS)
+    position = {name: i for i, name in enumerate(header)}
+    if group and "group" not in position:
+        raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
+    names = [name for name in FIELDS + (("group",) if group else ()) if name in position]
+    coders = {name: ColumnCoder(name in _LABELS) for name in names}
+    getters = [(name, coders[name], itemgetter(position[name])) for name in names]
+    width = max(position[name] for name in names) + 1
+
+    def code(rows: list[list[str]], lines: list[int]) -> None:
+        if min(map(len, rows)) < width:
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        bad = False
+        for name, coder, get in getters:
+            new = coder.add(list(map(str.strip, map(get, rows))))
+            if name in REQUIRED_COLUMNS:
+                bad = bad or "" in new
+            elif name == "period":
+                bad = bad or not all(map(_parses_as_int, new - {""}))
+        if bad:
+            for row, line in zip(rows, lines):
+                _check_row(row, line, position)
+
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _BATCH:
+                    code(rows, lines)
+                    rows, lines = [], []
+    except csv.Error:
+        if rows:
+            code(rows, lines)  # a bad field on an earlier row is reported first
+        raise
+    if rows:
+        code(rows, lines)
+
+    n_rows = sum(map(len, coders[REQUIRED_COLUMNS[0]].parts))
+    coded = [
+        coders[name].finish(_LABELS.get(name)) if name in coders
+        else (np.zeros(n_rows, np.int32), (None,))
+        for name in FIELDS
+    ]
+    groups = coders["group"].finish() if group else None
+    return RecordColumns(*zip(*coded)), groups
+
+
+def ingest_csv(source: str | IO[str]) -> RecordColumns:
     """Read long-format review records from a CSV path or stream.
 
     Required columns: product_id, reviewer_id, question_id, answer,
     final_classification. Optional: team (blank means none) and period
-    (integer). Errors name the offending column and file line.
+    (integer). Errors name the offending column and file line. The result
+    is a sequence of ReviewRecord held as code columns; validate_dataset
+    takes it without making a record object per row.
     """
     with _open_source(source) as stream:
-        reader = _csv_reader(stream, REQUIRED_COLUMNS)
-        records = [_review_record(row, reader.line_num) for row in reader]
-    if not records:
+        records, _ = _read_review_csv(stream)
+    if not len(records):
         raise CsvFormatError("no data rows")
     return records
 
 
-def ingest_csv_groups(source: str | IO[str]) -> dict[str, list[ReviewRecord]]:
-    """Read a review CSV with a group column into records per group."""
-    groups: dict[str, list[ReviewRecord]] = {}
+def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
+    """Read a review CSV with a group column into records per group, in
+    order of each group's first row."""
     with _open_source(source) as stream:
-        reader = _csv_reader(stream, REQUIRED_COLUMNS)
-        if "group" not in reader.fieldnames:
-            raise CsvFormatError("review-format DiD input needs a 'group' column",
-                                 column="group")
-        for row in reader:
-            record = _review_record(row, reader.line_num)
-            groups.setdefault((row["group"] or "").strip(), []).append(record)
-    return groups
+        records, (codes, labels) = _read_review_csv(stream, group=True)
+    first_rows = np.unique(codes, return_index=True)[1]
+    return {
+        labels[code]: records.take(np.flatnonzero(codes == code))
+        for code in np.argsort(first_rows).tolist()
+    }
 
 
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:

@@ -12,6 +12,7 @@ from reviewaudit import (
     did_with_error_rates,
     validate_dataset,
 )
+from reviewaudit.did import reviewer_classifications
 
 from _helpers import rec
 
@@ -214,3 +215,19 @@ class TestDidWithErrorRates:
             did_with_error_rates(
                 validate_dataset(treated), validate_dataset(control), truth, 1
             )
+
+    def test_periods_per_unit(self):
+        records = _review_group("treated", 0, set(), n=2) + _review_group("treated", 1, set(), n=1)
+        assert reviewer_classifications(validate_dataset(records)) == {
+            ("treated-0-p0", "r1"): 0, ("treated-0-p1", "r1"): 0, ("treated-1-p0", "r1"): 1,
+        }
+
+    def test_mixed_periods_raise_before_missing_truth(self):
+        treated = _review_group("treated", 0, set()) + _review_group("treated", 1, set())
+        treated.append(rec("treated-0-p0", "r1", "q2", "x", "good", period=1))
+        control = _review_group("control", 0, set()) + _review_group("control", 1, set())
+        with pytest.raises(
+            PanelError,
+            match=r"unit \(product='treated-0-p0', reviewer='r1'\) spans multiple periods",
+        ):
+            did_with_error_rates(validate_dataset(treated), validate_dataset(control), {}, 1)

@@ -311,3 +311,14 @@ class TestBiasFactorReport:
         assert report.ranked_by == "ols"
         assert report.effects[0].ols_coefficient is not None
         assert report.effects[0].logistic_coefficient is None
+
+    def test_unconverged_logistic_fit_counts_as_failed(self, monkeypatch):
+        fit = estimation.logistic_fit
+        monkeypatch.setattr(estimation, "logistic_fit",
+                            lambda *args, **kwargs: fit(*args, max_iter=2, **kwargs))
+        report = bias_factor_report(_driven_panel())
+        assert report.logistic_error == "logistic fit did not converge in 2 iterations"
+        assert report.ranked_by == "ols"
+        assert report.logistic_intercept is None
+        assert all(e.logistic_coefficient is None for e in report.effects)
+        assert report.effects[0].name == "qd=yes"

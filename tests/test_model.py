@@ -98,6 +98,28 @@ class TestValidateDataset:
         ):
             ds.units
 
+    def test_records_are_the_given_objects_in_sorted_order(self):
+        records = [rec("p2", "r0", "q1", "a"), rec("p1", "r1", "q1", "b"),
+                   rec("p1", "r0", "q1", "a"), rec("p2", "r1", "q1", "b")]
+        ds = validate_dataset(records)
+        assert [r.key for r in ds.records] == [
+            ("p1", "r0", "q1"), ("p1", "r1", "q1"), ("p2", "r0", "q1"), ("p2", "r1", "q1")]
+        assert ds.records[0] is records[2]
+
+    def test_records_from_csv_built_on_first_use(self):
+        import io
+
+        from reviewaudit import ingest_csv, run_audit
+
+        text = "product_id,reviewer_id,question_id,answer,final_classification\n"
+        text += "".join(f"p{p},r{r},q1,{'ab'[(p + r) % 2]},c{p % 2}\n"
+                        for p in range(4) for r in range(2))
+        ds = validate_dataset(ingest_csv(io.StringIO(text)))
+        run_audit(ds)
+        assert "records" not in vars(ds)
+        assert ds.records[0] == rec("p0", "r0", "q1", "a", "c0")
+        assert len(ds.records) == 8
+
     def test_empty_input_rejected(self):
         with pytest.raises(DatasetValidationError):
             validate_dataset([])

@@ -138,6 +138,18 @@ class TestIngestCsv:
         stream = csv_stream('p1,r1,q1,"two\nlines",approve')
         assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "two\nlines")]
 
+    def test_error_after_many_rows_cites_its_line(self):
+        rows = [f"p{i},r1,q1,yes,approve" for i in range(5000)]
+        rows.insert(4500, "")
+        rows.append("p,r1,q1,,approve")
+        with pytest.raises(CsvFormatError, match="empty answer on row 5003"):
+            ingest_csv(csv_stream(*rows))
+
+    def test_bad_field_reported_before_a_later_malformed_row(self):
+        stream = csv_stream("p1,r1,q1,,approve", "p2,r1,q1,a\rb,approve")
+        with pytest.raises(CsvFormatError, match="empty answer on row 2"):
+            ingest_csv(stream)
+
     def test_values_stripped(self):
         stream = csv_stream(" p1 , r1 ,q1,\tyes ,approve ,  ,", header=CSV_HEADER + ",team,period")
         records = ingest_csv(stream)
