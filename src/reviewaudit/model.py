@@ -322,10 +322,13 @@ class ReviewDataset:
                 f"in teams {first!r} and {other!r}"
             )
         labels = self.columns.labels[CLASSIFICATION]
-        votes = _mode(self._unit_rows[0], self.columns.codes[CLASSIFICATION]).tolist()
-        return MappingProxyType(
-            dict(zip(teams, map(Unit, map(labels.__getitem__, votes), teams.values())))
-        )
+        votes = map(labels.__getitem__, self._unit_votes.tolist())
+        return MappingProxyType(dict(zip(teams, map(Unit, votes, teams.values()))))
+
+    @cached_property
+    def _unit_votes(self) -> np.ndarray:
+        """Each unit's majority classification code."""
+        return _mode(self._unit_rows[0], self.columns.codes[CLASSIFICATION])
 
     def unit_errors(
         self, ground_truth: Mapping[str, str] | None
@@ -337,20 +340,25 @@ class ReviewDataset:
         classifications, ties lexicographic).
         """
         units = self.units
+        votes = self._unit_votes
+        products = self.columns.codes[PRODUCT][self._unit_rows[1]]
         if ground_truth is None:
-            by_product: dict[str, list[str]] = {}
-            for (product, _), unit in units.items():
-                by_product.setdefault(product, []).append(unit.classification)
-            reference = {product: majority(labels) for product, labels in by_product.items()}
+            # units are sorted by product, so a product's units are adjacent
+            first = np.ones(len(products), bool)
+            first[1:] = products[1:] != products[:-1]
+            group = np.cumsum(first) - 1
+            reference = _mode(group, votes)[group]
             basis = "consensus"
         else:
-            reference, basis = ground_truth, "ground_truth"
-        outcomes = {}
-        for key, unit in units.items():
-            if key[0] not in reference:
-                raise MissingGroundTruthError(key[0])
-            outcomes[key] = int(unit.classification != reference[key[0]])
-        return outcomes, basis
+            for product in self.products:
+                if product not in ground_truth:
+                    raise MissingGroundTruthError(product)
+            index = {label: i for i, label in enumerate(self.columns.labels[CLASSIFICATION])}
+            truth = [index.get(ground_truth.get(product), -1)
+                     for product in self.columns.labels[PRODUCT]]
+            reference = np.array(truth, np.int64)[products]
+            basis = "ground_truth"
+        return dict(zip(units, (votes != reference).astype(int).tolist())), basis
 
     def unit_indicators(
         self, question: str, labels: Sequence[str]

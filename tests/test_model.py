@@ -63,6 +63,9 @@ class TestValidateDataset:
         assert ds.n_raters == 3
         assert ds.summary.n_dropped_cells == 2
         assert ds.records == ()
+        assert ds.units == {}
+        assert ds.unit_errors(None) == ({}, "consensus")
+        assert ds.unit_errors({}) == ({}, "ground_truth")
 
     def test_single_missing_reviewer_drops_cell(self):
         complete = [rec("p1", f"r{i}", "q1", "yes") for i in range(3)]

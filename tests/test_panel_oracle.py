@@ -7,7 +7,7 @@ same rows written as CSV and read back by ingest_csv.
 
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reviewaudit import (
     ReviewAuditError,
@@ -124,8 +124,16 @@ def _check(dataset, panel, truth):
     assert _outcome(agreement_rate, dataset) == _outcome(agreement_rate_oracle, panel)
 
 
+ALL_DROPPED = (  # every cell misses a reviewer
+    [("p1", "r1", "q1", "yes", "approve", "A", 0), ("p1", "r2", "q1", "no", "reject", "B", 0),
+     ("p2", "r3", "q1", "no", "reject", None, 1)],
+    "drop", None, {"p1": "approve"},
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(panels())
+@example(ALL_DROPPED)
 def test_validated_panel_matches_oracle(case):
     rows, policy, declared, truth = case
     expected = _outcome(validate_oracle, rows, policy, declared)
