@@ -44,11 +44,6 @@ QUESTIONS = (
 )
 
 
-def _write(name: str, write, *args) -> None:
-    with open(HERE / name, "w", encoding="utf-8", newline="") as stream:
-        write(stream, *args)
-
-
 def _with_teams(records, teams, classification=None):
     return [
         ReviewRecord(
@@ -63,7 +58,11 @@ def _with_teams(records, teams, classification=None):
     ]
 
 
-def make_inputs() -> None:
+def make_inputs(directory: Path = HERE) -> None:
+    def _write(name: str, write, *args) -> None:
+        with open(directory / name, "w", encoding="utf-8", newline="") as stream:
+            write(stream, *args)
+
     two, truth2 = simulate_panel(SimulationConfig(
         n_products=40, n_reviewers=4, questions=QUESTIONS,
         reviewer_bias={"r0": (0.75, 0.25)}, anchoring=0.1, seed=11,
@@ -94,17 +93,25 @@ def make_inputs() -> None:
     _write("did_review.csv", write_panel_csv,
            [("control", pair.control.records), ("treated", pair.treated.records)])
     _write("did_truth.csv", write_ground_truth_csv, pair.ground_truth)
-    (HERE / "did_outcome.csv").write_text(
+    (directory / "did_outcome.csv").write_text(
         "group,period,outcome\n"
         "control,0,10\ncontrol,0,12\ncontrol,1,14\ncontrol,2,15\n"
         "treated,0,20\ntreated,0,21\ntreated,1,30\ntreated,2,33\n",
         encoding="utf-8",
     )
-    (HERE / "sim.json").write_text(json.dumps({
+    (directory / "sim.json").write_text(json.dumps({
         "n_products": 5, "n_reviewers": 3, "seed": 3,
         "questions": [{"id": "q1", "n_categories": 2, "difficulty": 0.3},
                       {"id": "q2", "n_categories": 3, "difficulty": 0.5}],
         "treatment": {"change_period": 1, "error_rate_delta": 0.4},
+    }, sort_keys=True), encoding="utf-8")
+    # Generation order is not label order here: reviewer r10 sorts before
+    # r2, and question q2 comes first in the config but sorts after q10.
+    (directory / "sim_order.json").write_text(json.dumps({
+        "n_products": 4, "n_reviewers": 11, "seed": 9, "anchoring": 0.3,
+        "questions": [{"id": "q2", "n_categories": 3, "difficulty": 0.6},
+                      {"id": "q10", "n_categories": 2, "difficulty": 0.4}],
+        "reviewer_bias": {"r10": [0.6, 0.3, 0.1], "r2": [0.1, 0.2, 0.7]},
     }, sort_keys=True), encoding="utf-8")
 
 
@@ -190,6 +197,7 @@ CASES = [
       "--change-period", "1", "--period-balanced"]),
     ("simulate", ["simulate", "--config", "@sim.json"]),
     ("simulate_did_pair", ["simulate", "--config", "@sim.json", "--did-pair", "--seed", "8"]),
+    ("simulate_label_order", ["simulate", "--config", "@sim_order.json"]),
 ]
 
 
