@@ -12,7 +12,8 @@ types are immutable after construction and all operations are pure.
 A validated panel is stored column-wise (RecordColumns): one int32 code
 array per record field, each code an index into the field's sorted label
 table, so that code order is label order and every derived input is a
-sort or a bincount over codes.
+sort or a bincount over codes. Record objects given to validation are not
+kept: a record read from a panel is made from its label tables.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class ReviewRecord:
                 raise DatasetValidationError(f"{name} must be a non-empty string, got {value!r}")
         if self.team is not None and (not isinstance(self.team, str) or not self.team):
             raise DatasetValidationError(f"team must be None or a non-empty string, got {self.team!r}")
-        if self.period is not None and not isinstance(self.period, int):
+        if self.period is not None and (not isinstance(self.period, int)
+                                        or isinstance(self.period, bool)):
             raise DatasetValidationError(f"period must be None or an integer, got {self.period!r}")
 
     @property
@@ -128,28 +130,31 @@ class RecordColumns(Sequence[ReviewRecord]):
 
     codes[f][i] indexes labels[f], the field's sorted label table (None
     first for team and period), so code order is label order. Indexing and
-    iteration give records: the objects the columns were built from, when
-    there are any, otherwise records made from the labels.
+    iteration give records made from the labels; no record object is kept.
     """
 
-    __slots__ = ("codes", "labels", "_objects")
+    __slots__ = ("codes", "labels")
 
-    def __init__(self, codes: Sequence[np.ndarray], labels: Sequence[tuple],
-                 objects: Sequence[ReviewRecord] | None = None):
+    def __init__(self, codes: Sequence[np.ndarray], labels: Sequence[tuple]):
         self.codes = tuple(codes)
         self.labels = tuple(labels)
-        self._objects = objects
+
+    @classmethod
+    def from_values(cls, values: Sequence[Sequence]) -> "RecordColumns":
+        """Columns over one value list per ReviewRecord field, in FIELDS
+        order; the values must be valid ReviewRecord field values."""
+        coded = []
+        for i, column in enumerate(values):
+            coder = ColumnCoder(i in OPTIONAL)
+            coder.add(column)
+            coded.append(coder.finish())
+        return cls(*zip(*coded))
 
     @classmethod
     def from_records(cls, records: Sequence[ReviewRecord]) -> "RecordColumns":
-        """Columns over the given records, which are kept, not copied."""
-        coded = []
-        for i, name in enumerate(FIELDS):
-            coder = ColumnCoder(i in OPTIONAL)
-            coder.add(list(map(operator.attrgetter(name), records)))
-            coded.append(coder.finish())
-        codes, labels = zip(*coded)
-        return cls(codes, labels, records)
+        """Columns over the records' field values; the records are not kept."""
+        return cls.from_values([list(map(operator.attrgetter(name), records))
+                                for name in FIELDS])
 
     def __len__(self) -> int:
         return len(self.codes[0])
@@ -157,13 +162,9 @@ class RecordColumns(Sequence[ReviewRecord]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return self.take(np.arange(len(self))[index])
-        if self._objects is not None:
-            return self._objects[index]
         return ReviewRecord(*(table[c[index]] for c, table in zip(self.codes, self.labels)))
 
     def __iter__(self) -> Iterator[ReviewRecord]:
-        if self._objects is not None:
-            return iter(self._objects)
         return map(ReviewRecord, *(map(table.__getitem__, c.tolist())
                                    for c, table in zip(self.codes, self.labels)))
 
@@ -174,16 +175,9 @@ class RecordColumns(Sequence[ReviewRecord]):
 
     __hash__ = None
 
-    def to_tuple(self) -> tuple[ReviewRecord, ...]:
-        """Every record, as a tuple (the objects' own tuple when it is one)."""
-        return tuple(self if self._objects is None else self._objects)
-
     def take(self, index: np.ndarray) -> "RecordColumns":
         """The rows at the given positions, over the same label tables."""
-        objects = self._objects
-        if objects is not None:
-            objects = tuple(map(objects.__getitem__, index.tolist()))
-        return RecordColumns([c[index] for c in self.codes], self.labels, objects)
+        return RecordColumns([c[index] for c in self.codes], self.labels)
 
     def compact(self) -> "RecordColumns":
         """The same rows, with label tables cut to the values they use."""
@@ -197,7 +191,7 @@ class RecordColumns(Sequence[ReviewRecord]):
                 table = tuple(compress(table, used.tolist()))
             codes.append(c)
             labels.append(table)
-        return RecordColumns(codes, labels, self._objects)
+        return RecordColumns(codes, labels)
 
 
 @dataclass(frozen=True)
@@ -251,10 +245,10 @@ class ReviewDataset:
     reviewers and questions are the distinct identifiers observed in the
     input (before any dropping), sorted lexicographically. n_raters is the
     size of the reviewer roster; every surviving (product, question) cell
-    carries exactly n_raters ratings. columns holds the kept records, sorted,
+    carries exactly n_raters ratings. records holds the kept records, sorted,
     as code columns whose reviewer and question tables are reviewers and
-    questions; records, products and the per-unit table are derived from it
-    on first use.
+    questions; products and the per-unit table are derived from it on first
+    use.
     """
 
     reviewers: tuple[str, ...]
@@ -262,23 +256,19 @@ class ReviewDataset:
     category_space: Mapping[str, tuple[str, ...]]
     n_raters: int
     summary: ValidationSummary
-    columns: RecordColumns = field(repr=False)
-
-    @cached_property
-    def records(self) -> tuple[ReviewRecord, ...]:
-        return self.columns.to_tuple()
+    records: RecordColumns = field(repr=False)
 
     @cached_property
     def products(self) -> tuple[str, ...]:
-        table = self.columns.labels[PRODUCT]
-        used = np.bincount(self.columns.codes[PRODUCT], minlength=len(table))
+        table = self.records.labels[PRODUCT]
+        used = np.bincount(self.records.codes[PRODUCT], minlength=len(table))
         return tuple(map(table.__getitem__, np.flatnonzero(used).tolist()))
 
     @cached_property
     def _unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Each kept record's unit number and each unit's first record; units
         are numbered in sorted (product, reviewer) order."""
-        product, reviewer = self.columns.codes[PRODUCT], self.columns.codes[REVIEWER]
+        product, reviewer = self.records.codes[PRODUCT], self.records.codes[REVIEWER]
         first = np.ones(len(product), bool)
         first[1:] = (product[1:] != product[:-1]) | (reviewer[1:] != reviewer[:-1])
         return np.cumsum(first, dtype=np.int32) - 1, np.flatnonzero(first)
@@ -286,9 +276,9 @@ class ReviewDataset:
     @cached_property
     def _unit_keys(self) -> list[tuple[str, str]]:
         starts = self._unit_rows[1]
-        products, reviewers = self.columns.labels[PRODUCT], self.columns.labels[REVIEWER]
-        return list(zip(map(products.__getitem__, self.columns.codes[PRODUCT][starts].tolist()),
-                        map(reviewers.__getitem__, self.columns.codes[REVIEWER][starts].tolist())))
+        products, reviewers = self.records.labels[PRODUCT], self.records.labels[REVIEWER]
+        return list(zip(map(products.__getitem__, self.records.codes[PRODUCT][starts].tolist()),
+                        map(reviewers.__getitem__, self.records.codes[REVIEWER][starts].tolist())))
 
     def unit_field(self, name: str) -> tuple[dict[tuple[str, str], object], tuple | None]:
         """A field that should be constant within each unit: its value per
@@ -297,7 +287,7 @@ class ReviewDataset:
         (unit key, first value, differing value), or None."""
         i = FIELDS.index(name)
         unit, starts = self._unit_rows
-        codes, table = self.columns.codes[i], self.columns.labels[i]
+        codes, table = self.records.codes[i], self.records.labels[i]
         first = codes[starts]
         keys = self._unit_keys
         conflict = None
@@ -321,14 +311,14 @@ class ReviewDataset:
                 f"unit (product={product!r}, reviewer={reviewer!r}) has records "
                 f"in teams {first!r} and {other!r}"
             )
-        labels = self.columns.labels[CLASSIFICATION]
+        labels = self.records.labels[CLASSIFICATION]
         votes = map(labels.__getitem__, self._unit_votes.tolist())
         return MappingProxyType(dict(zip(teams, map(Unit, votes, teams.values()))))
 
     @cached_property
     def _unit_votes(self) -> np.ndarray:
         """Each unit's majority classification code."""
-        return _mode(self._unit_rows[0], self.columns.codes[CLASSIFICATION])
+        return _mode(self._unit_rows[0], self.records.codes[CLASSIFICATION])
 
     def unit_errors(
         self, ground_truth: Mapping[str, str] | None
@@ -341,7 +331,7 @@ class ReviewDataset:
         """
         units = self.units
         votes = self._unit_votes
-        products = self.columns.codes[PRODUCT][self._unit_rows[1]]
+        products = self.records.codes[PRODUCT][self._unit_rows[1]]
         if ground_truth is None:
             # units are sorted by product, so a product's units are adjacent
             first = np.ones(len(products), bool)
@@ -353,9 +343,9 @@ class ReviewDataset:
             for product in self.products:
                 if product not in ground_truth:
                     raise MissingGroundTruthError(product)
-            index = {label: i for i, label in enumerate(self.columns.labels[CLASSIFICATION])}
+            index = {label: i for i, label in enumerate(self.records.labels[CLASSIFICATION])}
             truth = [index.get(ground_truth.get(product), -1)
-                     for product in self.columns.labels[PRODUCT]]
+                     for product in self.records.labels[PRODUCT]]
             reference = np.array(truth, np.int64)[products]
             basis = "ground_truth"
         return dict(zip(units, (votes != reference).astype(int).tolist())), basis
@@ -366,10 +356,10 @@ class ReviewDataset:
         """Per unit, in sorted order: whether it has a record for the
         question, and a 0/1 float column per label marking its answer."""
         unit, starts = self._unit_rows
-        rows = np.flatnonzero(self.columns.codes[QUESTION] == self.questions.index(question))
+        rows = np.flatnonzero(self.records.codes[QUESTION] == self.questions.index(question))
         answered = np.zeros(len(starts), bool)
         answered[unit[rows]] = True
-        column = self._answer_positions(labels)[self.columns.codes[ANSWER][rows]]
+        column = self._answer_positions(labels)[self.records.codes[ANSWER][rows]]
         marked = column >= 0
         indicators = np.zeros((len(starts), len(labels)))
         indicators[unit[rows][marked], column[marked]] = 1.0
@@ -378,11 +368,11 @@ class ReviewDataset:
     def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
         """Each answer code's position in labels, or -1."""
         index = {label: j for j, label in enumerate(labels)}
-        return np.array([index.get(label, -1) for label in self.columns.labels[ANSWER]], np.int64)
+        return np.array([index.get(label, -1) for label in self.records.labels[ANSWER]], np.int64)
 
     @cached_property
     def _cells(self) -> _Cells:
-        codes, n = self.columns.codes, self.n_raters
+        codes, n = self.records.codes, self.n_raters
         # lexsort is stable, so each cell keeps its reviewers in sorted order
         order = np.lexsort((codes[PRODUCT], codes[QUESTION]))
         questions = codes[QUESTION][order][::n]
@@ -411,25 +401,9 @@ class ReviewDataset:
         n_cells, width = len(chosen), len(categories)
         flat = (np.arange(n_cells)[:, None] * width + chosen).ravel()
         counts = np.bincount(flat, minlength=n_cells * width).reshape(n_cells, width)
-        products = self.columns.labels[PRODUCT]
+        products = self.records.labels[PRODUCT]
         return (tuple(map(tuple, counts.tolist())),
                 list(map(products.__getitem__, self._cells.product[cells].tolist())))
-
-    def records_for_question(self, question: str) -> tuple[ReviewRecord, ...]:
-        if question not in self.questions:
-            raise UnknownQuestionError(question)
-        return tuple(r for r in self.records if r.question_id == question)
-
-    def cell(self, product: str, question: str) -> tuple[ReviewRecord, ...]:
-        return tuple(r for r in self.records
-                     if r.product_id == product and r.question_id == question)
-
-    def cells_for_question(self, question: str) -> list[tuple[str, tuple[ReviewRecord, ...]]]:
-        """Complete cells for a question, sorted by product id."""
-        by_product: dict[str, list[ReviewRecord]] = {}
-        for r in self.records_for_question(question):
-            by_product.setdefault(r.product_id, []).append(r)
-        return [(product, tuple(recs)) for product, recs in by_product.items()]
 
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:
@@ -452,9 +426,9 @@ def validate_dataset(
     dropped (policy="drop", with an audit trail in the summary) or rejected
     (policy="strict"). An optional declared category list per question
     replaces the observed label union; observed labels outside it are
-    rejected. Given record objects, the dataset's records are those same
-    objects; given RecordColumns (as ingest_csv returns), no record objects
-    are made until dataset.records is read.
+    rejected. Records may be record objects or RecordColumns (as ingest_csv
+    and the simulator give); either way the dataset keeps code columns only,
+    and dataset.records makes a record object only for a row that is read.
     """
     if policy not in INCOMPLETE_CELL_POLICIES:
         raise ValueError(f"policy must be one of {INCOMPLETE_CELL_POLICIES}, got {policy!r}")
@@ -525,7 +499,7 @@ def validate_dataset(
         category_space=MappingProxyType(categories),
         n_raters=n_raters,
         summary=summary,
-        columns=kept,
+        records=kept,
     )
 
 
@@ -685,7 +659,7 @@ def contingency_from(dataset: ReviewDataset, question: str) -> ContingencyTable:
     answers = dataset.category_space[question]
     row = dataset._answer_positions(answers)[dataset._cells.answers[cells].ravel()]
     used, column = np.unique(dataset._cells.classifications[cells].ravel(), return_inverse=True)
-    labels = dataset.columns.labels[CLASSIFICATION]
+    labels = dataset.records.labels[CLASSIFICATION]
     classifications = tuple(map(labels.__getitem__, used.tolist()))
     width = len(classifications)
     observed = np.bincount(row * width + column, minlength=len(answers) * width)

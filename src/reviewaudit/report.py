@@ -20,6 +20,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import IO, ContextManager, Iterable, Mapping, Sequence
 
@@ -216,8 +217,8 @@ def ingest_csv(source: str | IO[str]) -> RecordColumns:
     Required columns: product_id, reviewer_id, question_id, answer,
     final_classification. Optional: team (blank means none) and period
     (integer). Errors name the offending column and file line. The result
-    is a sequence of ReviewRecord held as code columns; validate_dataset
-    takes it without making a record object per row.
+    is a RecordColumns: a sequence of ReviewRecord held as code columns,
+    which validate_dataset keeps without making a record object per row.
     """
     with _open_source(source) as stream:
         records, _ = _read_review_csv(stream)
@@ -259,7 +260,11 @@ def write_panel_csv(
     stream: IO[str],
     panels: Sequence[tuple[str | None, Iterable[ReviewRecord]]],
 ) -> None:
-    """Write records as CSV; a group column is added when any panel names one."""
+    """Write records as CSV; a group column is added when any panel names one.
+
+    Rows are written from code columns and label tables; records given as
+    objects are coded first.
+    """
     with_group = any(group is not None for group, _ in panels)
     header = list(REQUIRED_COLUMNS) + ["team", "period"]
     if with_group:
@@ -267,19 +272,13 @@ def write_panel_csv(
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
     for group, records in panels:
-        for rec in records:
-            row = [
-                rec.product_id,
-                rec.reviewer_id,
-                rec.question_id,
-                rec.answer,
-                rec.final_classification,
-                rec.team or "",
-                "" if rec.period is None else str(rec.period),
-            ]
-            if with_group:
-                row.append(group or "")
-            writer.writerow(row)
+        if not isinstance(records, RecordColumns):
+            records = RecordColumns.from_records(list(records))
+        text = [tuple("" if v is None else str(v) for v in table) for table in records.labels]
+        cells = [map(table.__getitem__, c.tolist()) for c, table in zip(records.codes, text)]
+        if with_group:
+            cells.append(repeat(group or "", len(records)))
+        writer.writerows(zip(*cells))
 
 
 def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 from .errors import ConfigError
-from .model import ReviewDataset, ReviewRecord, majority, validate_dataset
+from .model import FIELDS, RecordColumns, ReviewDataset, majority, validate_dataset
 from .rng import SplitMix64, derive_stream
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
@@ -36,8 +36,8 @@ class QuestionSpec:
     difficulty: float
 
     def __post_init__(self):
-        if not self.question_id:
-            raise ConfigError("question_id must be non-empty")
+        if not isinstance(self.question_id, str) or not self.question_id:
+            raise ConfigError(f"question_id must be a non-empty string, got {self.question_id!r}")
         if self.n_categories < 2:
             raise ConfigError(
                 f"question {self.question_id!r} needs >= 2 categories, got {self.n_categories}"
@@ -157,14 +157,9 @@ class SimulationConfig:
         return cls.from_dict(payload)
 
 
-def _category_labels(k: int) -> list[str]:
+def _labels(prefix: str, k: int) -> list[str]:
     width = len(str(k - 1))
-    return [f"a{j:0{width}d}" for j in range(k)]
-
-
-def _class_label(index: int, max_k: int) -> str:
-    width = len(str(max_k - 1))
-    return f"class{index:0{width}d}"
+    return [f"{prefix}{j:0{width}d}" for j in range(k)]
 
 
 def _draw_answer(
@@ -182,21 +177,27 @@ def _draw_answer(
 
 def _generate_records(
     config: SimulationConfig,
+    columns: Sequence[list],
     *,
     salt: tuple[int, ...] = (),
     product_prefix: str = "p",
     period: int | None = None,
     flip_delta: float = 0.0,
-) -> tuple[list[ReviewRecord], dict[str, str]]:
+) -> dict[str, str]:
+    """Append a panel's records to columns, one value list per ReviewRecord
+    field, and return its ground truth."""
+    products, reviewer_ids, question_ids, answer_ids, classifications, teams, periods = columns
     reviewers = config.reviewer_ids
-    max_k = max(q.n_categories for q in config.questions)
+    questions = [q.question_id for q in config.questions]
+    answer_labels = [_labels("a", q.n_categories) for q in config.questions]
+    class_labels = _labels("class", max(q.n_categories for q in config.questions))
     width = len(str(config.n_products - 1)) if config.n_products > 1 else 1
-    records: list[ReviewRecord] = []
+    per_product = len(reviewers) * len(questions)
     truth: dict[str, str] = {}
     for i in range(config.n_products):
         product_id = f"{product_prefix}{i:0{width}d}"
         latent_votes: list[int] = []
-        answers: dict[tuple[int, int], int] = {}  # (reviewer, question) -> index
+        answers: list[list[int]] = [[] for _ in reviewers]  # per reviewer, per question
         for qi, question in enumerate(config.questions):
             stream = derive_stream(config.seed, *salt, i, qi)
             latent = stream.randbelow(question.n_categories)
@@ -212,37 +213,32 @@ def _generate_records(
                         else None
                     )
                     answer = _draw_answer(stream, latent, question, bias)
-                answers[(ri, qi)] = answer
+                answers[ri].append(answer)
                 previous = answer
         truth_index = majority(latent_votes)
-        truth[product_id] = _class_label(truth_index, max_k)
+        truth[product_id] = class_labels[truth_index]
+        products.extend([product_id] * per_product)
         for ri, reviewer in enumerate(reviewers):
-            verdict = majority([answers[(ri, qi)] for qi in range(len(config.questions))])
+            verdict = majority(answers[ri])
             if flip_delta > 0.0:
                 flip_stream = derive_stream(config.seed, *salt, i, _FLIP_KEY, ri)
                 if flip_stream.random() < flip_delta and verdict == truth_index:
                     # force a wrong classification: lowest index differing from truth
                     verdict = 0 if truth_index != 0 else 1
-            classification = _class_label(verdict, max_k)
-            for qi, question in enumerate(config.questions):
-                labels = _category_labels(question.n_categories)
-                records.append(
-                    ReviewRecord(
-                        product_id=product_id,
-                        reviewer_id=reviewer,
-                        question_id=question.question_id,
-                        answer=labels[answers[(ri, qi)]],
-                        final_classification=classification,
-                        period=period,
-                    )
-                )
-    return records, truth
+            reviewer_ids.extend([reviewer] * len(questions))
+            question_ids.extend(questions)
+            answer_ids.extend(map(list.__getitem__, answer_labels, answers[ri]))
+            classifications.extend([class_labels[verdict]] * len(questions))
+    teams.extend([None] * (per_product * config.n_products))
+    periods.extend([period] * (per_product * config.n_products))
+    return truth
 
 
 def simulate_panel(config: SimulationConfig) -> tuple[ReviewDataset, dict[str, str]]:
     """Generate one review panel and its ground-truth classifications."""
-    records, truth = _generate_records(config)
-    return validate_dataset(records), truth
+    columns: list[list] = [[] for _ in FIELDS]
+    truth = _generate_records(config, columns)
+    return validate_dataset(RecordColumns.from_values(columns)), truth
 
 
 @dataclass(frozen=True)
@@ -267,6 +263,8 @@ def inject_review_change(
     """
     if config.treatment is None:
         raise ConfigError("config has no treatment block")
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in periods):
+        raise ConfigError(f"periods must be integers, got {list(periods)}")
     change = config.treatment.change_period
     if not any(p < change for p in periods) or not any(p >= change for p in periods):
         raise ConfigError(
@@ -275,23 +273,22 @@ def inject_review_change(
     truth: dict[str, str] = {}
     datasets = {}
     for gi, group in enumerate(("control", "treated")):
-        group_records: list[ReviewRecord] = []
+        columns: list[list] = [[] for _ in FIELDS]
         for period in periods:
             delta = (
                 config.treatment.error_rate_delta
                 if group == "treated" and period >= change
                 else 0.0
             )
-            records, panel_truth = _generate_records(
+            truth.update(_generate_records(
                 config,
+                columns,
                 salt=(gi, period),
                 product_prefix=f"{group}-{period}-p",
                 period=period,
                 flip_delta=delta,
-            )
-            group_records.extend(records)
-            truth.update(panel_truth)
-        datasets[group] = validate_dataset(group_records)
+            ))
+        datasets[group] = validate_dataset(RecordColumns.from_values(columns))
     return DidPair(
         treated=datasets["treated"],
         control=datasets["control"],

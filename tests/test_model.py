@@ -45,6 +45,8 @@ class TestReviewRecord:
             rec("p", "r", "q", "a", team="")
         with pytest.raises(DatasetValidationError):
             rec("p", "r", "q", "a", period="1")
+        with pytest.raises(DatasetValidationError, match="period must be None or an integer"):
+            rec("p", "r", "q", "a", period=True)
 
 
 class TestValidateDataset:
@@ -53,7 +55,7 @@ class TestValidateDataset:
         ds = validate_dataset(records)
         assert ds.n_raters == 3
         assert ds.summary.n_dropped_cells == 0
-        assert len(ds.cells_for_question("q1")) == 1
+        assert [(r.product_id, r.question_id) for r in ds.records] == [("p1", "q1")] * 3
 
     def test_drop_policy_reports_dropped_cell(self):
         records = [rec("p1", "r1", "q1", "yes"), rec("p1", "r2", "q1", "yes")]
@@ -107,19 +109,21 @@ class TestValidateDataset:
         ds = validate_dataset(records)
         assert [r.key for r in ds.records] == [
             ("p1", "r0", "q1"), ("p1", "r1", "q1"), ("p2", "r0", "q1"), ("p2", "r1", "q1")]
-        assert ds.records[0] is records[2]
 
-    def test_records_from_csv_built_on_first_use(self):
+    def test_records_from_csv_built_on_first_use(self, monkeypatch):
         import io
 
         from reviewaudit import ingest_csv, run_audit
 
+        made = []
+        check = ReviewRecord.__post_init__
+        monkeypatch.setattr(ReviewRecord, "__post_init__", lambda r: made.append(check(r)))
         text = "product_id,reviewer_id,question_id,answer,final_classification\n"
         text += "".join(f"p{p},r{r},q1,{'ab'[(p + r) % 2]},c{p % 2}\n"
                         for p in range(4) for r in range(2))
         ds = validate_dataset(ingest_csv(io.StringIO(text)))
         run_audit(ds)
-        assert "records" not in vars(ds)
+        assert made == []
         assert ds.records[0] == rec("p0", "r0", "q1", "a", "c0")
         assert len(ds.records) == 8
 

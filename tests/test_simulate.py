@@ -62,6 +62,8 @@ class TestConfigValidation:
             QuestionSpec("q1", 2, 1.5)
         with pytest.raises(ConfigError):
             QuestionSpec("", 2, 0.5)
+        with pytest.raises(ConfigError, match="non-empty string"):
+            QuestionSpec(5, 2, 0.5)
 
     def test_from_json(self):
         payload = {
@@ -188,6 +190,11 @@ class TestInjectReviewChange:
     def test_periods_must_straddle_change(self):
         with pytest.raises(ConfigError, match="straddle"):
             inject_review_change(self._config(0.1), periods=(1, 2))
+
+    @pytest.mark.parametrize("periods", [(0, 1.5), (False, True)])
+    def test_periods_must_be_integers(self, periods):
+        with pytest.raises(ConfigError, match="periods must be integers"):
+            inject_review_change(self._config(0.1, n_products=2), periods=periods)
 
     def test_null_delta_near_zero_effect(self):
         pair = inject_review_change(self._config(0.0))
