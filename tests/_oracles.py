@@ -313,6 +313,66 @@ def unit_errors_oracle(panel: dict, truth=None) -> tuple[dict, str]:
     return errors, basis
 
 
+def team_groups_oracle(panel: dict, truth=None) -> tuple:
+    """The team section's outcome basis, unit count per team and error rate
+    per team, or its skip reason."""
+    units = units_oracle(panel)
+    teams = sorted({team for _, team in units.values()} - {None})
+    if not teams:
+        return ("skipped", "no team data")
+    if len(teams) == 1:
+        return ("skipped", f"single team {teams[0]!r}")
+    errors, basis = unit_errors_oracle(panel, truth)
+    groups = {team: [errors[key] for key, (_, t) in units.items() if t == team]
+              for team in teams}
+    return (basis, {team: len(g) for team, g in groups.items()},
+            {team: sum(g) / len(g) for team, g in groups.items()})
+
+
+def extrapolation_groups_oracle(panel: dict, truth=None) -> tuple:
+    """The extrapolation section's outcome basis and (errors, units) per
+    group ("all", then "reviewer:<id>" in sorted order), or its skip reason."""
+    errors, basis = unit_errors_oracle(panel, truth)
+    if not errors:
+        return ("skipped", "no units to extrapolate")
+    groups = {"all": list(errors.values())}
+    for (_, reviewer), err in errors.items():
+        groups.setdefault(f"reviewer:{reviewer}", []).append(err)
+    return basis, [(name, (sum(v), len(v))) for name, v in sorted(groups.items())]
+
+
+def did_observations_oracle(groups, truth) -> tuple:
+    """Review-format difference-in-differences observations: one
+    (group, period, 0/1 error) per unit, for each (group, panel) in turn.
+
+    Per group, a team conflict comes first, then a unit spanning periods,
+    then a product without ground truth, then a unit without a period.
+    """
+    observations = []
+    for group, panel in groups:
+        units = units_oracle(panel)
+        periods = {}
+        for row in panel["records"]:
+            periods.setdefault(row[:2], set()).add(row[6])
+        for product, reviewer in units:
+            if len(periods[product, reviewer]) > 1:
+                raise OracleError(
+                    "PanelError",
+                    f"unit (product={product!r}, reviewer={reviewer!r}) spans multiple periods",
+                )
+        errors, _ = unit_errors_oracle(panel, truth)
+        for key in units:
+            (period,) = periods[key]
+            if period is None:
+                raise OracleError(
+                    "PanelError",
+                    f"record for product {key[0]!r} lacks a period; "
+                    "difference-in-differences needs period-tagged data",
+                )
+            observations.append((group, period, float(errors[key])))
+    return tuple(observations)
+
+
 def _cells(panel: dict, question: str) -> list:
     by_product = {}
     for row in panel["records"]:

@@ -6,6 +6,7 @@ same rows written as CSV and read back by ingest_csv.
 """
 
 import io
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,14 +20,18 @@ from reviewaudit import (
     rating_matrix,
     validate_dataset,
 )
-from reviewaudit.report import write_panel_csv
+from reviewaudit import did
+from reviewaudit.report import _extrapolation_section, _team_section, write_panel_csv
 
 from _oracles import (
     OracleError,
     agreement_rate_oracle,
     contingency_oracle,
+    did_observations_oracle,
+    extrapolation_groups_oracle,
     pooled_rating_matrix_oracle,
     rating_matrix_oracle,
+    team_groups_oracle,
     unit_errors_oracle,
     units_oracle,
     validate_oracle,
@@ -99,6 +104,35 @@ def _from_csv(rows):
     return ingest_csv(stream)
 
 
+def _team_groups(dataset, truth):
+    """The team section's basis, group sizes and error rates (kept when its
+    test fails), or its skip reason."""
+    try:
+        body = _team_section(dataset, truth, 0.05)
+    except (ReviewAuditError, ValueError) as exc:
+        body = getattr(exc, "partial", None)
+        if not body:
+            raise
+    if body.get("status") == "skipped":
+        return ("skipped", body["reason"])
+    return body["outcome_basis"], body["group_sizes"], body["group_error_rates"]
+
+
+def _extrapolation_groups(dataset, truth):
+    body = _extrapolation_section(dataset, truth, "wilson", 0.95)
+    if body["status"] == "skipped":
+        return ("skipped", body["reason"])
+    return body["outcome_basis"], [(name, (ci.x, ci.n)) for name, ci in body["groups"].items()]
+
+
+def _did_observations(dataset, truth):
+    """The observations did_with_error_rates builds with the dataset as both
+    groups, taken before panel checks and estimation."""
+    with mock.patch.object(did, "DidPanel", lambda observations, change_period: observations), \
+            mock.patch.object(did, "did_estimate", lambda panel, period_balanced: panel):
+        return did.did_with_error_rates(dataset, dataset, truth, 1)
+
+
 def _check(dataset, panel, truth):
     assert [tuple(vars(r).values()) for r in dataset.records] == panel["records"]
     assert dataset.reviewers == panel["reviewers"]
@@ -114,6 +148,12 @@ def _check(dataset, panel, truth):
     for reference in (None, truth):
         assert _outcome(dataset.unit_errors, reference) == \
             _outcome(unit_errors_oracle, panel, reference)
+        assert _outcome(_team_groups, dataset, reference) == \
+            _outcome(team_groups_oracle, panel, reference)
+        assert _outcome(_extrapolation_groups, dataset, reference) == \
+            _outcome(extrapolation_groups_oracle, panel, reference)
+    assert _outcome(_did_observations, dataset, truth) == \
+        _outcome(did_observations_oracle, (("treated", panel), ("control", panel)), truth)
     for q in (*QUESTIONS, "missing"):
         assert _outcome(lambda: _matrix(rating_matrix(dataset, q))) == \
             _outcome(rating_matrix_oracle, panel, q)
@@ -130,10 +170,18 @@ ALL_DROPPED = (  # every cell misses a reviewer
     "drop", None, {"p1": "approve"},
 )
 
+TWO_TEAMS = (  # reviewer "R" sorts before "r0" and "r1", team "A" before "B"
+    [("p2", "r0", "q1", "yes", "approve", "B", 0), ("p2", "R", "q1", "no", "reject", "A", 0),
+     ("p2", "r1", "q1", "yes", "approve", "B", 0), ("p10", "r0", "q1", "no", "reject", "B", 1),
+     ("p10", "R", "q1", "no", "approve", "A", 1), ("p10", "r1", "q1", "yes", "reject", "B", 1)],
+    "strict", None, {"p2": "approve", "p10": "reject"},
+)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(panels())
 @example(ALL_DROPPED)
+@example(TWO_TEAMS)
 def test_validated_panel_matches_oracle(case):
     rows, policy, declared, truth = case
     expected = _outcome(validate_oracle, rows, policy, declared)
