@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import PanelError
-from .model import ReviewDataset
+from .model import PERIOD, PRODUCT, ReviewDataset
 from .rng import derive_stream
 
 GROUPS = ("treated", "control")
@@ -153,15 +156,16 @@ def did_estimate(
     )
 
 
-def reviewer_classifications(dataset: ReviewDataset) -> dict[tuple[str, str], int | None]:
-    """Period per (product, reviewer) unit, keyed in sorted unit order.
+def reviewer_classifications(dataset: ReviewDataset) -> np.ndarray:
+    """Period code per (product, reviewer) unit, aligned with dataset.units;
+    codes index dataset.records.labels[PERIOD].
 
     Every record of a unit must carry the same period (or none); a unit
     spanning periods raises PanelError.
     """
     periods, conflict = dataset.unit_field("period")
     if conflict is not None:
-        (product, reviewer), _, _ = conflict
+        product, reviewer, _, _ = conflict
         raise PanelError(
             f"unit (product={product!r}, reviewer={reviewer!r}) spans multiple periods"
         )
@@ -187,12 +191,14 @@ def did_with_error_rates(
         units = dataset.units  # first, so a team conflict is reported first
         periods = reviewer_classifications(dataset)
         errors, _ = dataset.unit_errors(ground_truth)
-        for key in units:
-            if periods[key] is None:
-                raise PanelError(
-                    f"record for product {key[0]!r} lacks a period; "
-                    "difference-in-differences needs period-tagged data"
-                )
-            observations.append((group, periods[key], float(errors[key])))
+        if not periods.all():  # code 0 is no period
+            product = units.product[np.argmin(periods)]
+            raise PanelError(
+                f"record for product {dataset.records.labels[PRODUCT][product]!r} lacks a "
+                "period; difference-in-differences needs period-tagged data"
+            )
+        table = dataset.records.labels[PERIOD]
+        observations.extend(zip(repeat(group), map(table.__getitem__, periods.tolist()),
+                                errors.astype(float).tolist()))
     panel = DidPanel(observations=tuple(observations), change_period=change_period)
     return did_estimate(panel, period_balanced=period_balanced)

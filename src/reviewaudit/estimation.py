@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     ReviewAuditError,
     SeparationError,
 )
-from .model import ReviewDataset
+from .model import CLASSIFICATION, TEAM, ReviewDataset
 from .special import normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
@@ -316,11 +315,11 @@ class BiasFactorReport:
 
 def _encode_units(
     dataset: ReviewDataset, factors: Sequence[str]
-) -> tuple[np.ndarray, list[str], list[int], tuple[str, str]]:
+) -> tuple[np.ndarray, list[str], list[float], tuple[str, str]]:
     """One-hot design over (product, reviewer) units, in sorted unit order.
 
     A unit enters only if it has a record for every factor question; its
-    target is its majority classification from the dataset's unit table.
+    0/1 target is its majority classification from the dataset's unit table.
     Reference level per factor is the lexicographically first label.
     """
     questions = [f for f in factors if f != "team"]
@@ -331,7 +330,7 @@ def _encode_units(
 
     units = dataset.units
     # A factor named twice can never be covered by a unit's distinct answers.
-    covered = np.full(len(units), len(set(questions)) == len(questions))
+    covered = np.full(len(units.product), len(set(questions)) == len(questions))
     columns: list[str] = []
     blocks: list[np.ndarray] = []
     for q in questions:
@@ -340,28 +339,28 @@ def _encode_units(
         covered &= answered
         columns.extend(f"{q}={label}" for label in levels)
         blocks.append(indicators)
-    keys = list(compress(units, covered.tolist()))
-    if not keys:
+    if not covered.any():
         raise DatasetValidationError("no (product, reviewer) unit covers every factor")
 
-    classes = [units[key].classification for key in keys]
-    labels = tuple(sorted(set(classes)))
+    # codes index sorted label tables, so code order is label order
+    classes = units.classification[covered]
+    used = np.unique(classes)
+    table = dataset.records.labels[CLASSIFICATION]
+    labels = tuple(map(table.__getitem__, used.tolist()))
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
 
     design = (np.hstack([block[covered] for block in blocks]) if blocks
-              else np.zeros((len(keys), 0)))
+              else np.zeros((len(classes), 0)))
     if use_team:
-        teams = [units[key].team for key in keys]
-        if None in teams:
+        teams = units.team[covered]
+        if not teams.all():  # code 0 is no team
             raise DatasetValidationError("factor 'team' requested but some units lack a team")
-        team_levels = sorted(set(teams))[1:]
-        columns.extend(f"team={level}" for level in team_levels)
-        design = np.hstack([design, np.array(
-            [[team == level for level in team_levels] for team in teams], dtype=float
-        )])
-    target = [0 if label == labels[0] else 1 for label in classes]
-    return design, columns, target, labels
+        levels = np.unique(teams)[1:]
+        names = dataset.records.labels[TEAM]
+        columns.extend(f"team={names[level]}" for level in levels.tolist())
+        design = np.hstack([design, (teams[:, None] == levels).astype(float)])
+    return design, columns, (classes == used[1]).astype(float).tolist(), labels
 
 
 def bias_factor_report(
@@ -380,11 +379,11 @@ def bias_factor_report(
     if not factors:
         raise ValueError("factors must be non-empty")
     design, columns, target, labels = _encode_units(dataset, factors)
-    ols_result = ols_fit(design, [float(t) for t in target], column_names=columns)
+    ols_result = ols_fit(design, target, column_names=columns)
     logistic_result: RegressionFit | None = None
     logistic_error = None
     try:
-        logistic_result = logistic_fit(design, [float(t) for t in target], column_names=columns)
+        logistic_result = logistic_fit(design, target, column_names=columns)
     except (ReviewAuditError, ValueError) as exc:
         logistic_error = str(exc)
     else:

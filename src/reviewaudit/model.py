@@ -206,13 +206,14 @@ class ValidationSummary:
     policy: str
 
 
-class Unit(NamedTuple):
-    """One (product, reviewer) unit: the reviewer's majority final
-    classification over the product's questions, and the team that every
-    record of the unit carries."""
+class Units(NamedTuple):
+    """The per-unit table: one row per (product, reviewer) unit, in sorted
+    order. Each column holds codes into the field's records.labels table."""
 
-    classification: str
-    team: str | None
+    product: np.ndarray
+    reviewer: np.ndarray
+    classification: np.ndarray  # the reviewer's majority final classification
+    team: np.ndarray  # the team every record of the unit carries
 
 
 class _Cells(NamedTuple):
@@ -273,71 +274,53 @@ class ReviewDataset:
         first[1:] = (product[1:] != product[:-1]) | (reviewer[1:] != reviewer[:-1])
         return np.cumsum(first, dtype=np.int32) - 1, np.flatnonzero(first)
 
-    @cached_property
-    def _unit_keys(self) -> list[tuple[str, str]]:
-        starts = self._unit_rows[1]
-        products, reviewers = self.records.labels[PRODUCT], self.records.labels[REVIEWER]
-        return list(zip(map(products.__getitem__, self.records.codes[PRODUCT][starts].tolist()),
-                        map(reviewers.__getitem__, self.records.codes[REVIEWER][starts].tolist())))
-
-    def unit_field(self, name: str) -> tuple[dict[tuple[str, str], object], tuple | None]:
-        """A field that should be constant within each unit: its value per
-        unit, keyed by (product, reviewer) in sorted order and taken from the
-        unit's first record, and the first conflict in sorted order, as
-        (unit key, first value, differing value), or None."""
+    def unit_field(self, name: str) -> tuple[np.ndarray, tuple | None]:
+        """A field that should be constant within each unit: its code per
+        unit, taken from the unit's first record, and the first conflict in
+        sorted order, as (product, reviewer, first value, differing value),
+        or None."""
         i = FIELDS.index(name)
         unit, starts = self._unit_rows
-        codes, table = self.records.codes[i], self.records.labels[i]
-        first = codes[starts]
-        keys = self._unit_keys
-        conflict = None
-        differing = np.flatnonzero(codes != first[unit])
-        if differing.size:
-            row = differing[0]
-            conflict = (keys[unit[row]], table[first[unit[row]]], table[codes[row]])
-        return dict(zip(keys, map(table.__getitem__, first.tolist()))), conflict
+        codes, labels = self.records.codes, self.records.labels
+        first = codes[i][starts]
+        differing = np.flatnonzero(codes[i] != first[unit])
+        if not differing.size:
+            return first, None
+        row = differing[0]
+        return first, (labels[PRODUCT][codes[PRODUCT][row]], labels[REVIEWER][codes[REVIEWER][row]],
+                       labels[i][first[unit[row]]], labels[i][codes[i][row]])
 
     @cached_property
-    def units(self) -> Mapping[tuple[str, str], Unit]:
-        """The per-unit table, keyed by (product, reviewer) in sorted order.
+    def units(self) -> Units:
+        """The per-unit table.
 
         Built on first use and kept, so validation itself does no extra work.
         Raises DatasetValidationError when a unit's records disagree on team.
         """
-        teams, conflict = self.unit_field("team")
+        team, conflict = self.unit_field("team")
         if conflict is not None:
-            (product, reviewer), first, other = conflict
+            product, reviewer, first, other = conflict
             raise DatasetValidationError(
                 f"unit (product={product!r}, reviewer={reviewer!r}) has records "
                 f"in teams {first!r} and {other!r}"
             )
-        labels = self.records.labels[CLASSIFICATION]
-        votes = map(labels.__getitem__, self._unit_votes.tolist())
-        return MappingProxyType(dict(zip(teams, map(Unit, votes, teams.values()))))
+        unit, starts = self._unit_rows
+        codes = self.records.codes
+        return Units(codes[PRODUCT][starts], codes[REVIEWER][starts],
+                     _mode(unit, codes[CLASSIFICATION]), team)
 
-    @cached_property
-    def _unit_votes(self) -> np.ndarray:
-        """Each unit's majority classification code."""
-        return _mode(self._unit_rows[0], self.records.codes[CLASSIFICATION])
-
-    def unit_errors(
-        self, ground_truth: Mapping[str, str] | None
-    ) -> tuple[dict[tuple[str, str], int], str]:
-        """0/1 misclassification indicator per unit, and the basis used.
+    def unit_errors(self, ground_truth: Mapping[str, str] | None) -> tuple[np.ndarray, str]:
+        """0/1 misclassification indicator per unit, aligned with units, and
+        the basis used.
 
         Compared against ground truth when supplied, otherwise against the
         product's consensus classification (the majority of its units'
         classifications, ties lexicographic).
         """
         units = self.units
-        votes = self._unit_votes
-        products = self.records.codes[PRODUCT][self._unit_rows[1]]
         if ground_truth is None:
-            # units are sorted by product, so a product's units are adjacent
-            first = np.ones(len(products), bool)
-            first[1:] = products[1:] != products[:-1]
-            group = np.cumsum(first) - 1
-            reference = _mode(group, votes)[group]
+            group = np.unique(units.product, return_inverse=True)[1]
+            reference = _mode(group, units.classification)[group]
             basis = "consensus"
         else:
             for product in self.products:
@@ -346,9 +329,9 @@ class ReviewDataset:
             index = {label: i for i, label in enumerate(self.records.labels[CLASSIFICATION])}
             truth = [index.get(ground_truth.get(product), -1)
                      for product in self.records.labels[PRODUCT]]
-            reference = np.array(truth, np.int64)[products]
+            reference = np.array(truth, np.int64)[units.product]
             basis = "ground_truth"
-        return dict(zip(units, (votes != reference).astype(int).tolist())), basis
+        return (units.classification != reference).astype(int), basis
 
     def unit_indicators(
         self, question: str, labels: Sequence[str]

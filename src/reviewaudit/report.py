@@ -34,6 +34,8 @@ from .estimation import CI_METHODS, bias_factor_report, binomial_ci
 from .hypotheses import chi_square_independence, one_way_anova, two_sample_t
 from .model import (
     FIELDS,
+    REVIEWER,
+    TEAM,
     ColumnCoder,
     RecordColumns,
     ReviewDataset,
@@ -377,24 +379,22 @@ def _team_section(
 
     test forces "t" or "anova"; variant and tail apply to the t test.
     """
-    teams = sorted({unit.team for unit in dataset.units.values()} - {None})
+    unit_team = dataset.units.team
+    table = dataset.records.labels[TEAM]
+    codes = np.unique(unit_team[unit_team > 0])  # code 0 is no team
+    teams = list(map(table.__getitem__, codes.tolist()))
     if not teams:
         return {"status": "skipped", "reason": "no team data"}
     if len(teams) == 1:
         return {"status": "skipped", "reason": f"single team {teams[0]!r}"}
     outcomes, basis = dataset.unit_errors(ground_truth)
-    groups: dict[str, list[float]] = {team: [] for team in teams}
-    for key, unit in dataset.units.items():
-        if unit.team is not None:
-            groups[unit.team].append(float(outcomes[key]))
+    groups = {team: outcomes[unit_team == code].astype(float).tolist()
+              for team, code in zip(teams, codes.tolist())}
     payload = {
         "outcome_basis": basis,
         "teams": teams,
         "group_sizes": {team: len(groups[team]) for team in teams},
-        "group_error_rates": {
-            team: (sum(groups[team]) / len(groups[team]) if groups[team] else None)
-            for team in teams
-        },
+        "group_error_rates": {team: sum(groups[team]) / len(groups[team]) for team in teams},
     }
     test = test or ("t" if len(teams) == 2 else "anova")
     if test == "t" and len(teams) != 2:
@@ -432,16 +432,16 @@ def _extrapolation_section(
     level: float,
 ) -> dict:
     outcomes, basis = dataset.unit_errors(ground_truth)
-    if not outcomes:
+    if not len(outcomes):
         return {"status": "skipped", "reason": "no units to extrapolate"}
-    groups: dict[str, list[int]] = {"all": []}
-    for (product, reviewer), err in outcomes.items():
-        groups["all"].append(err)
-        groups.setdefault(f"reviewer:{reviewer}", []).append(err)
-    intervals = {}
-    for name in sorted(groups):
-        values = groups[name]
-        intervals[name] = binomial_ci(sum(values), len(values), level=level, method=method)
+    # "all" sorts before every "reviewer:<id>", and reviewer codes in id order
+    reviewer, table = dataset.units.reviewer, dataset.records.labels[REVIEWER]
+    sizes = np.bincount(reviewer, minlength=len(table))
+    errors = np.bincount(reviewer, weights=outcomes, minlength=len(table))
+    intervals = {"all": binomial_ci(int(outcomes.sum()), len(outcomes), level=level, method=method)}
+    for code in np.flatnonzero(sizes).tolist():
+        intervals[f"reviewer:{table[code]}"] = binomial_ci(
+            int(errors[code]), int(sizes[code]), level=level, method=method)
     return {"status": "ok", "outcome_basis": basis, "groups": intervals}
 
 

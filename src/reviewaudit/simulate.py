@@ -29,6 +29,12 @@ from .rng import SplitMix64, derive_stream
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a non-integer, including a bool (which is an int subclass)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuestionSpec:
     question_id: str
@@ -55,8 +61,7 @@ class Treatment:
     error_rate_delta: float
 
     def __post_init__(self):
-        if not isinstance(self.change_period, int):
-            raise ConfigError(f"change_period must be an integer, got {self.change_period!r}")
+        _require_int("change_period", self.change_period)
         if not (0.0 <= self.error_rate_delta <= 1.0):
             raise ConfigError(
                 f"error_rate_delta must be in [0, 1], got {self.error_rate_delta}"
@@ -74,6 +79,9 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_int("n_products", self.n_products)
+        _require_int("n_reviewers", self.n_reviewers)
+        _require_int("seed", self.seed)
         if self.n_products < 1:
             raise ConfigError(f"n_products must be >= 1, got {self.n_products}")
         if self.n_reviewers < 1:
@@ -85,8 +93,6 @@ class SimulationConfig:
             raise ConfigError("question ids must be distinct")
         if not (0.0 <= self.anchoring <= 1.0):
             raise ConfigError(f"anchoring must be in [0, 1], got {self.anchoring}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.reviewer_bias:
             known = set(self.reviewer_ids)
             for reviewer, weights in self.reviewer_bias.items():

@@ -7,8 +7,11 @@ F tails). Series expansions are used inside their classical convergence
 regions and Lentz-style continued fractions outside; iteration is capped at
 _MAX_ITER with tolerance _TOL, and hitting the cap raises ConvergenceError
 rather than returning a partial result. The gamma series needs about
-8*sqrt(s) terms when x is near s, so the cap binds around s ~ 4000; every
-statistic this toolkit produces stays far below that.
+8*sqrt(s) terms when x is near s, so the cap binds there from s ~ 4300:
+chi_square_upper_tail(df, df) raises ConvergenceError from df = 8678 on,
+e.g. at (12000, 12000). The beta continued fraction fails likewise when both
+shapes are large, as in binomial_ci(1000000, 2000000). ROADMAP item 3 plans
+large-parameter branches for both.
 """
 
 from __future__ import annotations

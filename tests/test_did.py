@@ -13,6 +13,7 @@ from reviewaudit import (
     validate_dataset,
 )
 from reviewaudit.did import reviewer_classifications
+from reviewaudit.model import PERIOD, PRODUCT, REVIEWER
 
 from _helpers import rec
 
@@ -218,9 +219,14 @@ class TestDidWithErrorRates:
 
     def test_periods_per_unit(self):
         records = _review_group("treated", 0, set(), n=2) + _review_group("treated", 1, set(), n=1)
-        assert reviewer_classifications(validate_dataset(records)) == {
-            ("treated-0-p0", "r1"): 0, ("treated-0-p1", "r1"): 0, ("treated-1-p0", "r1"): 1,
-        }
+        ds = validate_dataset(records)
+        labels = ds.records.labels
+        keys = zip(map(labels[PRODUCT].__getitem__, ds.units.product.tolist()),
+                   map(labels[REVIEWER].__getitem__, ds.units.reviewer.tolist()))
+        periods = map(labels[PERIOD].__getitem__, reviewer_classifications(ds).tolist())
+        assert list(zip(keys, periods)) == [
+            (("treated-0-p0", "r1"), 0), (("treated-0-p1", "r1"), 0), (("treated-1-p0", "r1"), 1),
+        ]
 
     def test_mixed_periods_raise_before_missing_truth(self):
         treated = _review_group("treated", 0, set()) + _review_group("treated", 1, set())

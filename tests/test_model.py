@@ -65,9 +65,10 @@ class TestValidateDataset:
         assert ds.n_raters == 3
         assert ds.summary.n_dropped_cells == 2
         assert ds.records == ()
-        assert ds.units == {}
-        assert ds.unit_errors(None) == ({}, "consensus")
-        assert ds.unit_errors({}) == ({}, "ground_truth")
+        assert [column.tolist() for column in ds.units] == [[], [], [], []]
+        for truth, basis in ((None, "consensus"), ({}, "ground_truth")):
+            errors, got = ds.unit_errors(truth)
+            assert (errors.tolist(), got) == ([], basis)
 
     def test_single_missing_reviewer_drops_cell(self):
         complete = [rec("p1", f"r{i}", "q1", "yes") for i in range(3)]

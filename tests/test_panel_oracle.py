@@ -21,6 +21,7 @@ from reviewaudit import (
     validate_dataset,
 )
 from reviewaudit import did
+from reviewaudit.model import CLASSIFICATION, PRODUCT, REVIEWER, TEAM
 from reviewaudit.report import _extrapolation_section, _team_section, write_panel_csv
 
 from _oracles import (
@@ -104,6 +105,21 @@ def _from_csv(rows):
     return ingest_csv(stream)
 
 
+def _units(dataset):
+    """The unit table as {(product, reviewer): (classification, team)}, in
+    table order, with codes mapped through the label tables."""
+    labels = dataset.records.labels
+    product, reviewer, classification, team = (
+        map(labels[field].__getitem__, column.tolist())
+        for field, column in zip((PRODUCT, REVIEWER, CLASSIFICATION, TEAM), dataset.units))
+    return dict(zip(zip(product, reviewer), zip(classification, team)))
+
+
+def _unit_errors(dataset, truth):
+    errors, basis = dataset.unit_errors(truth)
+    return dict(zip(_units(dataset), errors.tolist())), basis
+
+
 def _team_groups(dataset, truth):
     """The team section's basis, group sizes and error rates (kept when its
     test fails), or its skip reason."""
@@ -143,10 +159,10 @@ def _check(dataset, panel, truth):
     assert (s.n_input_records, s.n_records, s.n_dropped_cells, s.n_dropped_records,
             s.dropped_cells, s.policy) == panel["summary"]
     assert dataset.products == panel["products"]
-    assert _outcome(lambda: {k: tuple(u) for k, u in dataset.units.items()}) == \
-        _outcome(units_oracle, panel)
+    assert _outcome(lambda: list(_units(dataset).items())) == \
+        _outcome(lambda: list(units_oracle(panel).items()))
     for reference in (None, truth):
-        assert _outcome(dataset.unit_errors, reference) == \
+        assert _outcome(_unit_errors, dataset, reference) == \
             _outcome(unit_errors_oracle, panel, reference)
         assert _outcome(_team_groups, dataset, reference) == \
             _outcome(team_groups_oracle, panel, reference)

@@ -49,6 +49,9 @@ class TestConfigValidation:
             {"reviewer_bias": {"r0": (-1.0, 1.0)}},
             {"reviewer_bias": {"r0": (1.0,)}},
             {"reviewer_bias": {"r0": (0.0, 0.0)}},
+            {"n_products": True},
+            {"n_reviewers": True},
+            {"seed": True},
         ],
     )
     def test_rejected(self, overrides):
@@ -64,6 +67,10 @@ class TestConfigValidation:
             QuestionSpec("", 2, 0.5)
         with pytest.raises(ConfigError, match="non-empty string"):
             QuestionSpec(5, 2, 0.5)
+
+    def test_treatment_change_period_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="change_period must be an integer"):
+            Treatment(change_period=True, error_rate_delta=0.2)
 
     def test_from_json(self):
         payload = {
