@@ -40,26 +40,32 @@ class KappaResult:
 
 
 def fleiss_kappa(matrix: RatingMatrix) -> KappaResult:
-    """Fleiss' kappa for a rating matrix.
+    """Fleiss' kappa for a rating matrix, computed on its count array.
+
+    p_bar is the math.fsum of the per-subject terms P_i, computed exactly:
+    each distinct term, a float num / den with den a power of two, is
+    weighted by how many subjects share it, the weighted numerators are
+    summed as integers over the largest den, and the sum is rounded once.
+    fsum is the correctly rounded sum of its terms, so the float is the same.
 
     Raises KappaUndefinedError when every rating falls in one category
     (chance agreement is exactly 1 and the statistic has a zero
     denominator); that situation is detected on the integer counts, never
     by floating-point comparison.
     """
-    n = matrix.n
-    n_subjects = matrix.n_subjects
+    counts, n = matrix.array, matrix.n
+    n_subjects = len(counts)
     total_ratings = n_subjects * n
-    col_totals = [
-        sum(row[j] for row in matrix.counts) for j in range(matrix.n_categories)
-    ]
-    if any(t == total_ratings for t in col_totals):
+    col_totals = counts.sum(axis=0).tolist()
+    if total_ratings in col_totals:
         raise KappaUndefinedError(
             "all ratings fall in a single category; kappa is undefined"
         )
-    p_bar = math.fsum(
-        (sum(c * c for c in row) - n) / (n * (n - 1)) for row in matrix.counts
-    ) / n_subjects
+    squares, multiplicity = np.unique(np.einsum("ij,ij->i", counts, counts), return_counts=True)
+    terms = [((s - n) / (n * (n - 1))).as_integer_ratio() for s in squares.tolist()]
+    scale = max(den for _, den in terms)
+    exact = sum(m * num * (scale // den) for m, (num, den) in zip(multiplicity.tolist(), terms))
+    p_bar = exact / scale / n_subjects
     p_j = [t / total_ratings for t in col_totals]
     p_e_bar = math.fsum(p * p for p in p_j)
     kappa = (p_bar - p_e_bar) / (1.0 - p_e_bar)
@@ -116,7 +122,8 @@ class AgreementReport:
 
 def pooled_rating_matrix(dataset: ReviewDataset) -> RatingMatrix:
     """All complete (product, question) cells as subjects over the union
-    category space."""
+    category space; the "product/question" subject names are made when
+    first read."""
     union: set[str] = set()
     for q in dataset.questions:
         union.update(dataset.category_space[q])
@@ -125,18 +132,18 @@ def pooled_rating_matrix(dataset: ReviewDataset) -> RatingMatrix:
         raise KappaUndefinedError(
             "union category space has a single category; agreement is undefined"
         )
-    counts, products = dataset._category_counts(slice(None), categories)
-    if not counts:
+    counts = dataset._category_counts(slice(None), categories)
+    if not len(counts):
         raise EmptyMatrixError("dataset has no complete cells")
+    products, questions = dataset._cell_products(slice(None)), dataset.questions
     per_question = np.diff(dataset._cells.bounds)
-    questions = np.repeat(np.arange(len(per_question)), per_question).tolist()
-    return RatingMatrix(
-        counts=counts,
-        n=dataset.n_raters,
-        categories=categories,
-        subjects=tuple(map("{}/{}".format, products,
-                           map(dataset.questions.__getitem__, questions))),
-    )
+
+    def subjects() -> tuple[str, ...]:
+        cell_questions = np.repeat(np.arange(len(per_question)), per_question).tolist()
+        return tuple(map("{}/{}".format, products(), map(questions.__getitem__, cell_questions)))
+
+    return RatingMatrix(counts=counts, n=dataset.n_raters, categories=categories,
+                        subjects=subjects)
 
 
 def analyze_agreement(dataset: ReviewDataset, mode: str = "pooled") -> AgreementReport:

@@ -76,6 +76,20 @@ PRODUCT, REVIEWER, QUESTION, ANSWER, CLASSIFICATION, TEAM, PERIOD = range(len(FI
 OPTIONAL = (TEAM, PERIOD)
 
 
+class _Numbering(dict):
+    """Codes by value: a value looked up for the first time gets the next
+    code and is listed in new."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.new: list = []
+
+    def __missing__(self, value) -> int:
+        self.new.append(value)
+        code = self[value] = len(self)
+        return code
+
+
 class ColumnCoder:
     """Integer codes for one column's values, added in chunks.
 
@@ -86,17 +100,16 @@ class ColumnCoder:
 
     def __init__(self, optional: bool = False):
         self.optional = optional
-        self.index: dict = {None: 0} if optional else {}
+        self.index = _Numbering({None: 0} if optional else {})
         self.parts: list[np.ndarray] = []
 
-    def add(self, values: Sequence) -> set:
-        """Code a chunk of values; returns the values not seen before."""
+    def add(self, values: Iterable, count: int = -1) -> list:
+        """Code a chunk of values (count of them, if known); returns the
+        values not seen before."""
         index = self.index
-        new = set(values).difference(index)
-        if new:
-            index.update(zip(new, range(len(index), len(index) + len(new))))
-        self.parts.append(np.fromiter(map(index.__getitem__, values), np.int32, len(values)))
-        return new
+        index.new = []
+        self.parts.append(np.fromiter(map(index.__getitem__, values), np.int32, count))
+        return index.new
 
     def add_codes(self, codes: np.ndarray, values: Sequence) -> None:
         """Add a chunk given as codes into values, a table of the chunk's
@@ -107,12 +120,12 @@ class ColumnCoder:
 
     def finish(self, convert: Callable | None = None) -> tuple[np.ndarray, tuple]:
         """The codes and the label table; convert maps each distinct value
-        to its label (values converting to one label share its code). The
-        coder lets go of its chunks, so a caller that keeps the coder does
-        not keep their memory."""
+        other than None to its label (values converting to one label share
+        its code). The coder lets go of its chunks, so a caller that keeps
+        the coder does not keep their memory."""
         seen = list(self.index)
         if convert is not None:
-            seen = [convert(value) for value in seen]
+            seen = [None if value is None else convert(value) for value in seen]
         table = sorted(set(seen) - {None})
         if self.optional:
             table.insert(0, None)
@@ -156,7 +169,7 @@ class RecordColumns(Sequence[ReviewRecord]):
         """Columns over the records' field values; the records are not kept."""
         coders = cls.coders()
         for coder, name in zip(coders, FIELDS):
-            coder.add(list(map(operator.attrgetter(name), records)))
+            coder.add(map(operator.attrgetter(name), records), len(records))
         return cls.from_coders(coders)
 
     def __len__(self) -> int:
@@ -378,18 +391,19 @@ class ReviewDataset:
         bounds = self._cells.bounds
         return slice(int(bounds[i]), int(bounds[i + 1]))
 
-    def _category_counts(
-        self, cells: slice, categories: tuple[str, ...]
-    ) -> tuple[tuple[tuple[int, ...], ...], list[str]]:
+    def _category_counts(self, cells: slice, categories: tuple[str, ...]) -> np.ndarray:
         """Per cell, how many reviewers chose each category (which must
-        cover the cells' answers), and the cells' products."""
+        cover the cells' answers), as a cells x categories array."""
         chosen = self._answer_positions(categories)[self._cells.answers[cells]]
         n_cells, width = len(chosen), len(categories)
         flat = (np.arange(n_cells)[:, None] * width + chosen).ravel()
-        counts = np.bincount(flat, minlength=n_cells * width).reshape(n_cells, width)
-        products = self.records.labels[PRODUCT]
-        return (tuple(map(tuple, counts.tolist())),
-                list(map(products.__getitem__, self._cells.product[cells].tolist())))
+        return np.bincount(flat, minlength=n_cells * width).reshape(n_cells, width)
+
+    def _cell_products(self, cells: slice) -> Callable[[], tuple[str, ...]]:
+        """A function giving the cells' product ids; it keeps the codes and
+        the label table, not the dataset."""
+        codes, labels = self._cells.product[cells], self.records.labels[PRODUCT]
+        return lambda: tuple(map(labels.__getitem__, codes.tolist()))
 
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:
@@ -489,47 +503,113 @@ def validate_dataset(
     )
 
 
-@dataclass(frozen=True)
-class RatingMatrix:
-    """Per-subject category counts: N subjects x K categories, n raters each."""
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    counts: tuple[tuple[int, ...], ...]
+
+def _count_array(counts, width: int) -> tuple[np.ndarray, int]:
+    """The leading rows of counts that hold width integers each, as an int64
+    array, and how many rows that is (all of them for an integer array of
+    the right width)."""
+    if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu" and counts.shape[1:] == (width,):
+        return counts.astype(np.int64, copy=False), len(counts)
+    rows = counts.tolist() if isinstance(counts, np.ndarray) else counts
+    valid = next((i for i, row in enumerate(rows)
+                  if len(row) != width or not all(map(_is_integer, row))), len(rows))
+    return np.array(rows[:valid], np.int64).reshape(valid, width), valid
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class RatingMatrix:
+    """Per-subject category counts: N subjects x K categories, n raters each.
+
+    The counts are held as one read-only int64 N x K array, array; counts
+    reads them as a tuple of int tuples, built on first read. subjects may
+    be given as a function returning the N subject names, which is then
+    called when they are first read. Counts and n must be integers (not
+    bools) and the categories distinct.
+    """
+
+    array: np.ndarray = field(repr=False)
     n: int
     categories: tuple[str, ...]
-    subjects: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise EmptyMatrixError(f"rating matrix requires n >= 2 raters, got {self.n}")
-        if len(self.counts) < 1:
+    def __init__(
+        self,
+        counts: Sequence[Sequence[int]] | np.ndarray,
+        n: int,
+        categories: Sequence[str],
+        subjects: Sequence[str] | Callable[[], Sequence[str]],
+    ):
+        if not _is_integer(n):
+            raise ValueError(f"rating matrix requires an integer n, got {n!r}")
+        if n < 2:
+            raise EmptyMatrixError(f"rating matrix requires n >= 2 raters, got {n}")
+        if len(counts) < 1:
             raise EmptyMatrixError("rating matrix requires at least one subject")
-        if len(self.categories) < 2:
+        categories = tuple(categories)
+        if len(categories) < 2:
             raise KappaUndefinedError(
                 "rating matrix spans a single category; agreement is undefined"
             )
-        if len(self.subjects) != len(self.counts):
-            raise ValueError("subjects and counts must have equal length")
-        width = len(self.categories)
-        if (set(map(len, self.counts)) == {width} and min(map(min, self.counts)) >= 0
-                and set(map(sum, self.counts)) == {self.n}):
-            return
-        for subject, row in zip(self.subjects, self.counts):
-            if len(row) != width:
-                raise ValueError(f"row width mismatch for subject {subject!r}")
-            if any(c < 0 for c in row):
-                raise ValueError(f"negative count for subject {subject!r}")
-            if sum(row) != self.n:
-                raise ValueError(
-                    f"row for subject {subject!r} sums to {sum(row)}, expected n={self.n}"
-                )
+        if len(set(categories)) != len(categories):
+            raise ValueError(f"rating matrix categories must be distinct, got {categories!r}")
+        if not callable(subjects):
+            subjects = tuple(subjects)
+            if len(subjects) != len(counts):
+                raise ValueError("subjects and counts must have equal length")
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "_names", subjects)
+        array, valid = _count_array(counts, len(categories))
+        sums = array.sum(axis=1)
+        bad = np.flatnonzero((array < 0).any(axis=1) | (sums != n))
+        if bad.size:
+            i = int(bad[0])
+            if array[i].min() < 0:
+                raise ValueError(f"negative count for subject {self.subjects[i]!r}")
+            raise ValueError(
+                f"row for subject {self.subjects[i]!r} sums to {sums[i]}, expected n={n}"
+            )
+        if valid < len(counts):
+            if len(counts[valid]) != len(categories):
+                raise ValueError(f"row width mismatch for subject {self.subjects[valid]!r}")
+            value = next(c for c in counts[valid] if not _is_integer(c))
+            raise ValueError(
+                f"count {value!r} for subject {self.subjects[valid]!r} is not an integer"
+            )
+        array = array.view()
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    @cached_property
+    def subjects(self) -> tuple[str, ...]:
+        names = self._names
+        return tuple(names()) if callable(names) else names
 
     @property
     def n_subjects(self) -> int:
-        return len(self.counts)
+        return len(self.array)
 
     @property
     def n_categories(self) -> int:
         return len(self.categories)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatingMatrix):
+            return NotImplemented
+        return (self.n == other.n and self.categories == other.categories
+                and np.array_equal(self.array, other.array) and self.subjects == other.subjects)
+
+    def __hash__(self) -> int:
+        return hash((self.counts, self.n, self.categories, self.subjects))
+
+    def __reduce__(self):
+        return RatingMatrix, (self.array, self.n, self.categories, self.subjects)
 
 
 def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
@@ -550,12 +630,11 @@ def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
         raise KappaUndefinedError(
             f"question {question!r} has a single-category space; agreement is undefined"
         )
-    counts, products = dataset._category_counts(cells, categories)
     return RatingMatrix(
-        counts=counts,
+        counts=dataset._category_counts(cells, categories),
         n=dataset.n_raters,
         categories=categories,
-        subjects=tuple(products),
+        subjects=dataset._cell_products(cells),
     )
 
 

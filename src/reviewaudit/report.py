@@ -20,7 +20,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import repeat
+from collections import deque
+from itertools import islice, repeat, tee
 from operator import itemgetter
 from typing import IO, ContextManager, Iterable, Mapping, Sequence
 
@@ -114,13 +115,14 @@ def _csv_reader(stream: IO[str], required: Sequence[str]) -> csv.DictReader:
 
 
 # Rows are coded in batches of this many, so only one batch of raw rows is
-# held at a time.
-_BATCH = 4096
+# held at a time; a small batch leaves the garbage collector few live rows.
+_BATCH = 512
 
-# How a column's distinct stripped values become labels ("" is blank).
+# How a column's distinct raw values become labels: stripped, and for the
+# optional columns "" is blank (int strips whitespace itself).
 _LABELS = {
-    "team": lambda value: value or None,
-    "period": lambda value: int(value) if value else None,
+    "team": lambda value: value.strip() or None,
+    "period": lambda value: int(value) if value.strip() else None,
 }
 
 
@@ -161,7 +163,10 @@ def _read_review_csv(
     repeated header name means its last column. Values are stripped; team
     and period may be blank. Errors name the offending column and file line.
     """
-    reader = csv.reader(stream)
+    # replay holds the raw lines of the batch being read, so that the file
+    # line of a bad row is found by parsing them again, only on error.
+    lines, replay = tee(stream)
+    reader = csv.reader(lines)
     header = next(reader, None)
     _check_header(header, REQUIRED_COLUMNS)
     position = {name: i for i, name in enumerate(header)}
@@ -172,44 +177,49 @@ def _read_review_csv(
     getters = [(name, coders[name], itemgetter(position[name])) for name in names]
     width = max(position[name] for name in names) + 1
 
-    def code(rows: list[list[str]], lines: list[int]) -> None:
+    def code(rows: list[list[str]]) -> bool:
+        """Code a batch; False if a field may be bad."""
         if min(map(len, rows)) < width:
             rows = [row + [""] * (width - len(row)) for row in rows]
-        bad = False
+        ok = True
         for name, coder, get in getters:
-            new = coder.add(list(map(str.strip, map(get, rows))))
+            new = coder.add(map(get, rows), len(rows))
             if name in REQUIRED_COLUMNS:
-                bad = bad or "" in new
+                ok = ok and all(map(str.strip, new))
             elif name == "period":
-                bad = bad or not all(map(_parses_as_int, new - {""}))
-        if bad:
-            for row, line in zip(rows, lines):
-                _check_row(row, line, position)
+                ok = ok and all(map(_parses_as_int, filter(str.strip, new)))
+        return ok
 
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    try:
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _BATCH:
-                    code(rows, lines)
-                    rows, lines = [], []
-    except csv.Error:
-        if rows:
-            code(rows, lines)  # a bad field on an earlier row is reported first
-        raise
-    if rows:
-        code(rows, lines)
+    def check_batch() -> None:
+        """Raise for the batch's first bad field, citing its file line."""
+        again = csv.reader(islice(replay, reader.line_num - read))
+        with contextlib.suppress(csv.Error):  # the caller's error is raised after
+            for row in filter(None, again):
+                _check_row(row, read + again.line_num, position)
+
+    rows = filter(None, reader)  # blank lines are skipped
+    read = reader.line_num  # lines before the batch, dropped from replay
+    deque(islice(replay, read), maxlen=0)
+    while True:
+        try:
+            batch = list(islice(rows, _BATCH))
+        except csv.Error:
+            check_batch()  # a bad field on an earlier row is reported first
+            raise
+        if batch and not code(batch):
+            check_batch()
+        deque(islice(replay, reader.line_num - read), maxlen=0)
+        read = reader.line_num
+        if len(batch) < _BATCH:
+            break
 
     n_rows = sum(map(len, coders[REQUIRED_COLUMNS[0]].parts))
     coded = [
-        coders[name].finish(_LABELS.get(name)) if name in coders
+        coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
         else (np.zeros(n_rows, np.int32), (None,))
         for name in FIELDS
     ]
-    groups = coders["group"].finish() if group else None
+    groups = coders["group"].finish(str.strip) if group else None
     return RecordColumns(*zip(*coded)), groups
 
 
@@ -242,7 +252,8 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
 
 
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
-    """Read product_id -> classification pairs."""
+    """Read product_id -> classification pairs. A product may repeat only
+    with the same classification."""
     with _open_source(source) as stream:
         reader = _csv_reader(stream, ("product_id", "classification"))
         truth: dict[str, str] = {}
@@ -252,7 +263,12 @@ def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
             if not product or not label:
                 raise CsvFormatError(f"blank ground-truth entry on row {reader.line_num}",
                                      row=reader.line_num)
-            truth[product] = label
+            if truth.setdefault(product, label) != label:
+                raise CsvFormatError(
+                    f"conflicting ground truth for product {product!r} on row "
+                    f"{reader.line_num}: {label!r} after {truth[product]!r}",
+                    row=reader.line_num, column="classification",
+                )
         if not truth:
             raise CsvFormatError("ground-truth file has no data rows")
         return truth

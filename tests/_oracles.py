@@ -3,9 +3,9 @@ test values.
 
 Nothing here imports the package's own kernels: densities use math.lgamma
 from the standard library, integrals use adaptive Simpson quadrature,
-binomial tails use exact integer combinatorics, the agreement oracle
-counts rater pairs by enumeration, and the simulator oracle draws one value
-at a time from its own SplitMix64.
+binomial tails use exact integer combinatorics, the agreement oracles
+count rater pairs by enumeration or sum the textbook terms with fsum, and
+the simulator oracle draws one value at a time from its own SplitMix64.
 """
 
 from __future__ import annotations
@@ -151,6 +151,22 @@ def fleiss_kappa_pair_oracle(counts, n: int) -> float:
         for j in range(n_categories)
     )
     return float((p_bar - p_e) / (1 - p_e))
+
+
+def fleiss_kappa_fsum_oracle(counts, n: int):
+    """(kappa, p_bar, p_e_bar) by the textbook formula over tuple rows, each
+    mean a math.fsum of its float terms, or None when every rating falls in
+    one category (kappa is undefined)."""
+    n_subjects = len(counts)
+    total = n_subjects * n
+    col_totals = [sum(row[j] for row in counts) for j in range(len(counts[0]))]
+    if total in col_totals:
+        return None
+    p_bar = math.fsum(
+        (sum(c * c for c in row) - n) / (n * (n - 1)) for row in counts
+    ) / n_subjects
+    p_e_bar = math.fsum((t / total) * (t / total) for t in col_totals)
+    return (p_bar - p_e_bar) / (1.0 - p_e_bar), p_bar, p_e_bar
 
 
 def binomial_cdf_exact(x: int, n: int, p: float) -> float:

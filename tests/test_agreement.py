@@ -3,7 +3,9 @@ agreement report."""
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewaudit import (
     EmptyMatrixError,
@@ -15,10 +17,11 @@ from reviewaudit import (
     rating_matrix,
     validate_dataset,
 )
+from reviewaudit import pooled_rating_matrix
 from reviewaudit.model import RatingMatrix
 
 from _helpers import rec
-from _oracles import fleiss_kappa_pair_oracle
+from _oracles import fleiss_kappa_fsum_oracle, fleiss_kappa_pair_oracle
 
 
 def matrix(counts, n):
@@ -127,6 +130,68 @@ class TestFleissKappa:
                 continue
             doubled = fleiss_kappa(matrix(list(m.counts) * 2, m.n)).kappa
             assert abs(doubled - base) <= 1e-12
+
+
+@st.composite
+def count_rows(draw, max_subjects, n=None):
+    """(rows, n): per-subject category counts of n raters over K categories,
+    drawn from one multinomial per matrix, so that large matrices repeat
+    their per-subject sums of squares many times; some put every rating in
+    one category."""
+    n = draw(st.integers(2, 12)) if n is None else n
+    k = draw(st.integers(2, 8))
+    n_subjects = draw(st.integers(1, max_subjects))
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.multinomial(n, np.array(weights) / sum(weights), size=n_subjects)
+    return tuple(map(tuple, rows.tolist())), n
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_kappa_matches_fsum(m):
+    """fleiss_kappa on the matrix's array equals the fsum formula on its
+    tuple rows, bit for bit, or both find kappa undefined."""
+    expected = fleiss_kappa_fsum_oracle(m.counts, m.n)
+    if expected is None:
+        with pytest.raises(KappaUndefinedError):
+            fleiss_kappa(m)
+        return
+    r = fleiss_kappa(m)
+    assert _bits(r.kappa, r.p_bar, r.p_e_bar) == _bits(*expected)
+
+
+class TestKappaAgainstFsumFormula:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(count_rows(max_subjects=5000))
+    def test_tuple_matrices(self, case):
+        rows, n = case
+        _assert_kappa_matches_fsum(matrix(rows, n))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dataset_matrices(self, data):
+        # Two questions rated by the same n reviewers; rater i of a subject
+        # gives the i-th of its ratings in category order.
+        rows, n = data.draw(count_rows(max_subjects=150))
+        per_question = {"q1": rows, "q2": data.draw(count_rows(max_subjects=150, n=n))[0]}
+        records = [
+            rec(f"p{p:04d}", f"r{i:02d}", question, label)
+            for question, rows in per_question.items()
+            for p, row in enumerate(rows)
+            for i, label in enumerate(f"c{j}" for j, c in enumerate(row) for _ in range(c))
+        ]
+        ds = validate_dataset(records)
+        matrices = [pooled_rating_matrix(ds)]
+        for q in ds.questions:
+            try:
+                matrices.append(rating_matrix(ds, q))
+            except KappaUndefinedError:
+                continue
+        for m in matrices:
+            _assert_kappa_matches_fsum(m)
 
 
 def _consensus_panel():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from reviewaudit import (
@@ -18,6 +19,7 @@ from reviewaudit import (
     rating_matrix,
     validate_dataset,
 )
+from reviewaudit.model import RatingMatrix
 
 from _helpers import rec
 
@@ -206,6 +208,43 @@ class TestRatingMatrix:
             RatingMatrix(counts=((1,),), n=1, categories=("a",), subjects=("s",))
         with pytest.raises(KappaUndefinedError):
             RatingMatrix(counts=((3,),), n=3, categories=("a",), subjects=("s",))
+
+    @pytest.mark.parametrize("counts, n, categories, message", [
+        (((1.5, 1.5), (3, 0)), 3, ("a", "b"), "count 1.5 for subject 's' is not an integer"),
+        (((3, 0), (2.0, 1)), 3, ("a", "b"), "count 2.0 for subject 't' is not an integer"),
+        (((True, 2), (3, 0)), 3, ("a", "b"), "count True for subject 's' is not an integer"),
+        (((3, 0), (2, 1)), 3.0, ("a", "b"), "requires an integer n, got 3.0"),
+        (((3, 0), (2, 1)), True, ("a", "b"), "requires an integer n, got True"),
+        (((3, 0), (2, 1)), 3, ("a", "a"), "categories must be distinct"),
+    ])
+    def test_non_integer_input_rejected(self, counts, n, categories, message):
+        with pytest.raises(ValueError, match=message):
+            RatingMatrix(counts=counts, n=n, categories=categories, subjects=("s", "t"))
+
+    def test_float_and_bool_arrays_rejected(self):
+        for counts in (np.array([[1.5, 1.5], [3.0, 0.0]]), np.array([[True, False]] * 2)):
+            with pytest.raises(ValueError, match="for subject 's' is not an integer"):
+                RatingMatrix(counts=counts, n=3, categories=("a", "b"), subjects=("s", "t"))
+
+    def test_first_bad_subject_named(self):
+        def build(*counts):
+            subjects = tuple(f"s{i}" for i in range(len(counts)))
+            RatingMatrix(counts=counts, n=3, categories=("a", "b"), subjects=subjects)
+
+        with pytest.raises(ValueError, match="row for subject 's1' sums to 2, expected n=3"):
+            build((3, 0), (1, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="negative count for subject 's1'"):
+            build((3, 0), (4, -1), (1, 1))
+        with pytest.raises(ValueError, match="row width mismatch for subject 's1'"):
+            build((3, 0), (1, 1, 1), (4, -1))
+        with pytest.raises(ValueError, match="subject 's2' is not an integer"):
+            build((3, 0), (1, 2), (1.0, 2))
+
+    def test_array_backed_views(self):
+        m = rating_matrix(self._panel(), "q1")
+        assert m.array.dtype == np.int64 and m.array.tolist() == [[0, 3], [1, 2]]
+        assert not m.array.flags.writeable
+        assert type(m.counts[0][0]) is int and type(m.subjects) is tuple
 
     def test_permutation_invariance_and_total_roundtrip(self):
         rng = random.Random(99)

@@ -1,5 +1,6 @@
 """CSV ingestion, audit orchestration, serialization round trips."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -180,6 +181,15 @@ class TestIngestCsv:
         with pytest.raises(CsvFormatError, match="classification"):
             read_ground_truth_csv(io.StringIO("product_id\np1\n"))
 
+    def test_ground_truth_conflict_cites_the_later_row(self):
+        text = "product_id,classification\np1,good\np2,bad\n\np1, good \np1,bad\n"
+        with pytest.raises(CsvFormatError) as err:
+            read_ground_truth_csv(io.StringIO(text))
+        assert str(err.value) == "conflicting ground truth for product 'p1' on row 6: 'bad' after 'good'"
+        assert (err.value.row, err.value.column) == (6, "classification")
+        exact_repeat = read_ground_truth_csv(io.StringIO(text.rsplit("p1,bad", 1)[0]))
+        assert exact_repeat == {"p1": "good", "p2": "bad"}
+
     @pytest.mark.parametrize("reader, text, message", [
         (read_ground_truth_csv, "", "empty file: no header row"),
         (read_ground_truth_csv, "id,label\np1,good\n",
@@ -224,6 +234,77 @@ def _team_panel(n_teams=2, n_products=8):
             )
     truth = {f"p{p}": "good" for p in range(n_products)}
     return validate_dataset(records), truth
+
+
+def _rows(count, start=0):
+    return [f"p{i},r1,q1,yes,approve" for i in range(start, start + count)]
+
+
+class TestIngestAtBatchBoundary:
+    """Rows are coded in batches of report._BATCH; an error near a batch
+    boundary cites the same file line as anywhere else. The header is line
+    1, so the i-th data row (from 0) is on line i + 2 when no row is blank
+    or spans lines."""
+
+    batch = report_module._BATCH
+
+    @pytest.mark.parametrize("bad_row", [report_module._BATCH - 1, report_module._BATCH])
+    def test_bad_field_either_side_of_the_boundary(self, bad_row):
+        rows = _rows(self.batch + 10)
+        rows[bad_row] = "p,r1,q1,,approve"
+        with pytest.raises(CsvFormatError, match=f"empty answer on row {bad_row + 2}$") as err:
+            ingest_csv(csv_stream(*rows))
+        assert err.value.row == bad_row + 2
+
+    def test_bad_period_in_the_second_batch(self):
+        rows = [row + ",1" for row in _rows(self.batch + 10)]
+        rows[self.batch + 3] = "p,r1,q1,yes,approve,x"
+        with pytest.raises(CsvFormatError, match=f"unparseable period 'x' on row {self.batch + 5}$"):
+            ingest_csv(csv_stream(*rows, header=CSV_HEADER + ",period"))
+
+    def test_blank_rows_straddling_the_boundary(self):
+        rows = _rows(self.batch + 10)
+        rows[self.batch:self.batch] = ["", ""]  # after the last row of the first batch
+        rows[self.batch + 2] = "p,r1,q1,yes,"
+        with pytest.raises(CsvFormatError,
+                           match=f"empty final_classification on row {self.batch + 4}$"):
+            ingest_csv(csv_stream(*rows))
+        rows[self.batch + 2] = "p,r1,q1,yes,approve"
+        assert len(ingest_csv(csv_stream(*rows))) == self.batch + 10
+
+    def test_multiline_field_straddling_the_boundary(self):
+        rows = _rows(self.batch + 10)
+        rows[self.batch - 1] = 'p,r1,q1,"two\nlines",approve'  # last row of the first batch
+        rows[self.batch] = "p,r1,,yes,approve"
+        with pytest.raises(CsvFormatError, match=f"empty question_id on row {self.batch + 3}$"):
+            ingest_csv(csv_stream(*rows))
+        rows[self.batch - 1] = 'p,r1,q1,"two\nlines",'  # a bad row that spans two lines
+        with pytest.raises(CsvFormatError,
+                           match=f"empty final_classification on row {self.batch + 2}$"):
+            ingest_csv(csv_stream(*rows))
+
+    def test_bad_field_then_malformed_row_in_one_batch(self):
+        rows = _rows(self.batch + 10)
+        rows[self.batch + 3] = "p,r1,q1,,approve"
+        rows[self.batch + 5] = "p,r1,q1,a\rb,approve"
+        with pytest.raises(CsvFormatError, match=f"empty answer on row {self.batch + 5}$"):
+            ingest_csv(csv_stream(*rows))
+        rows[self.batch + 3] = "p,r1,q1,yes,approve"
+        with pytest.raises(csv.Error):
+            ingest_csv(csv_stream(*rows))
+
+    def test_unseekable_stream(self):
+        class Lines:
+            def __init__(self, text):
+                self.lines = iter(text.splitlines(keepends=True))
+
+            def __iter__(self):
+                return self.lines
+
+        rows = _rows(2 * self.batch + 10)
+        rows[2 * self.batch + 1] = "p,,q1,yes,approve"
+        with pytest.raises(CsvFormatError, match=f"empty reviewer_id on row {2 * self.batch + 3}$"):
+            ingest_csv(Lines(csv_stream(*rows).getvalue()))
 
 
 class TestRunAudit:
