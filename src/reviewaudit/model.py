@@ -103,9 +103,8 @@ class ColumnCoder:
         self.index = _Numbering({None: 0} if optional else {})
         self.parts: list[np.ndarray] = []
 
-    def add(self, values: Iterable, count: int = -1) -> list:
-        """Code a chunk of values (count of them, if known); returns the
-        values not seen before."""
+    def add(self, values: Iterable, count: int) -> list:
+        """Code a chunk of count values; returns the values not seen before."""
         index = self.index
         index.new = []
         self.parts.append(np.fromiter(map(index.__getitem__, values), np.int32, count))
