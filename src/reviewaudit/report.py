@@ -197,12 +197,12 @@ def _read_review_csv(
             for row in filter(None, again):
                 _check_row(row, read + again.line_num, position)
 
-    rows = filter(None, reader)  # blank lines are skipped
+    nonblank = filter(None, reader)
     read = reader.line_num  # lines before the batch, dropped from replay
     deque(islice(replay, read), maxlen=0)
     while True:
         try:
-            batch = list(islice(rows, _BATCH))
+            batch = list(islice(nonblank, _BATCH))
         except csv.Error:
             check_batch()  # a bad field on an earlier row is reported first
             raise
