@@ -198,8 +198,6 @@ class TestRatingMatrix:
             rating_matrix(ds, "q1")
 
     def test_constructor_enforces_invariants(self):
-        from reviewaudit.model import RatingMatrix
-
         with pytest.raises(ValueError, match="sums to"):
             RatingMatrix(counts=((1, 1),), n=3, categories=("a", "b"), subjects=("s",))
         with pytest.raises(EmptyMatrixError):
