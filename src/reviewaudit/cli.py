@@ -9,7 +9,6 @@ analysis section errored), 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from typing import IO
@@ -28,6 +27,7 @@ from .report import (
     _agreement_section,
     _bias_section,
     _chi_square_section,
+    _csv_reader,
     _did_section,
     _extrapolation_section,
     _json_text,
@@ -146,8 +146,8 @@ def _cmd_regress(args, out: IO[str]) -> int:
 
 
 def _cmd_did(args, out: IO[str]) -> int:
-    with _open_source(args.input) as stream:
-        header = next(csv.reader(stream), [])
+    with _csv_reader(args.input, ()) as reader:
+        header = reader.fieldnames
     if "outcome" in header:
         observations = read_outcome_panel_csv(args.input)
         did_input = DidPanel(
@@ -326,8 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as out:
                 return args.func(args, out)
         return args.func(args, sys.stdout)
-    except (CsvFormatError, ConfigError, DatasetValidationError, FileNotFoundError,
-            ValueError) as exc:
+    except (CsvFormatError, ConfigError, DatasetValidationError, OSError, ValueError) as exc:
         print(f"reviewaudit: invalid input: {exc}", file=sys.stderr)
         return 2
     except ReviewAuditError as exc:

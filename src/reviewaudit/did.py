@@ -76,7 +76,7 @@ def _collect(panel: DidPanel) -> dict[str, dict[int, list[float]]]:
 
 
 def _estimate(cells: dict[str, dict[int, list[float]]], change_period: int,
-              period_balanced: bool) -> tuple[float, float, float, float]:
+              period_balanced: bool) -> tuple[float, list[float]]:
     means = []
     for group in GROUPS:
         for pre in (True, False):
@@ -88,7 +88,8 @@ def _estimate(cells: dict[str, dict[int, list[float]]], change_period: int,
             else:
                 pooled = [v for p in periods for v in cells[group][p]]
                 means.append(_era_mean(pooled))
-    return means[0], means[1], means[2], means[3]
+    t_pre, t_post, c_pre, c_post = means
+    return (t_post - t_pre) - (c_post - c_pre), means
 
 
 def did_estimate(
@@ -106,8 +107,7 @@ def did_estimate(
     comparison.
     """
     cells = _collect(panel)
-    t_pre, t_post, c_pre, c_post = _estimate(cells, panel.change_period, period_balanced)
-    effect = (t_post - t_pre) - (c_post - c_pre)
+    effect, (t_pre, t_post, c_pre, c_post) = _estimate(cells, panel.change_period, period_balanced)
 
     series = {
         group: tuple(
@@ -135,11 +135,8 @@ def did_estimate(
                     resampled[group][period] = [
                         values[stream.randbelow(len(values))] for _ in values
                     ]
-            rt_pre, rt_post, rc_pre, rc_post = _estimate(
-                resampled, panel.change_period, period_balanced
-            )
-            replicates.append((rt_post - rt_pre) - (rc_post - rc_pre))
-        mean_rep = math.fsum(replicates) / len(replicates)
+            replicates.append(_estimate(resampled, panel.change_period, period_balanced)[0])
+        mean_rep = _era_mean(replicates)
         effect_se = math.sqrt(
             math.fsum((r - mean_rep) ** 2 for r in replicates) / len(replicates)
         )

@@ -66,24 +66,6 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _binomial_sf_at_least(x: int, n: int, p: float) -> float:
-    """P(X >= x) for X ~ Binomial(n, p), via the incomplete beta identity."""
-    if x <= 0:
-        return 1.0
-    if x > n:
-        return 0.0
-    return regularized_incomplete_beta(p, x, n - x + 1)
-
-
-def _binomial_cdf_at_most(x: int, n: int, p: float) -> float:
-    """P(X <= x) for X ~ Binomial(n, p)."""
-    if x >= n:
-        return 1.0
-    if x < 0:
-        return 0.0
-    return regularized_incomplete_beta(1.0 - p, n - x, x + 1)
-
-
 def _normal_quantile_upper(tail: float) -> float:
     """z with P(Z >= z) = tail, for tail in (0, 0.5]; internal use only."""
     if tail >= 0.5:
@@ -113,12 +95,13 @@ def binomial_ci(
         raise ValueError(f"method must be one of {CI_METHODS}, got {method!r}")
     half_alpha = (1.0 - level) / 2.0
     if method == "clopper_pearson":
+        # P(X >= x | p) = I_p(x, n - x + 1) and P(X <= x | p) = I_{1-p}(n - x, x + 1)
         lower = 0.0 if x == 0 else _bisect(
-            lambda p: _binomial_sf_at_least(x, n, p) - half_alpha,
+            lambda p: regularized_incomplete_beta(p, x, n - x + 1) - half_alpha,
             0.0, 1.0, _BISECT_TOL,
         )
         upper = 1.0 if x == n else _bisect(
-            lambda p: half_alpha - _binomial_cdf_at_most(x, n, p),
+            lambda p: half_alpha - regularized_incomplete_beta(1.0 - p, n - x, x + 1),
             0.0, 1.0, _BISECT_TOL,
         )
     else:
@@ -204,8 +187,9 @@ def ols_fit(
         raise ValueError(f"response must have length {n}")
     if n < p:
         raise ValueError(f"need at least {p} rows for {p - 1} factors plus intercept, got {n}")
-    _check_rank(full, names)
-    beta, _, _, _ = np.linalg.lstsq(full, y, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(full, y, rcond=None)
+    if rank < p:
+        _check_rank(full, names)
     residuals = y - full @ beta
     rss = float(residuals @ residuals)
     dof = n - p

@@ -17,6 +17,7 @@ from typing import Sequence
 from .errors import DegenerateSampleError, DegenerateTableError
 from .model import ContingencyTable
 from .special import (
+    TAILS,
     chi_square_upper_tail,
     f_upper_tail,
     normal_upper_tail,
@@ -24,7 +25,6 @@ from .special import (
     tail_area,
 )
 
-TAILS = ("upper", "lower", "two_sided")
 TWO_SAMPLE_VARIANTS = ("pooled", "welch")
 
 
@@ -74,10 +74,8 @@ def chi_square_independence(
         )
     statistic = 0.0
     low_expected = 0
-    n_cells = 0
     for obs_row, exp_row in zip(table.observed, table.expected):
         for o, e in zip(obs_row, exp_row):
-            n_cells += 1
             if e < 5.0:
                 low_expected += 1
             diff = abs(o - e)
@@ -90,7 +88,7 @@ def chi_square_independence(
     warnings = ()
     if low_expected:
         warnings = (
-            f"{low_expected} of {n_cells} cells have expected count below 5",
+            f"{low_expected} of {rows * cols} cells have expected count below 5",
         )
     return TestResult(
         test_kind="chi_square",
@@ -214,9 +212,6 @@ class AnovaDecomposition:
     ss_error: float
     ms_treatment: float
     ms_error: float
-    f_obs: float
-    v1: int
-    v2: int
     group_means: tuple[float, ...]
     grand_mean: float
 
@@ -271,9 +266,6 @@ def one_way_anova(
         ss_error=ss_error,
         ms_treatment=ms_treatment,
         ms_error=ms_error,
-        f_obs=f_obs,
-        v1=v1,
-        v2=v2,
         group_means=group_means,
         grand_mean=grand_mean,
     )

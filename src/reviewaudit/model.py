@@ -55,8 +55,7 @@ class ReviewRecord:
     period: int | None = None
 
     def __post_init__(self):
-        for name in ("product_id", "reviewer_id", "question_id", "answer",
-                     "final_classification"):
+        for name in REQUIRED_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise DatasetValidationError(f"{name} must be a non-empty string, got {value!r}")
@@ -74,6 +73,7 @@ class ReviewRecord:
 FIELDS = tuple(f.name for f in fields(ReviewRecord))
 PRODUCT, REVIEWER, QUESTION, ANSWER, CLASSIFICATION, TEAM, PERIOD = range(len(FIELDS))
 OPTIONAL = (TEAM, PERIOD)
+REQUIRED_FIELDS = FIELDS[:TEAM]  # each a non-empty string in every record
 
 
 class _Numbering(dict):
@@ -241,17 +241,25 @@ class _Cells(NamedTuple):
     bounds: np.ndarray  # the cells of question i are bounds[i]:bounds[i + 1]
 
 
-def _mode(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The most frequent value of each group, a tie going to the smallest;
-    groups are numbered 0, 1, ... and each occurs."""
-    width = int(values.max()) + 1 if len(values) else 1
-    pairs, counts = np.unique(groups.astype(np.int64) * width + values, return_counts=True)
-    group, value = np.divmod(pairs, width)
-    order = np.lexsort((value, -counts, group))
-    group, value = group[order], value[order]
-    head = np.ones(len(order), bool)
-    head[1:] = group[1:] != group[:-1]
-    return value[head]
+_COUNT_CELLS = 1 << 20  # (group, value) count cells per block in majority
+
+
+def majority(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The most frequent value of each group, a tie going to the smallest
+    (argmax takes the first maximum). groups is sorted and numbered 0, 1,
+    ... with each occurring; values are codes >= 0. Groups are counted in
+    blocks, so the count table stays small however many there are."""
+    k = int(values.max()) + 1 if len(values) else 1
+    n_groups = int(groups[-1]) + 1 if len(groups) else 0
+    step = max(1, _COUNT_CELLS // k)
+    starts = range(0, n_groups, step)
+    edges = np.searchsorted(groups, [*starts, n_groups]).tolist()
+    out = np.empty(n_groups, np.int64)
+    for start, lo, hi in zip(starts, edges, edges[1:]):
+        size = min(step, n_groups - start)
+        flat = (groups[lo:hi] - start) * k + values[lo:hi]
+        out[start:start + size] = np.bincount(flat, minlength=size * k).reshape(size, k).argmax(1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -322,7 +330,7 @@ class ReviewDataset:
         unit, starts = self._unit_rows
         codes = self.records.codes
         return Units(codes[PRODUCT][starts], codes[REVIEWER][starts],
-                     _mode(unit, codes[CLASSIFICATION]), team)
+                     majority(unit, codes[CLASSIFICATION]), team)
 
     def unit_errors(self, ground_truth: Mapping[str, str] | None) -> tuple[np.ndarray, str]:
         """0/1 misclassification indicator per unit, aligned with units, and
@@ -335,7 +343,7 @@ class ReviewDataset:
         units = self.units
         if ground_truth is None:
             group = np.unique(units.product, return_inverse=True)[1]
-            reference = _mode(group, units.classification)[group]
+            reference = majority(group, units.classification)[group]
             basis = "consensus"
         else:
             for product in self.products:

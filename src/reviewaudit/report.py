@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from collections import deque
 from itertools import islice, repeat, tee
 from operator import itemgetter
-from typing import IO, ContextManager, Iterable, Mapping, Sequence
+from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +32,10 @@ from .agreement import OVERALL_KAPPA_MODES, analyze_agreement
 from .did import DidPanel, did_estimate, did_with_error_rates
 from .errors import CsvFormatError, DatasetValidationError, ReviewAuditError
 from .estimation import CI_METHODS, bias_factor_report, binomial_ci
-from .hypotheses import chi_square_independence, one_way_anova, two_sample_t
+from .hypotheses import _check_alpha, chi_square_independence, one_way_anova, two_sample_t
 from .model import (
     FIELDS,
+    REQUIRED_FIELDS,
     REVIEWER,
     TEAM,
     ColumnCoder,
@@ -46,14 +47,6 @@ from .model import (
 from .simulate import DidPair
 
 SCHEMA_VERSION = 1
-
-REQUIRED_COLUMNS = (
-    "product_id",
-    "reviewer_id",
-    "question_id",
-    "answer",
-    "final_classification",
-)
 
 
 def _fields(result) -> dict:
@@ -107,11 +100,25 @@ def _check_header(fieldnames: Sequence[str] | None, required: Sequence[str]) -> 
         )
 
 
-def _csv_reader(stream: IO[str], required: Sequence[str]) -> csv.DictReader:
-    """A dict reader over a stream whose header names every required column."""
-    reader = csv.DictReader(stream)
-    _check_header(reader.fieldnames, required)
-    return reader
+@contextlib.contextmanager
+def _csv_errors(reader) -> Iterator[None]:
+    """Raise csv module errors in the block as CsvFormatError naming the file line."""
+    try:
+        yield
+    except csv.Error as exc:
+        line = reader.line_num
+        raise CsvFormatError(f"malformed CSV on row {line}: {exc}", row=line) from None
+
+
+@contextlib.contextmanager
+def _csv_reader(source: str | IO[str], required: Sequence[str]) -> Iterator[csv.DictReader]:
+    """A dict reader over source whose header names every required column;
+    csv module errors in the block are raised as CsvFormatError."""
+    with _open_source(source) as stream:
+        reader = csv.DictReader(stream)
+        with _csv_errors(reader.reader):  # its own line_num lags on an error
+            _check_header(reader.fieldnames, required)
+            yield reader
 
 
 # Rows are coded in batches of this many, so only one batch of raw rows is
@@ -136,13 +143,13 @@ def _parses_as_int(value: str) -> bool:
 
 def _check_row(row: Sequence[str], line: int, position: Mapping[str, int]) -> None:
     """Raise for a row's first bad field: an empty required column, in
-    REQUIRED_COLUMNS order, then an unparseable period."""
+    REQUIRED_FIELDS order, then an unparseable period."""
 
     def value(column: str) -> str:
         i = position.get(column)
         return row[i].strip() if i is not None and i < len(row) else ""
 
-    for column in REQUIRED_COLUMNS:
+    for column in REQUIRED_FIELDS:
         if not value(column):
             raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
     period = value("period")
@@ -167,8 +174,9 @@ def _read_review_csv(
     # line of a bad row is found by parsing them again, only on error.
     lines, replay = tee(stream)
     reader = csv.reader(lines)
-    header = next(reader, None)
-    _check_header(header, REQUIRED_COLUMNS)
+    with _csv_errors(reader):
+        header = next(reader, None)
+    _check_header(header, REQUIRED_FIELDS)
     position = {name: i for i, name in enumerate(header)}
     if group and "group" not in position:
         raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
@@ -184,7 +192,7 @@ def _read_review_csv(
         ok = True
         for name, coder, get in getters:
             new = coder.add(map(get, rows), len(rows))
-            if name in REQUIRED_COLUMNS:
+            if name in REQUIRED_FIELDS:
                 ok = ok and all(map(str.strip, new))
             elif name == "period":
                 ok = ok and all(map(_parses_as_int, filter(str.strip, new)))
@@ -200,20 +208,21 @@ def _read_review_csv(
     nonblank = filter(None, reader)
     read = reader.line_num  # lines before the batch, dropped from replay
     deque(islice(replay, read), maxlen=0)
-    while True:
-        try:
-            batch = list(islice(nonblank, _BATCH))
-        except csv.Error:
-            check_batch()  # a bad field on an earlier row is reported first
-            raise
-        if batch and not code(batch):
-            check_batch()
-        deque(islice(replay, reader.line_num - read), maxlen=0)
-        read = reader.line_num
-        if len(batch) < _BATCH:
-            break
+    with _csv_errors(reader):
+        while True:
+            try:
+                batch = list(islice(nonblank, _BATCH))
+            except csv.Error:
+                check_batch()  # a bad field on an earlier row is reported first
+                raise
+            if batch and not code(batch):
+                check_batch()
+            deque(islice(replay, reader.line_num - read), maxlen=0)
+            read = reader.line_num
+            if len(batch) < _BATCH:
+                break
 
-    n_rows = sum(map(len, coders[REQUIRED_COLUMNS[0]].parts))
+    n_rows = sum(map(len, coders[REQUIRED_FIELDS[0]].parts))
     coded = [
         coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
         else (np.zeros(n_rows, np.int32), (None,))
@@ -254,8 +263,7 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
     """Read product_id -> classification pairs. A product may repeat only
     with the same classification."""
-    with _open_source(source) as stream:
-        reader = _csv_reader(stream, ("product_id", "classification"))
+    with _csv_reader(source, ("product_id", "classification")) as reader:
         truth: dict[str, str] = {}
         for row in reader:
             product = (row["product_id"] or "").strip()
@@ -284,7 +292,7 @@ def write_panel_csv(
     objects are coded first.
     """
     with_group = any(group is not None for group, _ in panels)
-    header = list(REQUIRED_COLUMNS) + ["team", "period"]
+    header = list(REQUIRED_FIELDS) + ["team", "period"]
     if with_group:
         header.append("group")
     writer = csv.writer(stream, lineterminator="\n")
@@ -308,8 +316,7 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 
 def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation."""
-    with _open_source(source) as stream:
-        reader = _csv_reader(stream, ("group", "period", "outcome"))
+    with _csv_reader(source, ("group", "period", "outcome")) as reader:
         rows: list[tuple[str, int, float]] = []
         for row in reader:
             line = reader.line_num
@@ -424,19 +431,7 @@ def _team_section(
             )
             return {"status": "ok", "test": result, **payload}
         result, decomposition = one_way_anova([groups[t] for t in teams], alpha=alpha)
-        return {
-            "status": "ok",
-            "test": result,
-            "anova": {
-                "ss_treatment": decomposition.ss_treatment,
-                "ss_error": decomposition.ss_error,
-                "ms_treatment": decomposition.ms_treatment,
-                "ms_error": decomposition.ms_error,
-                "group_means": list(decomposition.group_means),
-                "grand_mean": decomposition.grand_mean,
-            },
-            **payload,
-        }
+        return {"status": "ok", "test": result, "anova": decomposition, **payload}
     except (ReviewAuditError, ValueError) as exc:
         raise _with_partial(exc, **payload)
 
@@ -505,8 +500,7 @@ def run_audit(
     error and the rest still run. The call itself raises only if the
     arguments are invalid.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if overall_kappa_mode not in OVERALL_KAPPA_MODES:
         raise ValueError(
             f"overall_kappa_mode must be one of {OVERALL_KAPPA_MODES}, "

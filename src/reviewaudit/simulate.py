@@ -33,11 +33,10 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import ColumnCoder, RecordColumns, ReviewDataset, validate_dataset
+from .model import ColumnCoder, RecordColumns, ReviewDataset, majority, validate_dataset
 from .rng import SplitMix64Array, derive_stream, weighted_index
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
-_COUNT_CELLS = 1 << 20  # (row, value) count cells per block in _majority
 
 
 def _require_int(name: str, value) -> None:
@@ -182,20 +181,6 @@ def _labels(prefix: str, k: int) -> list[str]:
     return [f"{prefix}{j:0{width}d}" for j in range(k)]
 
 
-def _majority(votes: np.ndarray, k: int) -> np.ndarray:
-    """The most frequent value in each row of votes, values in [0, k); a tie
-    goes to the smallest (argmax takes the first maximum). Rows are counted
-    in blocks, so the count table stays small however large k is."""
-    rows, width = votes.shape
-    step = max(1, _COUNT_CELLS // max(k, width))
-    out = np.empty(rows, np.int64)
-    for start in range(0, rows, step):
-        block = votes[start:start + step]
-        flat = (block + np.arange(0, len(block) * k, k)[:, None]).ravel()
-        out[start:start + step] = np.bincount(flat, minlength=len(block) * k).reshape(-1, k).argmax(1)
-    return out
-
-
 def _generate_records(
     config: SimulationConfig,
     coders: Sequence[ColumnCoder],
@@ -235,9 +220,9 @@ def _generate_records(
         else:
             drawn = np.where(redraw, streams.randbelow(categories, redraw), latent)
         answers[:, ri] = np.where(judged, drawn, answers[:, ri - 1])
-    widest = max(categories)
-    truth_index = _majority(latent, widest)
-    verdict = _majority(answers.reshape(n_products * n_reviewers, -1), widest)
+    per_unit = len(categories)
+    truth_index = majority(np.repeat(products, per_unit), latent.ravel())
+    verdict = majority(np.repeat(np.arange(n_products * n_reviewers), per_unit), answers.ravel())
     verdict = verdict.reshape(n_products, n_reviewers).astype(np.int32)
     if flip_delta > 0.0:
         flips = SplitMix64Array.derive(prefix, products[:, None], _FLIP_KEY, np.arange(n_reviewers))
@@ -247,9 +232,8 @@ def _generate_records(
 
     width = len(str(n_products - 1))
     product_ids = [f"{product_prefix}{i:0{width}d}" for i in range(n_products)]
-    class_labels = _labels("class", widest)
+    class_labels = _labels("class", max(categories))
     answers += np.cumsum([0] + categories[:-1], dtype=np.int32)  # one table for all questions
-    per_unit = len(categories)
     none = np.zeros(answers.size, np.int32)
     columns = (
         (np.repeat(products, n_reviewers * per_unit), product_ids),

@@ -289,7 +289,7 @@ def tail_area(upper_tail, statistic: float, tail: str, *df: float) -> float:
 
 
 _DISTRIBUTIONS = ("chi_square", "student_t", "f")
-_TAILS = ("upper", "lower", "two_sided")
+TAILS = ("upper", "lower", "two_sided")
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,7 @@ class TailProbabilityQuery:
     def __post_init__(self):
         if self.distribution not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.tail not in _TAILS:
+        if self.tail not in TAILS:
             raise ValueError(f"unknown tail {self.tail!r}")
         if not math.isfinite(self.statistic):
             raise ValueError("statistic must be finite")

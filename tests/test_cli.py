@@ -118,6 +118,25 @@ class TestAudit:
         assert code == 2
         assert "invalid input" in err
 
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["audit", "--input", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("reviewaudit: invalid input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, column", [("--input", 3), ("--ground-truth", 1)])
+    def test_oversize_field_exit_2(self, panel, tmp_path, capsys, flag, column):
+        paths = dict(zip(("--input", "--ground-truth"), panel))
+        lines = paths[flag].read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[column] = "x" * 200_000  # over the csv module's 131,072-character limit
+        lines[2] = ",".join(cells)
+        paths[flag] = tmp_path / "oversize.csv"
+        paths[flag].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["audit", *(str(v) for kv in paths.items() for v in kv)])
+        assert (code, out) == (2, "")
+        assert err == ("reviewaudit: invalid input: malformed CSV on row 3: "
+                       "field larger than field limit (131072)\n")
+
     def test_did_input_section(self, panel, tmp_path, capsys):
         panel_path, _ = panel
         did_csv = tmp_path / "did.csv"

@@ -160,7 +160,7 @@ class TestAnova:
         result, decomposition = one_way_anova([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
         assert decomposition.ss_treatment == pytest.approx(1.5, abs=1e-12)
         assert decomposition.ss_error == pytest.approx(4.0, abs=1e-12)
-        assert decomposition.f_obs == pytest.approx(1.5, abs=1e-12)
+        assert result.statistic == pytest.approx(1.5, abs=1e-12)
         assert result.df == (1, 4)
         assert result.p_value == pytest.approx(0.2878641347, abs=1e-9)
 

@@ -1,6 +1,5 @@
 """CSV ingestion, audit orchestration, serialization round trips."""
 
-import csv
 import dataclasses
 import io
 import json
@@ -203,6 +202,24 @@ class TestIngestCsv:
             reader(io.StringIO(text))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("reader, header, rows", [
+        (ingest_csv, CSV_HEADER, ("p1,r1,q1,yes,approve", "p2,r1,q1,{},approve")),
+        (read_ground_truth_csv, "product_id,classification", ("p1,good", "p2,{}")),
+        (read_outcome_panel_csv, "group,period,outcome", ("treated,0,0.5", "{},1,0.25")),
+    ])
+    def test_oversize_field_cites_its_line(self, reader, header, rows):
+        # the csv module refuses a field over 131,072 characters
+        text = "\n".join([header, "", rows[0], rows[1].format("x" * 200_000)]) + "\n"
+        with pytest.raises(CsvFormatError, match="^malformed CSV on row 4: field larger") as err:
+            reader(io.StringIO(text))
+        assert err.value.row == 4
+
+    @pytest.mark.parametrize("reader", [ingest_csv, read_ground_truth_csv, read_outcome_panel_csv])
+    def test_malformed_header_cites_line_one(self, reader):
+        with pytest.raises(CsvFormatError, match="^malformed CSV on row 1: ") as err:
+            reader(io.StringIO("product_id,a\rb\n"))
+        assert err.value.row == 1
+
     def test_outcome_panel_reader(self):
         rows = read_outcome_panel_csv(
             io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,1,0.25\n")
@@ -290,8 +307,9 @@ class TestIngestAtBatchBoundary:
         with pytest.raises(CsvFormatError, match=f"empty answer on row {self.batch + 5}$"):
             ingest_csv(csv_stream(*rows))
         rows[self.batch + 3] = "p,r1,q1,yes,approve"
-        with pytest.raises(csv.Error):
+        with pytest.raises(CsvFormatError, match=f"^malformed CSV on row {self.batch + 7}: ") as err:
             ingest_csv(csv_stream(*rows))
+        assert err.value.row == self.batch + 7
 
     def test_unseekable_stream(self):
         class Lines:

@@ -14,7 +14,7 @@ from reviewaudit import (
     inject_review_change,
     simulate_panel,
 )
-from reviewaudit import simulate
+from reviewaudit import model
 from reviewaudit.report import write_panel_csv
 
 from _oracles import inject_review_change_oracle, panel_csv_oracle, simulate_oracle
@@ -115,8 +115,9 @@ def test_inject_review_change_matches_scalar_generator(case):
 
 @pytest.mark.parametrize("config", [EDGES, LONE])
 def test_majority_in_small_blocks_matches_scalar_generator(config):
-    # a count table of 13 cells holds one row at a time
-    with mock.patch.object(simulate, "_COUNT_CELLS", 13):
+    # a count table of 13 cells holds one group at a time for EDGES (up to
+    # twelve values) and four to six for LONE, the last block short
+    with mock.patch.object(model, "_COUNT_CELLS", 13):
         dataset, truth = simulate_panel(config)
         pair = inject_review_change(config, (-3, 0))
     rows, expected_truth = simulate_oracle(config)
