@@ -81,12 +81,10 @@ from .simulate import (
     simulate_panel,
 )
 from .special import (
-    TailProbabilityQuery,
     log_gamma,
     regularized_incomplete_beta,
     regularized_incomplete_gamma_lower,
     regularized_incomplete_gamma_upper,
-    tail_probability,
 )
 
 __all__ = [
@@ -124,7 +122,6 @@ __all__ = [
     "ReviewRecord",
     "SeparationError",
     "SimulationConfig",
-    "TailProbabilityQuery",
     "TestResult",
     "Treatment",
     "UnknownQuestionError",
@@ -154,7 +151,6 @@ __all__ = [
     "regularized_incomplete_gamma_upper",
     "run_audit",
     "simulate_panel",
-    "tail_probability",
     "two_sample_t",
     "validate_dataset",
 ]

@@ -3,13 +3,14 @@
 Subcommands: agreement, chisq, ttest, anova, ci, regress, did, simulate,
 and audit (the full pipeline). Output is canonical JSON by default or a
 text rendering with --format text. Exit codes: 0 success, 1 partial (an
-analysis section errored), 2 invalid input.
+analysis section errored) or stdout closed by its reader, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import IO
 
@@ -22,7 +23,8 @@ from .errors import (
     ReviewAuditError,
 )
 from .estimation import binomial_ci
-from .model import ReviewDataset, validate_dataset
+from .hypotheses import TWO_SAMPLE_VARIANTS
+from .model import INCOMPLETE_CELL_POLICIES, ReviewDataset, validate_dataset
 from .report import (
     _agreement_section,
     _bias_section,
@@ -44,6 +46,7 @@ from .report import (
     write_panel_csv,
 )
 from .simulate import DidPair, SimulationConfig, inject_review_change, simulate_panel
+from .special import TAILS
 
 CI_METHOD_FLAGS = {"clopper-pearson": "clopper_pearson", "wilson": "wilson"}
 KAPPA_MODE_FLAGS = {"pooled": "pooled", "mean": "mean_of_questions"}
@@ -229,7 +232,7 @@ def _add_common(parser, with_input=True):
     if with_input:
         parser.add_argument("--input", required=True, help="long-format review CSV")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--policy", choices=("drop", "strict"), default="drop",
+    parser.add_argument("--policy", choices=INCOMPLETE_CELL_POLICIES, default="drop",
                         help="incomplete-cell policy (default: drop)")
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
 
@@ -257,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ttest", help="two-team error-rate comparison")
     _add_common(p)
     p.add_argument("--ground-truth", default=None, help="product_id,classification CSV")
-    p.add_argument("--variant", choices=("pooled", "welch"), default="welch")
-    p.add_argument("--tail", choices=("upper", "lower", "two_sided"), default="two_sided")
+    p.add_argument("--variant", choices=TWO_SAMPLE_VARIANTS, default="welch")
+    p.add_argument("--tail", choices=TAILS, default="two_sided")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_ttest)
 
@@ -326,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as out:
                 return args.func(args, out)
         return args.func(args, sys.stdout)
+    except BrokenPipeError:
+        # the reader has gone, which is no input fault; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CsvFormatError, ConfigError, DatasetValidationError, OSError, ValueError) as exc:
         print(f"reviewaudit: invalid input: {exc}", file=sys.stderr)
         return 2

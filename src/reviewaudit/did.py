@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import PanelError
-from .model import PERIOD, PRODUCT, ReviewDataset
+from .hypotheses import _mean
+from .model import PERIOD, PRODUCT, ReviewDataset, is_int
 from .rng import derive_stream
 
 GROUPS = ("treated", "control")
@@ -39,7 +40,7 @@ class DidPanel:
         for group, period, outcome in self.observations:
             if group not in GROUPS:
                 raise PanelError(f"group must be one of {GROUPS}, got {group!r}")
-            if not isinstance(period, int):
+            if not is_int(period):
                 raise PanelError(f"period must be an integer, got {period!r}")
             if not math.isfinite(outcome):
                 raise PanelError(f"outcome must be finite, got {outcome!r}")
@@ -64,10 +65,6 @@ class DidResult:
     effect_se: float | None = None
 
 
-def _era_mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
-
-
 def _collect(panel: DidPanel) -> dict[str, dict[int, list[float]]]:
     cells: dict[str, dict[int, list[float]]] = {g: {} for g in GROUPS}
     for group, period, outcome in panel.observations:
@@ -83,11 +80,11 @@ def _estimate(cells: dict[str, dict[int, list[float]]], change_period: int,
             periods = [p for p in cells[group] if (p < change_period) == pre]
             if period_balanced:
                 means.append(
-                    _era_mean([_era_mean(cells[group][p]) for p in sorted(periods)])
+                    _mean([_mean(cells[group][p]) for p in sorted(periods)])
                 )
             else:
                 pooled = [v for p in periods for v in cells[group][p]]
-                means.append(_era_mean(pooled))
+                means.append(_mean(pooled))
     t_pre, t_post, c_pre, c_post = means
     return (t_post - t_pre) - (c_post - c_pre), means
 
@@ -111,7 +108,7 @@ def did_estimate(
 
     series = {
         group: tuple(
-            (p, _era_mean(cells[group][p])) for p in sorted(cells[group])
+            (p, _mean(cells[group][p])) for p in sorted(cells[group])
         )
         for group in GROUPS
     }
@@ -136,7 +133,7 @@ def did_estimate(
                         values[stream.randbelow(len(values))] for _ in values
                     ]
             replicates.append(_estimate(resampled, panel.change_period, period_balanced)[0])
-        mean_rep = _era_mean(replicates)
+        mean_rep = _mean(replicates)
         effect_se = math.sqrt(
             math.fsum((r - mean_rep) ** 2 for r in replicates) / len(replicates)
         )

@@ -23,7 +23,7 @@ from .errors import (
     ReviewAuditError,
     SeparationError,
 )
-from .model import CLASSIFICATION, TEAM, ReviewDataset
+from .model import CLASSIFICATION, TEAM, ReviewDataset, is_int
 from .special import normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
@@ -83,7 +83,7 @@ def binomial_ci(
     each by bisection to 1e-10; x = 0 pins the lower bound at 0 and x = n
     the upper at 1. wilson: closed-form score interval.
     """
-    if not isinstance(x, int) or not isinstance(n, int):
+    if not (is_int(x) and is_int(n)):
         raise ValueError("x and n must be integers")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -136,9 +136,14 @@ class RegressionFit:
 
 
 def _as_design(
-    design: Sequence[Sequence[float]], column_names: Sequence[str] | None
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Prepend the intercept column and resolve column names."""
+    design: Sequence[Sequence[float]],
+    response: Sequence[float],
+    column_names: Sequence[str] | None,
+    response_name: str,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Prepend the intercept column and resolve column names; the response
+    (response_name in errors) must have one value per row, and there must
+    be at least as many rows as columns."""
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -151,8 +156,12 @@ def _as_design(
         names = tuple(column_names)
         if len(names) != k:
             raise ValueError(f"expected {k} column names, got {len(names)}")
-    full = np.hstack([np.ones((n, 1)), x])
-    return full, names
+    y = np.asarray(response, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"{response_name} must have length {n}")
+    if n <= k:
+        raise ValueError(f"need at least {k + 1} rows for {k} factors plus intercept, got {n}")
+    return np.hstack([np.ones((n, 1)), x]), y, names
 
 
 def _check_rank(full: np.ndarray, names: tuple[str, ...]) -> None:
@@ -180,13 +189,8 @@ def ols_fit(
     standard errors come from sigma^2 (X'X)^-1 with
     sigma^2 = RSS / (n - p), reported as 0 for an exact interpolation.
     """
-    full, names = _as_design(design, column_names)
-    y = np.asarray(response, dtype=float)
+    full, y, names = _as_design(design, response, column_names, "response")
     n, p = full.shape
-    if y.shape != (n,):
-        raise ValueError(f"response must have length {n}")
-    if n < p:
-        raise ValueError(f"need at least {p} rows for {p - 1} factors plus intercept, got {n}")
     beta, _, rank, _ = np.linalg.lstsq(full, y, rcond=None)
     if rank < p:
         _check_rank(full, names)
@@ -225,17 +229,11 @@ def logistic_fit(
     coefficient magnitude passes SEPARATION_BOUND and raises a structured
     error; hitting max_iter without either event returns converged=False.
     """
-    full, names = _as_design(design, column_names)
-    y = np.asarray(labels, dtype=float)
-    n, p = full.shape
-    if y.shape != (n,):
-        raise ValueError(f"labels must have length {n}")
+    full, y, names = _as_design(design, labels, column_names, "labels")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    if n < p:
-        raise ValueError(f"need at least {p} rows for {p - 1} factors plus intercept, got {n}")
     _check_rank(full, names)
-    beta = np.zeros(p)
+    beta = np.zeros(full.shape[1])
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):

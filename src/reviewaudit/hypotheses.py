@@ -50,6 +50,12 @@ def _check_tail(tail: str) -> None:
         raise ValueError(f"tail must be one of {TAILS}, got {tail!r}")
 
 
+def _result(test_kind: str, statistic: float, df, p: float, tail: str, alpha: float,
+            warnings: tuple[str, ...] = ()) -> TestResult:
+    """A test's result; the null hypothesis is rejected when p < alpha."""
+    return TestResult(test_kind, statistic, df, p, tail, alpha, p < alpha, warnings)
+
+
 def _mean(xs: Sequence[float]) -> float:
     return math.fsum(xs) / len(xs)
 
@@ -90,16 +96,7 @@ def chi_square_independence(
         warnings = (
             f"{low_expected} of {rows * cols} cells have expected count below 5",
         )
-    return TestResult(
-        test_kind="chi_square",
-        statistic=statistic,
-        df=df,
-        p_value=p,
-        tail="upper",
-        alpha=alpha,
-        reject_null=p < alpha,
-        warnings=warnings,
-    )
+    return _result("chi_square", statistic, df, p, "upper", alpha, warnings)
 
 
 def one_sample_location_test(
@@ -125,15 +122,7 @@ def one_sample_location_test(
             raise ValueError(f"sigma must be positive, got {sigma}")
         z = (_mean(sample) - mu0) / (sigma / math.sqrt(n))
         p = tail_area(normal_upper_tail, z, tail)
-        return TestResult(
-            test_kind="z",
-            statistic=z,
-            df=None,
-            p_value=p,
-            tail=tail,
-            alpha=alpha,
-            reject_null=p < alpha,
-        )
+        return _result("z", z, None, p, tail, alpha)
     if n < 2:
         raise ValueError("sample size must be >= 2 when sigma is unknown")
     mean = _mean(sample)
@@ -145,15 +134,7 @@ def one_sample_location_test(
     t = (mean - mu0) / math.sqrt(s2 / n)
     df = n - 1
     p = tail_area(student_t_upper_tail, t, tail, df)
-    return TestResult(
-        test_kind="t_one_sample",
-        statistic=t,
-        df=df,
-        p_value=p,
-        tail=tail,
-        alpha=alpha,
-        reject_null=p < alpha,
-    )
+    return _result("t_one_sample", t, df, p, tail, alpha)
 
 
 def two_sample_t(
@@ -195,15 +176,7 @@ def two_sample_t(
         )
     t = (ma - mb) / se
     p = tail_area(student_t_upper_tail, t, tail, df)
-    return TestResult(
-        test_kind="t_two_sample",
-        statistic=t,
-        df=df,
-        p_value=p,
-        tail=tail,
-        alpha=alpha,
-        reject_null=p < alpha,
-    )
+    return _result("t_two_sample", t, df, p, tail, alpha)
 
 
 @dataclass(frozen=True)
@@ -252,15 +225,7 @@ def one_way_anova(
     ms_treatment = ss_treatment / v1
     f_obs = ms_treatment / ms_error
     p = f_upper_tail(f_obs, v1, v2)
-    result = TestResult(
-        test_kind="anova_f",
-        statistic=f_obs,
-        df=(v1, v2),
-        p_value=p,
-        tail="upper",
-        alpha=alpha,
-        reject_null=p < alpha,
-    )
+    result = _result("anova_f", f_obs, (v1, v2), p, "upper", alpha)
     decomposition = AnovaDecomposition(
         ss_treatment=ss_treatment,
         ss_error=ss_error,

@@ -42,6 +42,16 @@ from .errors import (
 INCOMPLETE_CELL_POLICIES = ("drop", "strict")
 
 
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool (which is an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_label(value) -> bool:
+    """Whether value is a string with non-whitespace content."""
+    return isinstance(value, str) and value != "" and not value.isspace()
+
+
 @dataclass(frozen=True, order=True)
 class ReviewRecord:
     """One reviewer's answer to one rubric question about one product."""
@@ -57,12 +67,11 @@ class ReviewRecord:
     def __post_init__(self):
         for name in REQUIRED_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, str) or not value:
+            if not is_label(value):
                 raise DatasetValidationError(f"{name} must be a non-empty string, got {value!r}")
-        if self.team is not None and (not isinstance(self.team, str) or not self.team):
+        if self.team is not None and not is_label(self.team):
             raise DatasetValidationError(f"team must be None or a non-empty string, got {self.team!r}")
-        if self.period is not None and (not isinstance(self.period, int)
-                                        or isinstance(self.period, bool)):
+        if self.period is not None and not is_int(self.period):
             raise DatasetValidationError(f"period must be None or an integer, got {self.period!r}")
 
     @property
@@ -511,7 +520,8 @@ def validate_dataset(
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """is_int, or a numpy integer."""
+    return is_int(value) or isinstance(value, np.integer)
 
 
 def _count_array(counts, width: int) -> tuple[np.ndarray, int]:
@@ -677,13 +687,17 @@ class ContingencyTable:
         row_labels: Sequence[str] | None = None,
         col_labels: Sequence[str] | None = None,
     ) -> "ContingencyTable":
-        """Build a table from observed counts, deriving expected from margins."""
-        rows = tuple(tuple(int(v) for v in row) for row in observed)
+        """Build a table from integer counts, deriving expected from margins."""
+        rows = tuple(map(tuple, observed))
         if not rows or not rows[0]:
             raise DegenerateTableError("observed counts must form a non-empty table")
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("observed rows must have equal length")
+        bad = [v for row in rows for v in row if not _is_integer(v)]
+        if bad:
+            raise ValueError(f"observed count {bad[0]!r} is not an integer")
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if any(v < 0 for row in rows for v in row):
             raise ValueError("observed counts must be non-negative")
         if row_labels is None:

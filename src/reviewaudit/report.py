@@ -43,10 +43,12 @@ from .model import (
     ReviewDataset,
     ReviewRecord,
     contingency_from,
+    is_label,
 )
 from .simulate import DidPair
 
 SCHEMA_VERSION = 1
+GROUND_TRUTH_COLUMNS = ("product_id", "classification")
 
 
 def _fields(result) -> dict:
@@ -147,12 +149,12 @@ def _check_row(row: Sequence[str], line: int, position: Mapping[str, int]) -> No
 
     def value(column: str) -> str:
         i = position.get(column)
-        return row[i].strip() if i is not None and i < len(row) else ""
+        return row[i] if i is not None and i < len(row) else ""
 
     for column in REQUIRED_FIELDS:
-        if not value(column):
+        if not is_label(value(column)):
             raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
-    period = value("period")
+    period = value("period").strip()
     if period and not _parses_as_int(period):
         raise CsvFormatError(
             f"unparseable period {period!r} on row {line}", row=line, column="period"
@@ -193,7 +195,7 @@ def _read_review_csv(
         for name, coder, get in getters:
             new = coder.add(map(get, rows), len(rows))
             if name in REQUIRED_FIELDS:
-                ok = ok and all(map(str.strip, new))
+                ok = ok and all(map(is_label, new))
             elif name == "period":
                 ok = ok and all(map(_parses_as_int, filter(str.strip, new)))
         return ok
@@ -263,14 +265,14 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
     """Read product_id -> classification pairs. A product may repeat only
     with the same classification."""
-    with _csv_reader(source, ("product_id", "classification")) as reader:
+    with _csv_reader(source, GROUND_TRUTH_COLUMNS) as reader:
         truth: dict[str, str] = {}
         for row in reader:
-            product = (row["product_id"] or "").strip()
-            label = (row["classification"] or "").strip()
-            if not product or not label:
+            product, label = (row[column] for column in GROUND_TRUTH_COLUMNS)
+            if not (is_label(product) and is_label(label)):
                 raise CsvFormatError(f"blank ground-truth entry on row {reader.line_num}",
                                      row=reader.line_num)
+            product, label = product.strip(), label.strip()
             if truth.setdefault(product, label) != label:
                 raise CsvFormatError(
                     f"conflicting ground truth for product {product!r} on row "
@@ -292,7 +294,7 @@ def write_panel_csv(
     objects are coded first.
     """
     with_group = any(group is not None for group, _ in panels)
-    header = list(REQUIRED_FIELDS) + ["team", "period"]
+    header = list(FIELDS)
     if with_group:
         header.append("group")
     writer = csv.writer(stream, lineterminator="\n")
@@ -309,7 +311,7 @@ def write_panel_csv(
 
 def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["product_id", "classification"])
+    writer.writerow(GROUND_TRUTH_COLUMNS)
     for product in sorted(truth):
         writer.writerow([product, truth[product]])
 

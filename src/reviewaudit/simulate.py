@@ -33,15 +33,16 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import ColumnCoder, RecordColumns, ReviewDataset, majority, validate_dataset
+from .model import (ColumnCoder, RecordColumns, ReviewDataset, is_int, is_label, majority,
+                    validate_dataset)
 from .rng import SplitMix64Array, derive_stream, weighted_index
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
 
 
 def _require_int(name: str, value) -> None:
-    """Reject a non-integer, including a bool (which is an int subclass)."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """Reject a non-integer, including a bool."""
+    if not is_int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
@@ -52,7 +53,7 @@ class QuestionSpec:
     difficulty: float
 
     def __post_init__(self):
-        if not isinstance(self.question_id, str) or not self.question_id:
+        if not is_label(self.question_id):
             raise ConfigError(f"question_id must be a non-empty string, got {self.question_id!r}")
         _require_int("n_categories", self.n_categories)
         if self.n_categories < 2:
@@ -136,7 +137,7 @@ class SimulationConfig:
             questions = tuple(
                 QuestionSpec(
                     question_id=str(q["id"]),
-                    n_categories=int(q["n_categories"]),
+                    n_categories=q["n_categories"],
                     difficulty=float(q["difficulty"]),
                 )
                 for q in payload["questions"]
@@ -145,7 +146,7 @@ class SimulationConfig:
             if payload.get("treatment") is not None:
                 t = payload["treatment"]
                 treatment = Treatment(
-                    change_period=int(t["change_period"]),
+                    change_period=t["change_period"],
                     error_rate_delta=float(t["error_rate_delta"]),
                 )
             bias = None
@@ -155,13 +156,13 @@ class SimulationConfig:
                     for r, ws in payload["reviewer_bias"].items()
                 }
             return cls(
-                n_products=int(payload["n_products"]),
-                n_reviewers=int(payload["n_reviewers"]),
+                n_products=payload["n_products"],
+                n_reviewers=payload["n_reviewers"],
                 questions=questions,
                 reviewer_bias=bias,
                 anchoring=float(payload.get("anchoring", 0.0)),
                 treatment=treatment,
-                seed=int(payload.get("seed", 0)),
+                seed=payload.get("seed", 0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed simulation config: {exc}") from exc
@@ -280,7 +281,7 @@ def inject_review_change(
     """
     if config.treatment is None:
         raise ConfigError("config has no treatment block")
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in periods):
+    if not all(map(is_int, periods)):
         raise ConfigError(f"periods must be integers, got {list(periods)}")
     change = config.treatment.change_period
     if not any(p < change for p in periods) or not any(p >= change for p in periods):

@@ -1,4 +1,4 @@
-"""From-scratch special functions and distribution tail probabilities.
+"""From-scratch special functions, distribution upper tails and tail_area.
 
 Every p-value in the toolkit flows through two kernels implemented here: the
 regularized lower incomplete gamma function P(s, x) (chi-square and normal
@@ -17,7 +17,6 @@ large-parameter branches for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError
 
@@ -224,8 +223,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
 # --- distribution tails ----------------------------------------------------
 #
 # The helpers below accept real-valued degrees of freedom (Welch-corrected t
-# tests need fractional df); the TailProbabilityQuery wrapper enforces the
-# stricter integer contract of the public query interface.
+# tests need fractional df).
 
 def chi_square_upper_tail(statistic: float, df: float) -> float:
     """P(X >= statistic) for X ~ chi-square(df)."""
@@ -275,6 +273,9 @@ def normal_upper_tail(z: float) -> float:
     return 0.5 * regularized_incomplete_gamma_upper(0.5, 0.5 * z * z)
 
 
+TAILS = ("upper", "lower", "two_sided")
+
+
 def tail_area(upper_tail, statistic: float, tail: str, *df: float) -> float:
     """Tail area of a test statistic from its distribution's upper tail.
 
@@ -287,54 +288,3 @@ def tail_area(upper_tail, statistic: float, tail: str, *df: float) -> float:
         return 1.0 - upper_tail(statistic, *df)
     return 2.0 * upper_tail(abs(statistic), *df)
 
-
-_DISTRIBUTIONS = ("chi_square", "student_t", "f")
-TAILS = ("upper", "lower", "two_sided")
-
-
-@dataclass(frozen=True)
-class TailProbabilityQuery:
-    """A tail-area request against a named distribution.
-
-    distribution: "chi_square" (df), "student_t" (df) or "f" (df1, df2);
-    degrees of freedom are positive integers. tail is "upper", "lower" or
-    "two_sided"; two_sided is only meaningful for student_t.
-    """
-
-    distribution: str
-    statistic: float
-    tail: str = "upper"
-    df: int | None = None
-    df1: int | None = None
-    df2: int | None = None
-
-    def __post_init__(self):
-        if self.distribution not in _DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.tail not in TAILS:
-            raise ValueError(f"unknown tail {self.tail!r}")
-        if not math.isfinite(self.statistic):
-            raise ValueError("statistic must be finite")
-        if self.distribution == "f":
-            if not (isinstance(self.df1, int) and isinstance(self.df2, int)
-                    and self.df1 >= 1 and self.df2 >= 1):
-                raise ValueError("f distribution requires integer df1 >= 1 and df2 >= 1")
-        else:
-            if not (isinstance(self.df, int) and self.df >= 1):
-                raise ValueError(f"{self.distribution} requires integer df >= 1")
-
-
-def tail_probability(query: TailProbabilityQuery) -> float:
-    """Exact tail area for the query's distribution and tail mode.
-
-    two_sided doubles the smaller Student-t tail; it is rejected for the
-    chi-square and F distributions, whose tests are upper-tail by nature.
-    """
-    dist, stat, tail = query.distribution, query.statistic, query.tail
-    if dist == "student_t":
-        return tail_area(student_t_upper_tail, stat, tail, query.df)
-    if tail == "two_sided":
-        raise ValueError(f"two_sided tail is not defined for {dist}")
-    if dist == "chi_square":
-        return tail_area(chi_square_upper_tail, stat, tail, query.df)
-    return tail_area(f_upper_tail, stat, tail, query.df1, query.df2)

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,41 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--config", str(bad)])
         assert code == 2
         assert "invalid input" in err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_products": 10.7}, "n_products must be an integer, got 10.7"),
+        ({"n_reviewers": 2.5}, "n_reviewers must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"questions": [{"id": "q1", "n_categories": 2.5, "difficulty": 0.1}]},
+         "n_categories must be an integer, got 2.5"),
+        ({"treatment": {"change_period": 1.9, "error_rate_delta": 0.1}},
+         "change_period must be an integer, got 1.9"),
+    ])
+    def test_non_integer_config_exit_2(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "config.json", **overrides)
+        code, out, err = run(capsys, ["simulate", "--config", str(config)])
+        assert code == 2
+        assert f"reviewaudit: invalid input: {message}" in err
+        assert out == ""
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # 3,000 products x 3 reviewers x 2 questions is far more CSV than a
+        # pipe buffers, so the writer meets the closed pipe mid-panel.
+        config = write_config(tmp_path / "config.json", n_products=3000)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "reviewaudit.cli", "simulate", "--config", str(config)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert first.startswith(b"product_id,")
+        assert err == b""
 
 
 class TestAudit:

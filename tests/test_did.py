@@ -154,6 +154,13 @@ class TestPanelValidation:
         with pytest.raises(PanelError, match="period"):
             DidPanel(observations=(("control", 0.5, 1.0),), change_period=1)
 
+    @pytest.mark.parametrize("period", [False, True])
+    def test_bool_period_rejected(self, period):
+        observations = (("control", 0, 1.0), ("control", 1, 1.0),
+                        ("treated", 0, 1.0), ("treated", period, 1.0))
+        with pytest.raises(PanelError, match="period must be an integer"):
+            DidPanel(observations=observations, change_period=1)
+
 
 def _review_group(group, period, error_products, n=6):
     """One (group, period) slice; listed products are misclassified."""

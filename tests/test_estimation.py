@@ -78,6 +78,9 @@ class TestClopperPearson:
             {"x": 1, "n": 10, "level": 0.0},
             {"x": 1, "n": 10, "level": 1.0},
             {"x": 1, "n": 10, "method": "jeffreys"},
+            {"x": True, "n": 10},
+            {"x": 1, "n": True},
+            {"x": 1.0, "n": 10},
         ],
     )
     def test_domain(self, kwargs):

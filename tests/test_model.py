@@ -42,9 +42,23 @@ class TestReviewRecord:
         with pytest.raises(DatasetValidationError, match=field):
             ReviewRecord(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["product_id", "reviewer_id", "question_id", "answer", "final_classification"]
+    )
+    def test_whitespace_identifier_rejected(self, field):
+        kwargs = dict(
+            product_id="p", reviewer_id="r", question_id="q",
+            answer="a", final_classification="c",
+        )
+        kwargs[field] = " \t"
+        with pytest.raises(DatasetValidationError, match=f"{field} must be a non-empty string"):
+            ReviewRecord(**kwargs)
+
     def test_bad_team_and_period(self):
         with pytest.raises(DatasetValidationError):
             rec("p", "r", "q", "a", team="")
+        with pytest.raises(DatasetValidationError, match="team must be None or a non-empty"):
+            rec("p", "r", "q", "a", team=" ")
         with pytest.raises(DatasetValidationError):
             rec("p", "r", "q", "a", period="1")
         with pytest.raises(DatasetValidationError, match="period must be None or an integer"):
@@ -313,6 +327,21 @@ class TestContingency:
         ds = validate_dataset(records, declared_categories={"q1": ["no", "yes"]})
         with pytest.raises(DegenerateTableError):
             contingency_from(ds, "q1")
+
+    @pytest.mark.parametrize("observed, value", [
+        ([[10, 1.5], [20, 10]], "1.5"),
+        ([[10.9, 20], [20, 1]], "10.9"),
+        ([[10, 20], [20, True]], "True"),
+        ([[10, 20], ["3", 1]], "'3'"),
+    ])
+    def test_from_observed_rejects_non_integer_counts(self, observed, value):
+        with pytest.raises(ValueError, match=f"observed count {value} is not an integer"):
+            ContingencyTable.from_observed(observed)
+
+    def test_from_observed_takes_numpy_integers_as_ints(self):
+        t = ContingencyTable.from_observed(np.array([[10, 20], [20, 10]]))
+        assert t.observed == ((10, 20), (20, 10))
+        assert all(type(v) is int for row in t.observed for v in row)
 
     def test_from_observed_rejects_empty(self):
         with pytest.raises(DegenerateTableError):

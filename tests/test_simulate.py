@@ -20,6 +20,19 @@ from reviewaudit import (
 from reviewaudit.report import write_panel_csv
 
 
+VALID_PAYLOAD = {
+    "n_products": 5,
+    "n_reviewers": 2,
+    "questions": [{"id": "q1", "n_categories": 2, "difficulty": 0.1}],
+    "treatment": {"change_period": 1, "error_rate_delta": 0.1},
+}
+
+
+def payload_json(**overrides):
+    """VALID_PAYLOAD as JSON text, with top-level keys replaced."""
+    return json.dumps({**VALID_PAYLOAD, **overrides})
+
+
 def config(**overrides):
     base = dict(
         n_products=50,
@@ -95,11 +108,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "payload",
-        ["not json", "{}", '{"n_products": 5}', '{"n_products": 5, "n_reviewers": 2, "questions": [{"id": "q"}]}'],
+        ["not json", "{}", '{"n_products": 5}', '{"n_products": 5, "n_reviewers": 2, "questions": [{"id": "q"}]}',
+         payload_json(n_products=10.7),
+         payload_json(questions=[{"id": "q1", "n_categories": 2.5, "difficulty": 0.1}]),
+         payload_json(seed=True),
+         payload_json(treatment={"change_period": 1.9, "error_rate_delta": 0.1}),
+         payload_json(n_reviewers="2"),
+         payload_json(questions=[{"id": " ", "n_categories": 2, "difficulty": 0.1}])],
     )
     def test_from_json_malformed(self, payload):
         with pytest.raises(ConfigError):
             SimulationConfig.from_json(payload)
+
+    def test_from_json_keeps_integers_as_given(self):
+        c = SimulationConfig.from_json(payload_json(seed=7))
+        assert (c.n_products, c.n_reviewers, c.seed) == (5, 2, 7)
+        assert c.treatment.change_period == 1 and c.questions[0].n_categories == 2
 
 
 class TestGeneration:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reviewaudit.special import (
-    TailProbabilityQuery,
     chi_square_upper_tail,
     f_upper_tail,
     log_gamma,
@@ -16,7 +15,7 @@ from reviewaudit.special import (
     regularized_incomplete_gamma_lower,
     regularized_incomplete_gamma_upper,
     student_t_upper_tail,
-    tail_probability,
+    tail_area,
 )
 
 from _oracles import (
@@ -232,44 +231,27 @@ class TestTails:
             assert lo <= hi + 1e-12
 
 
-class TestTailProbabilityQuery:
-    def test_dispatch(self):
-        q = TailProbabilityQuery("chi_square", 3.841, "upper", df=1)
-        assert tail_probability(q) == pytest.approx(0.05, abs=2e-5)
-        q = TailProbabilityQuery("student_t", 1.0, "upper", df=1)
-        assert tail_probability(q) == pytest.approx(0.25, abs=1e-10)
-        q = TailProbabilityQuery("f", 1.5, "upper", df1=1, df2=4)
-        assert tail_probability(q) == pytest.approx(0.287864134727, abs=1e-9)
+class TestTailArea:
+    def test_upper_is_the_upper_tail(self):
+        assert tail_area(chi_square_upper_tail, 3.841, "upper", 1) == pytest.approx(0.05, abs=2e-5)
+        assert tail_area(student_t_upper_tail, 1.0, "upper", 1) == pytest.approx(0.25, abs=1e-10)
+        assert tail_area(f_upper_tail, 1.5, "upper", 1, 4) == pytest.approx(
+            0.287864134727, abs=1e-9
+        )
 
-    def test_two_sided_doubles_smaller_t_tail(self):
-        upper = tail_probability(TailProbabilityQuery("student_t", 1.7, "upper", df=9))
-        two = tail_probability(TailProbabilityQuery("student_t", -1.7, "two_sided", df=9))
-        assert two == pytest.approx(2.0 * upper, abs=1e-12)
-
-    def test_lower_is_complement(self):
-        upper = tail_probability(TailProbabilityQuery("chi_square", 2.5, "upper", df=3))
-        lower = tail_probability(TailProbabilityQuery("chi_square", 2.5, "lower", df=3))
+    @pytest.mark.parametrize("upper_tail, df", [
+        (chi_square_upper_tail, (3,)),
+        (student_t_upper_tail, (9,)),
+        (f_upper_tail, (2, 5)),
+    ])
+    def test_lower_is_complement(self, upper_tail, df):
+        upper = tail_area(upper_tail, 2.5, "upper", *df)
+        lower = tail_area(upper_tail, 2.5, "lower", *df)
         assert upper + lower == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("dist", ["chi_square", "f"])
-    def test_two_sided_rejected_for_upper_tail_distributions(self, dist):
-        kwargs = {"df": 2} if dist == "chi_square" else {"df1": 2, "df2": 3}
-        query = TailProbabilityQuery(dist, 1.0, "two_sided", **kwargs)
-        with pytest.raises(ValueError, match="two_sided"):
-            tail_probability(query)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"distribution": "poisson", "statistic": 1.0, "df": 1},
-            {"distribution": "chi_square", "statistic": 1.0},
-            {"distribution": "chi_square", "statistic": 1.0, "df": 0},
-            {"distribution": "chi_square", "statistic": 1.0, "df": 1.5},
-            {"distribution": "f", "statistic": 1.0, "df1": 1},
-            {"distribution": "chi_square", "statistic": math.nan, "df": 1},
-            {"distribution": "chi_square", "statistic": 1.0, "df": 1, "tail": "sideways"},
-        ],
-    )
-    def test_query_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            TailProbabilityQuery(**kwargs)
+    @pytest.mark.parametrize("statistic", [1.7, -1.7])
+    def test_two_sided_doubles_upper_tail_at_abs(self, statistic):
+        two = tail_area(student_t_upper_tail, statistic, "two_sided", 9)
+        assert two == pytest.approx(2.0 * student_t_upper_tail(1.7, 9), abs=1e-12)
+        z_two = tail_area(normal_upper_tail, statistic, "two_sided")
+        assert z_two == pytest.approx(2.0 * normal_upper_tail(1.7), abs=1e-12)
