@@ -37,6 +37,8 @@ class DidPanel:
     def __post_init__(self):
         if not self.observations:
             raise PanelError("panel has no observations")
+        if not is_int(self.change_period):
+            raise PanelError(f"change_period must be an integer, got {self.change_period!r}")
         for group, period, outcome in self.observations:
             if group not in GROUPS:
                 raise PanelError(f"group must be one of {GROUPS}, got {group!r}")

@@ -67,22 +67,20 @@ class TestSimulate:
         code, _, err = run(capsys, ["simulate", "--config", str(bad)])
         assert code == 2
         assert "invalid input" in err
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"n_products": 10.7}, "n_products must be an integer, got 10.7"),
-        ({"n_reviewers": 2.5}, "n_reviewers must be an integer, got 2.5"),
-        ({"seed": True}, "seed must be an integer, got True"),
-        ({"questions": [{"id": "q1", "n_categories": 2.5, "difficulty": 0.1}]},
-         "n_categories must be an integer, got 2.5"),
-        ({"treatment": {"change_period": 1.9, "error_rate_delta": 0.1}},
-         "change_period must be an integer, got 1.9"),
-    ])
-    def test_non_integer_config_exit_2(self, tmp_path, capsys, overrides, message):
-        config = write_config(tmp_path / "config.json", **overrides)
-        code, out, err = run(capsys, ["simulate", "--config", str(config)])
-        assert code == 2
-        assert f"reviewaudit: invalid input: {message}" in err
-        assert out == ""
+        # config integers are checked, never rounded or converted
+        for overrides, message in [
+            ({"n_products": 10.7}, "n_products must be an integer, got 10.7"),
+            ({"n_reviewers": 2.5}, "n_reviewers must be an integer, got 2.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"questions": [{"id": "q1", "n_categories": 2.5, "difficulty": 0.1}]},
+             "n_categories must be an integer, got 2.5"),
+            ({"treatment": {"change_period": 1.9, "error_rate_delta": 0.1}},
+             "change_period must be an integer, got 1.9"),
+        ]:
+            write_config(bad, **overrides)
+            code, out, err = run(capsys, ["simulate", "--config", str(bad)])
+            assert (code, out) == (2, "")
+            assert f"reviewaudit: invalid input: {message}" in err
 
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         # 3,000 products x 3 reviewers x 2 questions is far more CSV than a

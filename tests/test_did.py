@@ -151,15 +151,13 @@ class TestPanelValidation:
             )
 
     def test_non_integer_period(self):
-        with pytest.raises(PanelError, match="period"):
-            DidPanel(observations=(("control", 0.5, 1.0),), change_period=1)
-
-    @pytest.mark.parametrize("period", [False, True])
-    def test_bool_period_rejected(self, period):
-        observations = (("control", 0, 1.0), ("control", 1, 1.0),
-                        ("treated", 0, 1.0), ("treated", period, 1.0))
-        with pytest.raises(PanelError, match="period must be an integer"):
-            DidPanel(observations=observations, change_period=1)
+        for period in (0.5, True, False):
+            with pytest.raises(PanelError, match="period must be an integer"):
+                DidPanel(observations=(("control", period, 1.0),), change_period=1)
+        observations = panel_2x2(0.0, 1.0, 0.0, 2.0).observations
+        for change_period in (0.5, True, "1"):
+            with pytest.raises(PanelError, match="change_period must be an integer"):
+                DidPanel(observations=observations, change_period=change_period)
 
 
 def _review_group(group, period, error_products, n=6):

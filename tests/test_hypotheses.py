@@ -154,6 +154,12 @@ class TestTwoSample:
         with pytest.raises(ValueError):
             two_sample_t([1.0], [1.0, 2.0])
 
+    def test_unknown_tail_and_variant_rejected(self):
+        with pytest.raises(ValueError, match="tail must be one of"):
+            two_sample_t([1.0, 2.0], [1.0, 3.0], tail="sideways")
+        with pytest.raises(ValueError, match="variant must be one of"):
+            two_sample_t([1.0, 2.0], [1.0, 3.0], variant="student")
+
 
 class TestAnova:
     def test_golden_decomposition(self):

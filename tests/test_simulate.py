@@ -120,11 +120,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig.from_json(payload)
 
-    def test_from_json_keeps_integers_as_given(self):
-        c = SimulationConfig.from_json(payload_json(seed=7))
-        assert (c.n_products, c.n_reviewers, c.seed) == (5, 2, 7)
-        assert c.treatment.change_period == 1 and c.questions[0].n_categories == 2
-
 
 class TestGeneration:
     def test_identical_seed_identical_panels(self):

@@ -232,6 +232,19 @@ class TestTails:
 
 
 class TestTailArea:
+    @pytest.mark.parametrize("upper_tail, args", [
+        (chi_square_upper_tail, (math.nan, 1)),
+        (student_t_upper_tail, (math.inf, 3)),
+        (f_upper_tail, (math.nan, 1, 2)),
+        (normal_upper_tail, (math.nan,)),
+        (chi_square_upper_tail, (1.0, 0)),
+        (student_t_upper_tail, (1.0, -1.0)),
+        (f_upper_tail, (1.0, 1, 0)),
+    ])
+    def test_non_finite_statistic_and_non_positive_df_rejected(self, upper_tail, args):
+        with pytest.raises(ValueError):
+            tail_area(upper_tail, args[0], "upper", *args[1:])
+
     def test_upper_is_the_upper_tail(self):
         assert tail_area(chi_square_upper_tail, 3.841, "upper", 1) == pytest.approx(0.05, abs=2e-5)
         assert tail_area(student_t_upper_tail, 1.0, "upper", 1) == pytest.approx(0.25, abs=1e-10)
