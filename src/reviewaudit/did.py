@@ -123,8 +123,8 @@ def did_estimate(
 
     effect_se = None
     if bootstrap is not None:
-        if bootstrap < 1:
-            raise ValueError(f"bootstrap replicate count must be >= 1, got {bootstrap}")
+        if not (is_int(bootstrap) and bootstrap >= 1):
+            raise ValueError(f"bootstrap replicate count must be an integer >= 1, got {bootstrap!r}")
         replicates = []
         for rep in range(bootstrap):
             stream = derive_stream(seed, 0xD1D, rep)

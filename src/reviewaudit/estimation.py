@@ -1,11 +1,13 @@
 """Error-rate extrapolation and bias-factor modeling.
 
 Binomial confidence intervals extrapolate a sampled error rate to the
-population: Clopper-Pearson inverts the exact binomial tails by bisection,
-Wilson is the closed-form score interval. Bias factors are estimated by
-fitting an ordinary least-squares model and a logistic model (IRLS) to a
-one-hot design of rubric answers against the binary final classification
-and ranking factors by coefficient magnitude.
+population: Clopper-Pearson inverts the exact binomial tails by bisection
+to 1e-10, Wilson is the closed-form score interval. Each bisection's answer
+is reached by Newton steps that bracket the root, then an exact replay of
+the bisection that calls the kernel only inside that bracket. Bias factors
+are estimated by fitting an ordinary least-squares model and a logistic
+model (IRLS) to a one-hot design of rubric answers against the binary final
+classification and ranking factors by coefficient magnitude.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from .errors import (
     SeparationError,
 )
 from .model import CLASSIFICATION, TEAM, ReviewDataset, is_int
-from .special import normal_upper_tail, regularized_incomplete_beta
+from .special import log_gamma, normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
 SEPARATION_BOUND = 30.0
 
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
+_NEWTON_MAX_STEPS = 24
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -51,26 +55,103 @@ class BinomialInterval:
         return self.upper - self.lower
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Root of a monotone function by bisection; fn(lo) and fn(hi) must bracket 0."""
-    f_lo = fn(lo)
+def _bisection_root(fn: Callable[[float], float], newton: Callable[[float, float], float],
+                    start: float, lo: float, hi: float, tol: float, rising: bool = True) -> float:
+    """The midpoint that bisecting the monotone fn on [lo, hi] down to a
+    width below tol returns, reached with few calls of fn.
+
+    The bisection moves lo to a midpoint where fn <= 0 holds as it does at
+    lo (fn(lo) <= 0 when fn is rising, > 0 when falling), so its answer is
+    fixed by the signs of fn at its midpoints. Safeguarded Newton steps from
+    start, t -> newton(t, fn(t)), first close a bracket (a, b) narrower than
+    tol / 16 around the sign change; the bisection is then replayed, calling
+    fn only at midpoints strictly inside (a, b), since monotonicity gives the
+    side of every other midpoint.
+    """
+    a, b = lo, hi
+    t = start
+    steps = 0
+    while b - a >= tol / 16.0:
+        if steps >= _NEWTON_MAX_STEPS or not a < t < b:
+            t = 0.5 * (a + b)
+        steps += 1
+        value = fn(t)
+        if (value <= 0.0) == rising:
+            a, past = t, tol / 64.0
+        else:
+            b, past = t, -tol / 64.0
+        # Aim just past the root so that the bracket closes from both sides;
+        # a NaN estimate falls back to the midpoint above.
+        t = newton(t, value) + past
+
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo < tol:
             return mid
-        f_mid = fn(mid)
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
+        if mid <= a or (mid < b and (fn(mid) <= 0.0) == rising):
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _approx_normal_quantile_upper(tail: float) -> float:
+    """z with P(Z >= z) ~ tail to 4.5e-4 (Abramowitz-Stegun 26.2.23)."""
+    if tail >= 0.5:
+        return 0.0
+    t = math.sqrt(-2.0 * math.log(tail))
+    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
 
 
 def _normal_quantile_upper(tail: float) -> float:
     """z with P(Z >= z) = tail, for tail in (0, 0.5]; internal use only."""
     if tail >= 0.5:
         return 0.0
-    return _bisect(lambda z: normal_upper_tail(z) - tail, 0.0, 40.0, 1e-12)
+    return _bisection_root(
+        lambda z: normal_upper_tail(z) - tail,
+        _log_tail_newton(tail, 1.0, lambda z: -math.exp(-0.5 * z * z) / _SQRT_2PI),
+        _approx_normal_quantile_upper(tail), 0.0, 40.0, 1e-12, rising=False,
+    )
+
+
+def _log_tail_newton(
+    target: float, sign: float, slope: Callable[[float], float]
+) -> Callable[[float, float], float]:
+    """Newton map for fn = sign * (T - target) with fn' = slope, T a tail
+    probability: each step solves log T = log target on the tangent, which
+    stays fast where T is many times target or a tiny fraction of it. NaN
+    where the step is undefined."""
+
+    def estimate(t: float, value: float) -> float:
+        tail = target + sign * value
+        d = slope(t)
+        if tail > 0.0 and d != 0.0 and math.isfinite(d):
+            return t - sign * math.log(tail / target) * tail / d
+        return math.nan
+
+    return estimate
+
+
+def _beta_density(a: int, b: int) -> Callable[[float], float]:
+    """The Beta(a, b) density on (0, 1); inf where exp would overflow."""
+    log_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+    def density(p: float) -> float:
+        log_density = log_norm + (a - 1) * math.log(p) + (b - 1) * math.log1p(-p)
+        return math.exp(log_density) if log_density < 709.0 else math.inf
+
+    return density
+
+
+def _wilson(x: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score interval for x of n at normal quantile z."""
+    phat = x / n
+    z2n = z * z / n
+    center = (phat + z2n / 2.0) / (1.0 + z2n)
+    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / (1.0 + z2n)
+    return max(0.0, center - half), min(1.0, center + half)
 
 
 def binomial_ci(
@@ -81,7 +162,9 @@ def binomial_ci(
     clopper_pearson: exact equal-tail inversion, lower solves
     P(X >= x | p) = (1-level)/2 and upper solves P(X <= x | p) = (1-level)/2,
     each by bisection to 1e-10; x = 0 pins the lower bound at 0 and x = n
-    the upper at 1. wilson: closed-form score interval.
+    the upper at 1. The bisection's float is reached by a Newton bracket
+    started at the Wilson bound, then an exact replay of the bisection.
+    wilson: closed-form score interval.
     """
     if not (is_int(x) and is_int(n)):
         raise ValueError("x and n must be integers")
@@ -94,28 +177,20 @@ def binomial_ci(
     if method not in CI_METHODS:
         raise ValueError(f"method must be one of {CI_METHODS}, got {method!r}")
     half_alpha = (1.0 - level) / 2.0
-    if method == "clopper_pearson":
-        # P(X >= x | p) = I_p(x, n - x + 1) and P(X <= x | p) = I_{1-p}(n - x, x + 1)
-        lower = 0.0 if x == 0 else _bisect(
-            lambda p: regularized_incomplete_beta(p, x, n - x + 1) - half_alpha,
-            0.0, 1.0, _BISECT_TOL,
-        )
-        upper = 1.0 if x == n else _bisect(
-            lambda p: half_alpha - regularized_incomplete_beta(1.0 - p, n - x, x + 1),
-            0.0, 1.0, _BISECT_TOL,
-        )
+    if method == "wilson":
+        lower, upper = _wilson(x, n, _normal_quantile_upper(half_alpha))
     else:
-        z = _normal_quantile_upper(half_alpha)
-        phat = x / n
-        z2n = z * z / n
-        center = (phat + z2n / 2.0) / (1.0 + z2n)
-        half = (
-            z
-            * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
-            / (1.0 + z2n)
+        # P(X >= x | p) = I_p(x, n - x + 1) and P(X <= x | p) = I_{1-p}(n - x, x + 1);
+        # the Wilson bounds at an approximate z start the Newton steps.
+        start_lower, start_upper = _wilson(x, n, _approx_normal_quantile_upper(half_alpha))
+        lower = 0.0 if x == 0 else _bisection_root(
+            lambda p: regularized_incomplete_beta(p, x, n - x + 1) - half_alpha,
+            _log_tail_newton(half_alpha, 1.0, _beta_density(x, n - x + 1)), start_lower, 0.0, 1.0, _BISECT_TOL,
         )
-        lower = max(0.0, center - half)
-        upper = min(1.0, center + half)
+        upper = 1.0 if x == n else _bisection_root(
+            lambda p: half_alpha - regularized_incomplete_beta(1.0 - p, n - x, x + 1),
+            _log_tail_newton(half_alpha, -1.0, _beta_density(x + 1, n - x)), start_upper, 0.0, 1.0, _BISECT_TOL,
+        )
     return BinomialInterval(x=x, n=n, level=level, lower=lower, upper=upper, method=method)
 
 

@@ -10,8 +10,9 @@ rather than returning a partial result. The gamma series needs about
 8*sqrt(s) terms when x is near s, so the cap binds there from s ~ 4300:
 chi_square_upper_tail(df, df) raises ConvergenceError from df = 8678 on,
 e.g. at (12000, 12000). The beta continued fraction fails likewise when both
-shapes are large, as in binomial_ci(1000000, 2000000). ROADMAP item 3 plans
-large-parameter branches for both.
+shapes are large and x is near a / (a + b): I_0.5(1000000, 1000001) raises,
+and so does binomial_ci(1000000, 2000000, 0.01), whose roots lie within
+1e-5 of 0.5. ROADMAP item 3 plans large-parameter branches for both.
 """
 
 from __future__ import annotations

@@ -215,6 +215,68 @@ def clopper_pearson_oracle(x: int, n: int, level: float) -> tuple[float, float]:
     return lower, upper
 
 
+# --- the plain bisection binomial_ci once used ---------------------------------
+#
+# Verbatim copies of the bisection loop, the two Clopper-Pearson residuals, the
+# normal-quantile residual and the Wilson closed form as binomial_ci computed
+# them before its roots were bracketed by Newton steps and replayed. The
+# package's kernels are passed in, so this module still imports none of it.
+
+_BISECT_TOL = 1e-10
+_BISECT_MAX_ITER = 200
+
+
+def bisect_reference(fn, lo: float, hi: float, tol: float) -> float:
+    """Root of a monotone function by bisection; fn(lo) and fn(hi) must bracket 0."""
+    f_lo = fn(lo)
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol:
+            return mid
+        f_mid = fn(mid)
+        if (f_lo <= 0.0) == (f_mid <= 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def clopper_pearson_bisection(x: int, n: int, level: float, regularized_incomplete_beta):
+    """(lower, upper) by plain bisection on the incomplete-beta kernel given."""
+    half_alpha = (1.0 - level) / 2.0
+    lower = 0.0 if x == 0 else bisect_reference(
+        lambda p: regularized_incomplete_beta(p, x, n - x + 1) - half_alpha,
+        0.0, 1.0, _BISECT_TOL,
+    )
+    upper = 1.0 if x == n else bisect_reference(
+        lambda p: half_alpha - regularized_incomplete_beta(1.0 - p, n - x, x + 1),
+        0.0, 1.0, _BISECT_TOL,
+    )
+    return lower, upper
+
+
+def normal_quantile_bisection(tail: float, normal_upper_tail) -> float:
+    """z with P(Z >= z) = tail by plain bisection on the normal tail given."""
+    if tail >= 0.5:
+        return 0.0
+    return bisect_reference(lambda z: normal_upper_tail(z) - tail, 0.0, 40.0, 1e-12)
+
+
+def wilson_reference(x: int, n: int, z: float) -> tuple[float, float]:
+    """Wilson score bounds at quantile z, as binomial_ci wrote them."""
+    phat = x / n
+    z2n = z * z / n
+    center = (phat + z2n / 2.0) / (1.0 + z2n)
+    half = (
+        z
+        * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n))
+        / (1.0 + z2n)
+    )
+    lower = max(0.0, center - half)
+    upper = min(1.0, center + half)
+    return lower, upper
+
+
 # --- review-panel oracle -------------------------------------------------------
 #
 # Plain-Python restatement of panel validation and of the analysis inputs

@@ -323,6 +323,15 @@ class TestCiCommand:
         code, _, _ = run(capsys, ["ci", "--x", "51", "--n", "50"])
         assert code == 2
 
+    def test_kernel_failure_exit_1(self, capsys):
+        # ROADMAP item 3: the incomplete-beta continued fraction fails where
+        # both shapes are near 10^6 and p is within about 1e-5 of 0.5.
+        code, out, err = run(capsys, ["ci", "--x", "1000000", "--n", "2000000",
+                                      "--level", "0.01"])
+        assert (code, out) == (1, "")
+        assert err == ("reviewaudit: analysis failed: incomplete beta continued "
+                       "fraction did not converge within 500 iterations\n")
+
 
 class TestRegressCommand:
     def test_ranked_effects(self, panel, capsys):

@@ -129,6 +129,17 @@ class TestDidEstimate:
         assert a.effect_se > 0.0
         assert did_estimate(panel).effect_se is None
 
+    @pytest.mark.parametrize("bootstrap", [0, -3, True, 2.5, "3"])
+    def test_bootstrap_count_must_be_positive_integer(self, bootstrap):
+        observations = tuple(
+            (group, period, float(period))
+            for group in ("control", "treated")
+            for period in (0, 1)
+        )
+        panel = DidPanel(observations=observations, change_period=1)
+        with pytest.raises(ValueError, match="bootstrap replicate count must be an integer >= 1"):
+            did_estimate(panel, bootstrap=bootstrap)
+
 
 class TestPanelValidation:
     def test_empty_panel(self):

@@ -1,14 +1,16 @@
 """Binomial intervals against the exact-tail oracle, regression golden
 values, and the bias-factor report."""
 
+import collections
 import math
 import random
 
 import numpy as np
 import pytest
 
-from reviewaudit import estimation
+from reviewaudit import estimation, special
 from reviewaudit import (
+    ConvergenceError,
     NonBinaryTargetError,
     RankDeficiencyError,
     SeparationError,
@@ -20,7 +22,12 @@ from reviewaudit import (
 )
 
 from _helpers import rec
-from _oracles import clopper_pearson_oracle
+from _oracles import (
+    clopper_pearson_bisection,
+    clopper_pearson_oracle,
+    normal_quantile_bisection,
+    wilson_reference,
+)
 
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +112,96 @@ class TestWilson:
             wilson = binomial_ci(x, n, method="wilson")
             exact = binomial_ci(x, n, method="clopper_pearson")
             assert wilson.width <= exact.width + 1e-12
+
+
+class TestBisectionReplay:
+    """Each root is bracketed by Newton steps and the plain bisection is then
+    replayed; the floats must be the plain bisection's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.data(),
+        st.one_of(
+            st.sampled_from([0.9, 0.95, 0.99]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        st.sampled_from(estimation.CI_METHODS),
+    )
+    def test_same_floats_as_plain_bisection(self, n, data, level, method):
+        x = data.draw(st.one_of(st.sampled_from([0, 1, n - 1, n]),
+                                st.integers(min_value=0, max_value=n)))
+        half_alpha = (1.0 - level) / 2.0
+        try:
+            if method == "wilson":
+                z = normal_quantile_bisection(half_alpha, special.normal_upper_tail)
+                assert estimation._normal_quantile_upper(half_alpha) == z
+                expected = wilson_reference(x, n, z)
+            else:
+                expected = clopper_pearson_bisection(
+                    x, n, level, special.regularized_incomplete_beta)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                binomial_ci(x, n, level, method)
+            return
+        interval = binomial_ci(x, n, level, method)
+        assert (interval.lower, interval.upper) == expected
+
+    def test_kernel_call_budget(self, monkeypatch):
+        calls = collections.Counter()
+        per_root = []
+
+        def counted(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return wrapper
+
+        def root(*args, **kwargs):
+            before = sum(calls.values())
+            value = find_root(*args, **kwargs)
+            per_root.append(sum(calls.values()) - before)
+            return value
+
+        find_root = estimation._bisection_root
+        monkeypatch.setattr(estimation, "_bisection_root", root)
+        monkeypatch.setattr(estimation, "regularized_incomplete_beta",
+                            counted("beta", special.regularized_incomplete_beta))
+        monkeypatch.setattr(estimation, "normal_upper_tail",
+                            counted("normal", special.normal_upper_tail))
+        for n in (20, 37, 50, 100, 233, 500, 1000, 2000):
+            for x in sorted({0, 1, 2, n // 10, n // 2, n - 1, n}):
+                for level in (0.9, 0.95, 0.99):
+                    calls.clear()
+                    per_root.clear()
+                    binomial_ci(x, n, level)
+                    assert len(per_root) == (x > 0) + (x < n)
+                    assert max(per_root) <= 16 and calls["normal"] == 0
+                    calls.clear()
+                    per_root.clear()
+                    binomial_ci(x, n, level, method="wilson")
+                    assert per_root == [calls["normal"]] and calls["normal"] <= 8
+
+    def test_extreme_level_keeps_finite_bounds(self):
+        interval = binomial_ci(1, 10**6, 0.999999)
+        assert 0.0 < interval.lower < 1e-6 < interval.upper < 1.0
+        assert math.isfinite(interval.width)
+
+    def test_kernel_failure_near_the_mean_still_raises(self):
+        # ROADMAP item 3: with both shapes near 10^6 the continued fraction
+        # fails within about 1e-5 of p = 0.5, where a 1% interval's roots lie.
+        with pytest.raises(ConvergenceError):
+            special.regularized_incomplete_beta(0.5, 1000000, 1000001)
+        with pytest.raises(ConvergenceError):
+            binomial_ci(1000000, 2000000, 0.01)
+
+    def test_bounds_away_from_a_failing_midpoint(self):
+        # Plain bisection raised here at its first midpoint, p = 0.5; the
+        # roots themselves lie where the kernel converges.
+        interval = binomial_ci(1000000, 2000000)
+        half = 1.959963984540054 * math.sqrt(0.25 / 2000000)
+        assert interval.lower == pytest.approx(0.5 - half, abs=1e-6)
+        assert interval.upper == pytest.approx(0.5 + half, abs=1e-6)
 
 
 class TestOls:
