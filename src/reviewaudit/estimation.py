@@ -13,6 +13,7 @@ classification and ranking factors by coefficient magnitude.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -170,6 +171,8 @@ def binomial_ci(
         raise ValueError("x and n must be integers")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be at most the largest float, {sys.float_info.max:g}")
     if not (0 <= x <= n):
         raise ValueError(f"x must be in [0, n], got x={x}, n={n}")
     if not (0.0 < level < 1.0):

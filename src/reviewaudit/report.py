@@ -21,7 +21,7 @@ import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from collections import deque
-from itertools import islice, repeat, tee
+from itertools import islice, tee
 from operator import itemgetter
 from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence
 
@@ -123,8 +123,9 @@ def _csv_reader(source: str | IO[str], required: Sequence[str]) -> Iterator[csv.
             yield reader
 
 
-# Rows are coded in batches of this many, so only one batch of raw rows is
-# held at a time; a small batch leaves the garbage collector few live rows.
+# Rows are read and written in batches of this many, so only one batch of
+# raw rows is held at a time; a small batch leaves the garbage collector few
+# live rows, and the allocator no large strings to return.
 _BATCH = 512
 
 # How a column's distinct raw values become labels: stripped, and for the
@@ -284,6 +285,28 @@ def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
         return truth
 
 
+def _quoted(value) -> str:
+    """A CSV field as csv.writer writes it under QUOTE_MINIMAL: None is
+    empty, and a field holding a comma, quote, CR or LF is quoted with each
+    quote doubled. (csv.writer with an LF line terminator leaves a bare CR
+    unquoted, which a reader then rejects.)"""
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_rows(stream: IO[str], codes: Sequence[np.ndarray], tables: Sequence[Sequence],
+                end: str = "\n") -> None:
+    """Write one CSV row per position of the code columns: each column's
+    label, quoted, joined by commas, then end; one write per _BATCH rows."""
+    # A field's quoting depends on the field alone, so each label is quoted once.
+    quoted = [np.array([_quoted(label) for label in table], object) for table in tables]
+    for start in range(0, len(codes[0]), _BATCH):
+        cells = [table[c[start:start + _BATCH]] for c, table in zip(codes, quoted)]
+        stream.write(end.join(map(",".join, zip(*cells))) + end)
+
+
 def write_panel_csv(
     stream: IO[str],
     panels: Sequence[tuple[str | None, Iterable[ReviewRecord]]],
@@ -291,29 +314,27 @@ def write_panel_csv(
     """Write records as CSV; a group column is added when any panel names one.
 
     Rows are written from code columns and label tables; records given as
-    objects are coded first.
+    objects are coded first. Fields are quoted as _quoted says, so the file
+    reads back through ingest_csv with the same labels.
     """
     with_group = any(group is not None for group, _ in panels)
-    header = list(FIELDS)
-    if with_group:
-        header.append("group")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
+    header = FIELDS + (("group",) if with_group else ())
+    stream.write(",".join(header) + "\n")
     for group, records in panels:
         if not isinstance(records, RecordColumns):
             records = RecordColumns.from_records(list(records))
-        text = [tuple("" if v is None else str(v) for v in table) for table in records.labels]
-        cells = [map(table.__getitem__, c.tolist()) for c, table in zip(records.codes, text)]
-        if with_group:
-            cells.append(repeat(group or "", len(records)))
-        writer.writerows(zip(*cells))
+        # The group cell ends every row of the panel.
+        end = f",{_quoted(group)}\n" if with_group else "\n"
+        _write_rows(stream, records.codes, records.labels, end)
 
 
 def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(GROUND_TRUTH_COLUMNS)
-    for product in sorted(truth):
-        writer.writerow([product, truth[product]])
+    """Write product_id -> classification pairs as CSV, one row per product
+    in sorted order, quoted as write_panel_csv quotes."""
+    products = sorted(truth)
+    stream.write(",".join(GROUND_TRUTH_COLUMNS) + "\n")
+    position = np.arange(len(products))
+    _write_rows(stream, (position, position), (products, [truth[p] for p in products]))
 
 
 def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:

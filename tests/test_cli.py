@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from reviewaudit import SimulationConfig, did_with_error_rates, inject_review_change
 from reviewaudit.cli import main
+from reviewaudit.report import ingest_csv_groups
 
 
 def write_config(path, **overrides):
@@ -323,6 +325,13 @@ class TestCiCommand:
         code, _, _ = run(capsys, ["ci", "--x", "51", "--n", "50"])
         assert code == 2
 
+    def test_n_beyond_float_range_exit_2(self, capsys):
+        for method in ("clopper-pearson", "wilson"):
+            code, out, err = run(capsys, ["ci", "--x", "1", "--n", str(10**310),
+                                          "--ci-method", method])
+            assert (code, out) == (2, "")
+            assert "largest float" in err and "Traceback" not in err
+
     def test_kernel_failure_exit_1(self, capsys):
         # ROADMAP item 3: the incomplete-beta continued fraction fails where
         # both shapes are near 10^6 and p is within about 1e-5 of 0.5.
@@ -386,6 +395,15 @@ class TestDidCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["effect"] == pytest.approx(0.15, abs=0.05)
+        # The written panel reads back as the simulated pair, so the CLI's
+        # effect is the library's on that pair, rounded as the report rounds.
+        pair = inject_review_change(SimulationConfig.from_json(config.read_text()))
+        groups = ingest_csv_groups(str(panel_path))
+        assert list(groups) == ["control", "treated"]
+        assert groups["control"] == pair.control.records
+        assert groups["treated"] == pair.treated.records
+        result = did_with_error_rates(pair.treated, pair.control, pair.ground_truth, 1)
+        assert payload["effect"] == float(f"{result.effect:.12g}")
 
     def test_quoted_outcome_header(self, tmp_path, capsys):
         did_csv = tmp_path / "did.csv"

@@ -4,6 +4,7 @@ values, and the bias-factor report."""
 import collections
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestBisectionReplay:
             special.regularized_incomplete_beta(0.5, 1000000, 1000001)
         with pytest.raises(ConvergenceError):
             binomial_ci(1000000, 2000000, 0.01)
+
+    @pytest.mark.parametrize("method", ["clopper_pearson", "wilson"])
+    def test_n_beyond_float_range_rejected(self, method):
+        # 10**310 exceeds the largest float; the Wilson form's z * z / n
+        # would raise OverflowError converting it.
+        with pytest.raises(ValueError, match="largest float"):
+            binomial_ci(1, 10**310, method=method)
+        with pytest.raises(ValueError, match="largest float"):
+            binomial_ci(1, int(sys.float_info.max) + 1, method=method)
 
     def test_bounds_away_from_a_failing_midpoint(self):
         # Plain bisection raised here at its first midpoint, p = 0.5; the
