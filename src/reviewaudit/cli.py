@@ -9,6 +9,7 @@ analysis section errored) or stdout closed by its reader, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -16,12 +17,7 @@ from typing import IO
 
 from . import __version__
 from .did import DidPanel
-from .errors import (
-    ConfigError,
-    CsvFormatError,
-    DatasetValidationError,
-    ReviewAuditError,
-)
+from .errors import ConfigError, CsvFormatError, DatasetValidationError, ReviewAuditError
 from .estimation import binomial_ci
 from .hypotheses import TWO_SAMPLE_VARIANTS
 from .model import INCOMPLETE_CELL_POLICIES, ReviewDataset, validate_dataset
@@ -78,13 +74,19 @@ def _write_text(payload: dict | list, out: IO[str], indent: int = 0) -> None:
 
 
 def _load_dataset(args) -> ReviewDataset:
-    records = ingest_csv(args.input)
-    return validate_dataset(records, policy=args.policy)
+    return validate_dataset(ingest_csv(args.input), policy=args.policy)
 
 
 def _maybe_truth(args) -> dict[str, str] | None:
-    path = getattr(args, "ground_truth", None)
-    return read_ground_truth_csv(path) if path else None
+    return read_ground_truth_csv(args.ground_truth) if args.ground_truth else None
+
+
+def _did_panel(path: str, change_period: int | None) -> DidPanel:
+    """A group,period,outcome CSV as a DiD panel changing at change_period."""
+    observations = tuple(read_outcome_panel_csv(path))
+    if change_period is None:
+        raise ValueError("--did-input requires --change-period")
+    return DidPanel(observations=observations, change_period=change_period)
 
 
 def _cmd_agreement(args, out: IO[str]) -> int:
@@ -95,10 +97,9 @@ def _cmd_agreement(args, out: IO[str]) -> int:
 
 def _cmd_chisq(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
+    questions = [args.question] if args.question else None
     try:
-        body = _chi_square_section(
-            dataset, args.alpha, args.yates, [args.question] if args.question else None
-        )
+        body = _chi_square_section(dataset, args.alpha, args.yates, questions)
     except ReviewAuditError as exc:
         body = exc.partial
     per_question = body["per_question"]
@@ -128,8 +129,7 @@ def _cmd_ci(args, out: IO[str]) -> int:
     if args.x is not None or args.n is not None:
         if args.x is None or args.n is None:
             raise ValueError("--x and --n must be given together")
-        interval = binomial_ci(args.x, args.n, level=args.level, method=method)
-        _emit(interval, args, out)
+        _emit(binomial_ci(args.x, args.n, level=args.level, method=method), args, out)
         return 0
     if not args.input:
         raise ValueError("provide either --x/--n or --input")
@@ -152,21 +152,14 @@ def _cmd_did(args, out: IO[str]) -> int:
     with _csv_reader(args.input, ()) as reader:
         header = reader.fieldnames
     if "outcome" in header:
-        observations = read_outcome_panel_csv(args.input)
-        did_input = DidPanel(
-            observations=tuple(observations), change_period=args.change_period
-        )
+        did_input = _did_panel(args.input, args.change_period)
     else:
         if not args.ground_truth:
-            raise ValueError(
-                "review-format DiD input needs --ground-truth for error rates"
-            )
+            raise ValueError("review-format DiD input needs --ground-truth for error rates")
         by_group = ingest_csv_groups(args.input)
         missing = {"treated", "control"} - set(by_group)
         if missing:
-            raise DatasetValidationError(
-                f"DiD input lacks group(s): {sorted(missing)}"
-            )
+            raise DatasetValidationError(f"DiD input lacks group(s): {sorted(missing)}")
         truth = read_ground_truth_csv(args.ground_truth)
         did_input = DidPair(
             treated=validate_dataset(by_group["treated"], policy=args.policy),
@@ -185,19 +178,12 @@ def _cmd_simulate(args, out: IO[str]) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.did_pair:
         pair = inject_review_change(config)
-        panels = [
-            ("control", pair.control.records),
-            ("treated", pair.treated.records),
-        ]
+        panels = [("control", pair.control.records), ("treated", pair.treated.records)]
         truth = pair.ground_truth
     else:
         dataset, truth = simulate_panel(config)
         panels = [(None, dataset.records)]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as stream:
-            write_panel_csv(stream, panels)
-    else:
-        write_panel_csv(out, panels)
+    write_panel_csv(out, panels)
     if args.truth_output:
         with open(args.truth_output, "w", encoding="utf-8", newline="") as stream:
             write_ground_truth_csv(stream, truth)
@@ -206,35 +192,73 @@ def _cmd_simulate(args, out: IO[str]) -> int:
 
 def _cmd_audit(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    did_panel = None
-    if args.did_input:
-        observations = read_outcome_panel_csv(args.did_input)
-        if args.change_period is None:
-            raise ValueError("--did-input requires --change-period")
-        did_panel = DidPanel(
-            observations=tuple(observations), change_period=args.change_period
-        )
+    did_panel = _did_panel(args.did_input, args.change_period) if args.did_input else None
     report = run_audit(
-        dataset,
-        ground_truth=_maybe_truth(args),
-        alpha=args.alpha,
+        dataset, ground_truth=_maybe_truth(args), alpha=args.alpha,
         overall_kappa_mode=KAPPA_MODE_FLAGS[args.overall_kappa],
-        ci_method=CI_METHOD_FLAGS[args.ci_method],
-        ci_level=args.level,
-        yates=args.yates,
+        ci_method=CI_METHOD_FLAGS[args.ci_method], ci_level=args.level, yates=args.yates,
         did_panel=did_panel,
     )
     out.write(emit_report(report, args.format))
     return 1 if any(s == "error" for s in report.statuses().values()) else 0
 
 
-def _add_common(parser, with_input=True):
-    if with_input:
-        parser.add_argument("--input", required=True, help="long-format review CSV")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--policy", choices=INCOMPLETE_CELL_POLICIES, default="drop",
-                        help="incomplete-cell policy (default: drop)")
-    parser.add_argument("--output", default=None, help="write to file instead of stdout")
+# Every option, declared once as its add_argument keywords.
+OPTIONS = {
+    "--input": dict(required=True, help="long-format review CSV"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--policy": dict(choices=INCOMPLETE_CELL_POLICIES, default="drop",
+                     help="incomplete-cell policy (default: drop)"),
+    "--output": dict(help="write to file instead of stdout"),
+    "--ground-truth": dict(help="product_id,classification CSV"),
+    "--alpha": dict(type=float, default=0.05),
+    "--yates": dict(action="store_true", help="apply continuity correction"),
+    "--overall-kappa": dict(choices=tuple(KAPPA_MODE_FLAGS), default="pooled"),
+    "--level": dict(type=float, default=0.95, help="confidence level for CIs"),
+    "--ci-method": dict(choices=tuple(CI_METHOD_FLAGS), default="clopper-pearson"),
+    "--change-period": dict(type=int, help="first post-change period"),
+    "--question": dict(help="test a single question"),
+    "--variant": dict(choices=TWO_SAMPLE_VARIANTS, default="welch"),
+    "--tail": dict(choices=TAILS, default="two_sided"),
+    "--x": dict(type=int, help="error count"),
+    "--n": dict(type=int, help="sample size"),
+    "--factors": dict(help="comma-separated question ids and/or 'team' (default: all questions)"),
+    "--period-balanced": dict(action="store_true", help="weight periods equally within eras"),
+    "--config": dict(required=True, help="JSON simulation config"),
+    "--seed": dict(type=int, help="override the config seed"),
+    "--truth-output": dict(help="ground-truth CSV path"),
+    "--did-pair": dict(action="store_true",
+                       help="emit paired treated/control panels with the configured treatment"),
+    "--did-input": dict(help="group,period,outcome CSV for the DiD section"),
+}
+_COMMON = ("--input", "--format", "--policy", "--output")
+
+# Each subcommand: its function, its help, and the options it takes, each
+# a flag of OPTIONS or (flag, the keywords that differ from OPTIONS).
+COMMANDS = {
+    "agreement": (_cmd_agreement, "Fleiss kappa per question and overall",
+                  (*_COMMON, "--overall-kappa")),
+    "chisq": (_cmd_chisq, "chi-square answer/classification independence",
+              (*_COMMON, "--question", "--alpha", "--yates")),
+    "ttest": (_cmd_ttest, "two-team error-rate comparison",
+              (*_COMMON, "--ground-truth", "--variant", "--tail", "--alpha")),
+    "anova": (_cmd_anova, "multi-team error-rate comparison",
+              (*_COMMON, "--ground-truth", "--alpha")),
+    "ci": (_cmd_ci, "binomial confidence interval for error rates",
+           (("--input", {"required": False}), *_COMMON[1:], "--x", "--n", "--level",
+            "--ci-method", "--ground-truth")),
+    "regress": (_cmd_regress, "bias-factor OLS and logistic coefficients",
+                (*_COMMON, "--factors")),
+    "did": (_cmd_did, "difference-in-differences estimate",
+            (*_COMMON, ("--change-period", {"required": True}), "--ground-truth",
+             "--period-balanced")),
+    "simulate": (_cmd_simulate, "generate a synthetic review panel",
+                 ("--config", "--seed", ("--output", {"help": "panel CSV path (default stdout)"}),
+                  "--truth-output", "--did-pair")),
+    "audit": (_cmd_audit, "full audit pipeline",
+              (*_COMMON, "--alpha", "--overall-kappa", "--ci-method", "--level", "--yates",
+               "--ground-truth", "--did-input", "--change-period")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,91 +268,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"reviewaudit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("agreement", help="Fleiss kappa per question and overall")
-    _add_common(p)
-    p.add_argument("--overall-kappa", choices=tuple(KAPPA_MODE_FLAGS), default="pooled")
-    p.set_defaults(func=_cmd_agreement)
-
-    p = sub.add_parser("chisq", help="chi-square answer/classification independence")
-    _add_common(p)
-    p.add_argument("--question", default=None, help="test a single question")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--yates", action="store_true", help="apply continuity correction")
-    p.set_defaults(func=_cmd_chisq)
-
-    p = sub.add_parser("ttest", help="two-team error-rate comparison")
-    _add_common(p)
-    p.add_argument("--ground-truth", default=None, help="product_id,classification CSV")
-    p.add_argument("--variant", choices=TWO_SAMPLE_VARIANTS, default="welch")
-    p.add_argument("--tail", choices=TAILS, default="two_sided")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=_cmd_ttest)
-
-    p = sub.add_parser("anova", help="multi-team error-rate comparison")
-    _add_common(p)
-    p.add_argument("--ground-truth", default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=_cmd_anova)
-
-    p = sub.add_parser("ci", help="binomial confidence interval for error rates")
-    _add_common(p, with_input=False)
-    p.add_argument("--input", default=None, help="long-format review CSV")
-    p.add_argument("--x", type=int, default=None, help="error count")
-    p.add_argument("--n", type=int, default=None, help="sample size")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--ci-method", choices=tuple(CI_METHOD_FLAGS), default="clopper-pearson")
-    p.add_argument("--ground-truth", default=None)
-    p.set_defaults(func=_cmd_ci)
-
-    p = sub.add_parser("regress", help="bias-factor OLS and logistic coefficients")
-    _add_common(p)
-    p.add_argument("--factors", default=None,
-                   help="comma-separated question ids and/or 'team' (default: all questions)")
-    p.set_defaults(func=_cmd_regress)
-
-    p = sub.add_parser("did", help="difference-in-differences estimate")
-    _add_common(p)
-    p.add_argument("--change-period", type=int, required=True,
-                   help="first post-change period")
-    p.add_argument("--ground-truth", default=None)
-    p.add_argument("--period-balanced", action="store_true",
-                   help="weight periods equally within eras")
-    p.set_defaults(func=_cmd_did)
-
-    p = sub.add_parser("simulate", help="generate a synthetic review panel")
-    p.add_argument("--config", required=True, help="JSON simulation config")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--output", default=None, help="panel CSV path (default stdout)")
-    p.add_argument("--truth-output", default=None, help="ground-truth CSV path")
-    p.add_argument("--did-pair", action="store_true",
-                   help="emit paired treated/control panels with the configured treatment")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("audit", help="full audit pipeline")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--overall-kappa", choices=tuple(KAPPA_MODE_FLAGS), default="pooled")
-    p.add_argument("--ci-method", choices=tuple(CI_METHOD_FLAGS), default="clopper-pearson")
-    p.add_argument("--level", type=float, default=0.95, help="confidence level for CIs")
-    p.add_argument("--yates", action="store_true")
-    p.add_argument("--ground-truth", default=None)
-    p.add_argument("--did-input", default=None,
-                   help="group,period,outcome CSV for the DiD section")
-    p.add_argument("--change-period", type=int, default=None)
-    p.set_defaults(func=_cmd_audit)
-
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option in options:
+            flag, changes = option if isinstance(option, tuple) else (option, {})
+            p.add_argument(flag, **{**OPTIONS[flag], **changes})
+        p.set_defaults(func=func)
     return parser
 
 
+class _Output:
+    """stdout, or the --output file opened (and so truncated) at the first
+    write: a command that fails before it writes leaves the file as it was."""
+
+    def __init__(self, path: str | None) -> None:
+        self.path, self.stream = path, (None if path else sys.stdout)
+
+    def write(self, text: str) -> int:
+        if self.stream is None:
+            self.stream = open(self.path, "w", encoding="utf-8", newline="")
+        return self.stream.write(text)
+
+    def close(self) -> None:
+        if self.path and self.stream is not None:
+            self.stream.close()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "output", None) and args.command != "simulate":
-            with open(args.output, "w", encoding="utf-8") as out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        with contextlib.closing(_Output(args.output)) as out:
+            return args.func(args, out)
     except BrokenPipeError:
         # the reader has gone, which is no input fault; the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

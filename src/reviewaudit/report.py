@@ -487,13 +487,8 @@ def _did_section(did_panel: DidPanel | DidPair | None, period_balanced: bool = F
     if did_panel is None:
         return {"status": "skipped", "reason": "no difference-in-differences input"}
     if isinstance(did_panel, DidPair):
-        result = did_with_error_rates(
-            did_panel.treated,
-            did_panel.control,
-            did_panel.ground_truth,
-            did_panel.change_period,
-            period_balanced=period_balanced,
-        )
+        result = did_with_error_rates(did_panel.treated, did_panel.control, did_panel.ground_truth,
+                                      did_panel.change_period, period_balanced=period_balanced)
     else:
         result = did_estimate(did_panel, period_balanced=period_balanced)
     return _ok(result)
@@ -592,13 +587,7 @@ def emit_report(report: AuditReport, fmt: str = "json") -> str:
 def parse_report(text: str) -> AuditReport:
     """Inverse of emit_report(fmt="json")."""
     payload = json.loads(text)
-    return AuditReport(
-        schema_version=payload["schema_version"],
-        toolkit_version=payload["toolkit_version"],
-        config=payload["config"],
-        dataset_summary=payload["dataset_summary"],
-        sections=payload["sections"],
-    )
+    return AuditReport(**{f.name: payload[f.name] for f in fields(AuditReport)})
 
 
 def _fmt(value) -> str:
@@ -609,6 +598,86 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _ranking_text(agreement: dict, w) -> None:
+    for rank, q in enumerate(agreement["disagreement_ranking"], start=1):
+        w(f"  {rank}. {q}  kappa={_fmt(agreement['per_question'][q]['kappa'])}\n")
+    for q, note in agreement["annotations"].items():
+        w(f"  -- {q}: {note}\n")
+
+
+def _agreement_text(agreement: dict, w) -> None:
+    w(f"  overall kappa ({agreement['overall_mode']}): {_fmt(agreement['overall_kappa'])}\n")
+    w(f"  consensus agreement rate: {_fmt(agreement['agreement_rate'])}\n")
+    for note in agreement["notes"]:
+        w(f"  note: {note}\n")
+
+
+def _chi_square_text(chi: dict, w) -> None:
+    for q, body in chi["per_question"].items():
+        if body["status"] != "ok":
+            w(f"  {q}: error: {body['error']}\n")
+            continue
+        w(f"  {q}: statistic={_fmt(body['statistic'])} df={body['df']} "
+          f"p={_fmt(body['p_value'])} reject@{body['alpha']}={body['reject_null']}")
+        if body["warnings"]:
+            w(f"  [{'; '.join(body['warnings'])}]")
+        w("\n")
+
+
+def _team_text(team: dict, w) -> None:
+    test = team["test"]
+    w(f"  {test['test_kind']}: statistic={_fmt(test['statistic'])} df={test['df']} "
+      f"p={_fmt(test['p_value'])} reject@{test['alpha']}={test['reject_null']}\n")
+    w(f"  outcome basis: {team['outcome_basis']}\n")
+    for t in team["teams"]:
+        w(f"  team {t}: n={team['group_sizes'][t]} "
+          f"error_rate={_fmt(team['group_error_rates'][t])}\n")
+
+
+def _extrapolation_text(extrapolation: dict, w) -> None:
+    w(f"  outcome basis: {extrapolation['outcome_basis']}\n")
+    for name, body in extrapolation["groups"].items():
+        w(f"  {name}: {body['x']}/{body['n']} errors, "
+          f"{body['level']:.0%} CI [{_fmt(body['lower'])}, {_fmt(body['upper'])}] "
+          f"({body['method']})\n")
+
+
+def _bias_text(bias: dict, w) -> None:
+    w(f"  target: {bias['target_labels'][0]} vs {bias['target_labels'][1]} "
+      f"over {bias['n_rows']} units, ranked by {bias['ranked_by']}\n")
+    for effect in bias["effects"]:
+        w(f"  {effect['name']}: ols={_fmt(effect['ols_coefficient'])} "
+          f"logistic={_fmt(effect['logistic_coefficient'])}\n")
+    for fit in ("ols", "logistic"):
+        if bias[f"{fit}_error"]:
+            w(f"  {fit} error: {bias[f'{fit}_error']}\n")
+
+
+def _did_text(did: dict, w) -> None:
+    w(f"  effect: {_fmt(did['effect'])}\n")
+    w(f"  treated: pre={_fmt(did['treated_pre_mean'])} post={_fmt(did['treated_post_mean'])}; "
+      f"control: pre={_fmt(did['control_pre_mean'])} post={_fmt(did['control_post_mean'])}\n")
+    series = [(f"actual {group}", s) for group, s in did["per_group_series"].items()]
+    for name, pairs in series + [("counterfactual", did["counterfactual"])]:
+        w(f"  {name} series: {' '.join(f'({p}, {_fmt(v)})' for p, v in pairs)}\n")
+    if did["effect_se"] is not None:
+        w(f"  bootstrap SE: {_fmt(did['effect_se'])}\n")
+
+
+# The text report's blocks in order: (section, heading, body writer, the word
+# that leads a failed section's error, or None to write nothing for it).
+_TEXT_BLOCKS = (
+    ("agreement", "Disagreement ranking (highest disagreement first)", _ranking_text,
+     "unavailable"),
+    ("agreement", "Agreement", _agreement_text, None),
+    ("chi_square", "Chi-square: answer vs classification", _chi_square_text, "unavailable"),
+    ("team_comparison", "Team comparison", _team_text, "error"),
+    ("error_extrapolation", "Error-rate extrapolation", _extrapolation_text, "error"),
+    ("bias_factors", "Bias factors (ranked by influence)", _bias_text, "error"),
+    ("did", "Difference-in-differences", _did_text, "error"),
+)
+
+
 def render_text(report: AuditReport) -> str:
     """Human-readable rendering; the disagreement ranking leads."""
     out = io.StringIO()
@@ -616,122 +685,19 @@ def render_text(report: AuditReport) -> str:
     w(f"REVIEW AUDIT REPORT (schema {report.schema_version}, "
       f"toolkit {report.toolkit_version})\n")
     ds = report.dataset_summary
-    w(
-        f"dataset: {ds['n_records']} records, {ds['n_products']} products, "
-        f"{ds['n_reviewers']} reviewers, {ds['n_questions']} questions"
-    )
+    w(f"dataset: {ds['n_records']} records, {ds['n_products']} products, "
+      f"{ds['n_reviewers']} reviewers, {ds['n_questions']} questions")
     if ds["n_dropped_cells"]:
         w(f" ({ds['n_dropped_cells']} incomplete cells dropped)")
-    w("\n\n")
-
-    agreement = report.sections["agreement"]
-    w("== Disagreement ranking (highest disagreement first) ==\n")
-    if agreement["status"] == "ok":
-        for rank, q in enumerate(agreement["disagreement_ranking"], start=1):
-            kappa = agreement["per_question"][q]["kappa"]
-            w(f"  {rank}. {q}  kappa={_fmt(kappa)}\n")
-        for q, note in agreement["annotations"].items():
-            w(f"  -- {q}: {note}\n")
-    else:
-        w(f"  unavailable: {agreement.get('error')}\n")
-
-    w("\n== Agreement ==\n")
-    if agreement["status"] == "ok":
-        w(f"  overall kappa ({agreement['overall_mode']}): "
-          f"{_fmt(agreement['overall_kappa'])}\n")
-        w(f"  consensus agreement rate: {_fmt(agreement['agreement_rate'])}\n")
-        for note in agreement["notes"]:
-            w(f"  note: {note}\n")
-
-    chi = report.sections["chi_square"]
-    w("\n== Chi-square: answer vs classification ==\n")
-    if "per_question" in chi:
-        for q, body in chi["per_question"].items():
-            if body["status"] == "ok":
-                w(
-                    f"  {q}: statistic={_fmt(body['statistic'])} df={body['df']} "
-                    f"p={_fmt(body['p_value'])} reject@{body['alpha']}="
-                    f"{body['reject_null']}"
-                )
-                if body["warnings"]:
-                    w(f"  [{'; '.join(body['warnings'])}]")
-                w("\n")
-            else:
-                w(f"  {q}: error: {body['error']}\n")
-    else:
-        w(f"  unavailable: {chi.get('error')}\n")
-
-    team = report.sections["team_comparison"]
-    w("\n== Team comparison ==\n")
-    if team["status"] == "ok":
-        test = team["test"]
-        w(
-            f"  {test['test_kind']}: statistic={_fmt(test['statistic'])} "
-            f"df={test['df']} p={_fmt(test['p_value'])} "
-            f"reject@{test['alpha']}={test['reject_null']}\n"
-        )
-        w(f"  outcome basis: {team['outcome_basis']}\n")
-        for t in team["teams"]:
-            w(
-                f"  team {t}: n={team['group_sizes'][t]} "
-                f"error_rate={_fmt(team['group_error_rates'][t])}\n"
-            )
-    elif team["status"] == "skipped":
-        w(f"  skipped: {team['reason']}\n")
-    else:
-        w(f"  error: {team.get('error')}\n")
-
-    extrapolation = report.sections["error_extrapolation"]
-    w("\n== Error-rate extrapolation ==\n")
-    if extrapolation["status"] == "ok":
-        w(f"  outcome basis: {extrapolation['outcome_basis']}\n")
-        for name, body in extrapolation["groups"].items():
-            w(
-                f"  {name}: {body['x']}/{body['n']} errors, "
-                f"{body['level']:.0%} CI [{_fmt(body['lower'])}, {_fmt(body['upper'])}] "
-                f"({body['method']})\n"
-            )
-    elif extrapolation["status"] == "skipped":
-        w(f"  skipped: {extrapolation['reason']}\n")
-    else:
-        w(f"  error: {extrapolation.get('error')}\n")
-
-    bias = report.sections["bias_factors"]
-    w("\n== Bias factors (ranked by influence) ==\n")
-    if bias["status"] == "ok":
-        w(f"  target: {bias['target_labels'][0]} vs {bias['target_labels'][1]} "
-          f"over {bias['n_rows']} units, ranked by {bias['ranked_by']}\n")
-        for effect in bias["effects"]:
-            w(
-                f"  {effect['name']}: ols={_fmt(effect['ols_coefficient'])} "
-                f"logistic={_fmt(effect['logistic_coefficient'])}\n"
-            )
-        if bias["ols_error"]:
-            w(f"  ols error: {bias['ols_error']}\n")
-        if bias["logistic_error"]:
-            w(f"  logistic error: {bias['logistic_error']}\n")
-    else:
-        w(f"  error: {bias.get('error')}\n")
-
-    did = report.sections["did"]
-    w("\n== Difference-in-differences ==\n")
-    if did["status"] == "ok":
-        w(f"  effect: {_fmt(did['effect'])}\n")
-        w(
-            f"  treated: pre={_fmt(did['treated_pre_mean'])} "
-            f"post={_fmt(did['treated_post_mean'])}; "
-            f"control: pre={_fmt(did['control_pre_mean'])} "
-            f"post={_fmt(did['control_post_mean'])}\n"
-        )
-        for group, series in did["per_group_series"].items():
-            pairs = " ".join(f"({p}, {_fmt(v)})" for p, v in series)
-            w(f"  actual {group} series: {pairs}\n")
-        pairs = " ".join(f"({p}, {_fmt(v)})" for p, v in did["counterfactual"])
-        w(f"  counterfactual series: {pairs}\n")
-        if did["effect_se"] is not None:
-            w(f"  bootstrap SE: {_fmt(did['effect_se'])}\n")
-    elif did["status"] == "skipped":
-        w(f"  skipped: {did['reason']}\n")
-    else:
-        w(f"  error: {did.get('error')}\n")
+    w("\n")
+    for name, heading, write_body, failure in _TEXT_BLOCKS:
+        body = report.sections[name]
+        w(f"\n== {heading} ==\n")
+        if body["status"] == "skipped":
+            w(f"  skipped: {body['reason']}\n")
+        elif body["status"] == "ok" or "per_question" in body:
+            # a failed chi-square body still lists the questions it kept
+            write_body(body, w)
+        elif failure:
+            w(f"  {failure}: {body.get('error')}\n")
     return out.getvalue()

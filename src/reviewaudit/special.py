@@ -202,12 +202,17 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b), the regularized incomplete beta function.
 
     Uses the symmetry reduction I_x(a, b) = 1 - I_{1-x}(b, a) so the
-    continued fraction always runs in its fast-convergence region.
+    continued fraction always runs in its fast-convergence region. Shapes
+    are taken as floats; one above the largest float is a ValueError.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"requires a > 0 and b > 0, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise ValueError(f"requires 0 <= x <= 1, got {x}")
+    try:
+        a, b = float(a), float(b)
+    except OverflowError:
+        raise ValueError("requires shapes at most the largest float") from None
     if x == 0.0:
         return 0.0
     if x == 1.0:

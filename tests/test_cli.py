@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from reviewaudit import SimulationConfig, did_with_error_rates, inject_review_change
-from reviewaudit.cli import main
+from reviewaudit.cli import build_parser, main
 from reviewaudit.report import ingest_csv_groups
 
 
@@ -176,6 +177,14 @@ class TestAudit:
         assert err == ("reviewaudit: invalid input: malformed CSV on row 3: "
                        "field larger than field limit (131072)\n")
 
+    def test_did_input_needs_change_period_exit_2(self, panel, tmp_path, capsys):
+        did_csv = tmp_path / "did.csv"
+        did_csv.write_text("group,period,outcome\ncontrol,0,10\ntreated,0,20\n")
+        code, out, err = run(capsys, ["audit", "--input", str(panel[0]),
+                                      "--did-input", str(did_csv)])
+        assert (code, out) == (2, "")
+        assert err == "reviewaudit: invalid input: --did-input requires --change-period\n"
+
     def test_did_input_section(self, panel, tmp_path, capsys):
         panel_path, _ = panel
         did_csv = tmp_path / "did.csv"
@@ -258,6 +267,14 @@ class TestTeamCommands:
         assert code == 2
         assert "anova" in err
 
+    def test_ttest_needs_two_teams_exit_2(self, panel, tmp_path, capsys):
+        one_team, truth = _write_team_csv(tmp_path / "teams.csv", 1)
+        for path, reason in ((one_team, "single team 'team0'"), (panel[0], "no team data")):
+            code, out, err = run(capsys, ["ttest", "--input", str(path)])
+            assert (code, out) == (2, "")
+            assert err == ("reviewaudit: invalid input: team comparison needs >= 2 "
+                           f"teams: {reason}\n")
+
     def test_anova_three_teams(self, tmp_path, capsys):
         panel_path, truth = _write_team_csv(tmp_path / "teams.csv", 3)
         code, out, _ = run(capsys, ["anova", "--input", str(panel_path),
@@ -321,6 +338,11 @@ class TestCiCommand:
         code, _, err = run(capsys, ["ci"])
         assert code == 2
 
+    def test_x_without_n_exit_2(self, capsys):
+        code, out, err = run(capsys, ["ci", "--x", "3"])
+        assert (code, out) == (2, "")
+        assert err == "reviewaudit: invalid input: --x and --n must be given together\n"
+
     def test_x_out_of_range_exit_2(self, capsys):
         code, _, _ = run(capsys, ["ci", "--x", "51", "--n", "50"])
         assert code == 2
@@ -331,6 +353,12 @@ class TestCiCommand:
                                           "--ci-method", method])
             assert (code, out) == (2, "")
             assert "largest float" in err and "Traceback" not in err
+
+    def test_huge_n_kernel_failure_exit_1(self, capsys):
+        code, out, err = run(capsys, ["ci", "--x", "1", "--n", str(10**200)])
+        assert (code, out) == (1, "")
+        assert err == ("reviewaudit: analysis failed: incomplete beta continued "
+                       "fraction did not converge within 500 iterations\n")
 
     def test_kernel_failure_exit_1(self, capsys):
         # ROADMAP item 3: the incomplete-beta continued fraction fails where
@@ -431,6 +459,20 @@ class TestDidCommand:
         assert code == 2
         assert "row 4" in err
 
+    def test_review_format_without_treated_rows_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "did_panel.csv"
+        panel_path.write_text(
+            "product_id,reviewer_id,question_id,answer,final_classification,period,group\n"
+            "p1,r1,q1,yes,approve,0,control\n"
+            "p2,r1,q1,yes,approve,1,control\n"
+        )
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("product_id,classification\np1,approve\np2,approve\n")
+        code, out, err = run(capsys, ["did", "--input", str(panel_path), "--change-period",
+                                      "1", "--ground-truth", str(truth_path)])
+        assert (code, out) == (2, "")
+        assert err == "reviewaudit: invalid input: DiD input lacks group(s): ['treated']\n"
+
     def test_review_format_requires_truth(self, tmp_path, capsys):
         config = write_config(
             tmp_path / "config.json",
@@ -443,3 +485,102 @@ class TestDidCommand:
                                     "--change-period", "1"])
         assert code == 2
         assert "ground-truth" in err
+
+
+COMMANDS = ("agreement", "chisq", "ttest", "anova", "ci", "regress", "did", "simulate",
+            "audit")
+
+# Each subcommand's options as (default, choices, required, type, action),
+# recorded from the parser before shared options were declared once.
+_STORE, _FLAG = "_StoreAction", (False, None, False, None, "_StoreTrueAction")
+_PATH = (None, None, False, None, _STORE)
+_ALPHA = (0.05, None, False, "float", _STORE)
+_COMMON = {
+    "--input": (None, None, True, None, _STORE),
+    "--format": ("json", ("json", "text"), False, None, _STORE),
+    "--policy": ("drop", ("drop", "strict"), False, None, _STORE),
+    "--output": _PATH,
+}
+_KAPPA = ("pooled", ("pooled", "mean"), False, None, _STORE)
+_LEVEL = (0.95, None, False, "float", _STORE)
+_CI_METHOD = ("clopper-pearson", ("clopper-pearson", "wilson"), False, None, _STORE)
+OPTIONS = {
+    "agreement": {**_COMMON, "--overall-kappa": _KAPPA},
+    "chisq": {**_COMMON, "--question": _PATH, "--alpha": _ALPHA, "--yates": _FLAG},
+    "ttest": {**_COMMON, "--ground-truth": _PATH, "--alpha": _ALPHA,
+              "--variant": ("welch", ("pooled", "welch"), False, None, _STORE),
+              "--tail": ("two_sided", ("upper", "lower", "two_sided"), False, None, _STORE)},
+    "anova": {**_COMMON, "--ground-truth": _PATH, "--alpha": _ALPHA},
+    "ci": {**_COMMON, "--input": _PATH, "--x": (None, None, False, "int", _STORE),
+           "--n": (None, None, False, "int", _STORE), "--level": _LEVEL,
+           "--ci-method": _CI_METHOD, "--ground-truth": _PATH},
+    "regress": {**_COMMON, "--factors": _PATH},
+    "did": {**_COMMON, "--change-period": (None, None, True, "int", _STORE),
+            "--ground-truth": _PATH, "--period-balanced": _FLAG},
+    "simulate": {"--config": (None, None, True, None, _STORE),
+                 "--seed": (None, None, False, "int", _STORE), "--output": _PATH,
+                 "--truth-output": _PATH, "--did-pair": _FLAG},
+    "audit": {**_COMMON, "--alpha": _ALPHA, "--overall-kappa": _KAPPA,
+              "--ci-method": _CI_METHOD, "--level": _LEVEL, "--yates": _FLAG,
+              "--ground-truth": _PATH, "--did-input": _PATH,
+              "--change-period": (None, None, False, "int", _STORE)},
+}
+
+
+class TestParser:
+    def test_option_sets(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == COMMANDS
+        for name, parser in sub.choices.items():
+            options = {
+                a.option_strings[0]: (a.default, a.choices and tuple(a.choices), a.required,
+                                      getattr(a.type, "__name__", None), type(a).__name__)
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            }
+            assert options == OPTIONS[name], name
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: reviewaudit {command} ")
+
+
+class TestOutputFile:
+    """--output is written only when the command produces output."""
+
+    def test_invalid_input_leaves_file_as_it_was(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"earlier report\r\n")
+        code, out, _ = run(capsys, ["audit", "--input", "/nonexistent.csv",
+                                    "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert target.read_bytes() == b"earlier report\r\n"
+
+    def test_failed_analysis_leaves_file_as_it_was(self, tmp_path, capsys):
+        target = tmp_path / "ci.json"
+        target.write_bytes(b"earlier interval\n")
+        code, out, err = run(capsys, ["ci", "--x", "1000000", "--n", "2000000",
+                                      "--level", "0.01", "--output", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("reviewaudit: analysis failed: ")
+        assert target.read_bytes() == b"earlier interval\n"
+
+    def test_missing_file_is_not_created(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        assert run(capsys, ["audit", "--input", "/nonexistent.csv",
+                            "--output", str(target)])[0] == 2
+        assert not target.exists()
+
+    def test_partial_report_is_written(self, tmp_path, capsys):
+        golden = Path(__file__).resolve().parent / "fixtures" / "golden"
+        target = tmp_path / "report.json"
+        target.write_text("earlier report\n")
+        code, out, _ = run(capsys, ["audit", "--input", str(golden / "panel2.csv"),
+                                    "--ground-truth", str(golden / "truth2_missing.csv"),
+                                    "--output", str(target)])
+        assert (code, out) == (1, "")
+        expected = golden / "out" / "audit2_missing_truth_json.txt"
+        assert target.read_bytes() == expected.read_bytes()

@@ -205,6 +205,13 @@ class TestBisectionReplay:
         with pytest.raises(ValueError, match="largest float"):
             binomial_ci(1, int(sys.float_info.max) + 1, method=method)
 
+    @pytest.mark.parametrize("exponent", [155, 200, 300])
+    def test_huge_n_fails_as_a_kernel_error(self, exponent):
+        # ROADMAP item 3: the continued fraction does not converge for shapes
+        # this large; the products of integer shapes used to overflow instead.
+        with pytest.raises(ConvergenceError):
+            binomial_ci(1, 10**exponent)
+
     def test_bounds_away_from_a_failing_midpoint(self):
         # Plain bisection raised here at its first midpoint, p = 0.5; the
         # roots themselves lie where the kernel converges.

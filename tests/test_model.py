@@ -1,5 +1,6 @@
 """Dataset validation and derived analysis structures."""
 
+import pickle
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from reviewaudit import (
     ReviewRecord,
     UnknownQuestionError,
     contingency_from,
+    pooled_rating_matrix,
     rating_matrix,
     validate_dataset,
 )
@@ -246,6 +248,16 @@ class TestRatingMatrix:
         assert m.array.dtype == np.int64 and m.array.tolist() == [[0, 3], [1, 2]]
         assert not m.array.flags.writeable
         assert type(m.counts[0][0]) is int and type(m.subjects) is tuple
+
+    def test_pickle_round_trip_and_hash(self):
+        dataset = self._panel()
+        for m in (rating_matrix(dataset, "q1"), pooled_rating_matrix(dataset)):
+            assert pickle.loads(pickle.dumps(m)) == m
+            plain = RatingMatrix(counts=m.counts, n=m.n, categories=m.categories,
+                                 subjects=tuple(m.subjects))
+            assert plain == m and hash(plain) == hash(m)
+        # the pooled matrix names its subjects by a callable, made when first read
+        assert pooled_rating_matrix(dataset).subjects == ("p_a/q1", "p_b/q1")
 
     def test_permutation_invariance_and_total_roundtrip(self):
         rng = random.Random(99)

@@ -18,6 +18,7 @@ from reviewaudit import (
 )
 from reviewaudit import report as report_module
 from reviewaudit.report import (
+    AuditReport,
     emit_report,
     parse_report,
     read_ground_truth_csv,
@@ -588,3 +589,159 @@ class TestTextRendering:
         text = render_text(run_audit(validate_dataset(records)))
         assert "skipped: no team data" in text
         assert "skipped: no difference-in-differences input" in text
+
+
+# Hand-made section bodies that reach every branch of render_text. The
+# expected texts are literals recorded from the renderer as it was before
+# its sections shared one status rule.
+_SUMMARY = {"n_records": 12, "n_products": 2, "n_reviewers": 3, "n_questions": 2}
+_OK_SECTIONS = dict(
+    agreement={"status": "ok", "disagreement_ranking": ["q2", "q1"],
+               "per_question": {"q1": {"kappa": 0.5}, "q2": {"kappa": None}},
+               "annotations": {"q2": "kappa undefined"}, "overall_mode": "pooled",
+               "overall_kappa": 0.25, "agreement_rate": 0.75,
+               "notes": ["one rater pair", "small panel"]},
+    chi_square={"status": "ok", "per_question": {
+        "q1": {"status": "ok", "statistic": 3.5, "df": 1, "p_value": 0.0614,
+               "alpha": 0.05, "reject_null": False, "warnings": ["low counts", "yates"]},
+        "q2": {"status": "error", "error": "degenerate table"}}},
+    team_comparison={"status": "ok", "test": {"test_kind": "welch_t", "statistic": -1.5,
+                                              "df": 7.5, "p_value": 0.17, "alpha": 0.05,
+                                              "reject_null": False},
+                     "outcome_basis": "consensus", "teams": ["a", "b"],
+                     "group_sizes": {"a": 4, "b": 5},
+                     "group_error_rates": {"a": 0.25, "b": 0.4}},
+    error_extrapolation={"status": "ok", "outcome_basis": "consensus", "groups": {
+        "all": {"x": 3, "n": 9, "level": 0.95, "lower": 0.0749, "upper": 0.7008,
+                "method": "clopper_pearson"}}},
+    bias_factors={"status": "ok", "target_labels": ["bad", "good"], "n_rows": 9,
+                  "ranked_by": "ols",
+                  "effects": [{"name": "q1=yes", "ols_coefficient": 0.5,
+                               "logistic_coefficient": None}],
+                  "ols_error": "rank deficient", "logistic_error": "separation"},
+    did={"status": "ok", "effect": 2.0, "treated_pre_mean": 1.0, "treated_post_mean": 4.0,
+         "control_pre_mean": 1.0, "control_post_mean": 2.0,
+         "per_group_series": {"control": [[0, 1.0], [1, 2.0]],
+                              "treated": [[0, 1.0], [1, 4.0]]},
+         "counterfactual": [[1, 2.0]], "effect_se": 0.125},
+)
+_FAILED_SECTIONS = dict(
+    agreement={"status": "error", "error": "kappa failed"},
+    chi_square={"status": "error", "error": "no question yields a testable contingency table",
+                "per_question": {"q1": {"status": "error", "error": "degenerate table"}}},
+    team_comparison={"status": "error", "error": "t tail failed",
+                     "outcome_basis": "consensus", "teams": ["a", "b"]},
+    error_extrapolation={"status": "error", "error": "beta failed"},
+    bias_factors={"status": "error", "error": "IRLS failed"},
+    did={"status": "error", "error": "bad panel"},
+)
+_SKIPPED_SECTIONS = dict(
+    _FAILED_SECTIONS,
+    chi_square={"status": "error", "error": "chi-square failed"},
+    team_comparison={"status": "skipped", "reason": "no team data"},
+    error_extrapolation={"status": "skipped", "reason": "no units to extrapolate"},
+    did={"status": "skipped", "reason": "no difference-in-differences input"},
+)
+_HEADER = "REVIEW AUDIT REPORT (schema 1, toolkit 9.9)\n"
+
+
+def _synthetic(sections, dropped=0):
+    return AuditReport(1, "9.9", {}, {**_SUMMARY, "n_dropped_cells": dropped}, sections)
+
+
+class TestTextRenderingBranches:
+    def test_every_ok_branch(self):
+        assert render_text(_synthetic(_OK_SECTIONS, dropped=4)) == _HEADER + """\
+dataset: 12 records, 2 products, 3 reviewers, 2 questions (4 incomplete cells dropped)
+
+== Disagreement ranking (highest disagreement first) ==
+  1. q2  kappa=n/a
+  2. q1  kappa=0.5
+  -- q2: kappa undefined
+
+== Agreement ==
+  overall kappa (pooled): 0.25
+  consensus agreement rate: 0.75
+  note: one rater pair
+  note: small panel
+
+== Chi-square: answer vs classification ==
+  q1: statistic=3.5 df=1 p=0.0614 reject@0.05=False  [low counts; yates]
+  q2: error: degenerate table
+
+== Team comparison ==
+  welch_t: statistic=-1.5 df=7.5 p=0.17 reject@0.05=False
+  outcome basis: consensus
+  team a: n=4 error_rate=0.25
+  team b: n=5 error_rate=0.4
+
+== Error-rate extrapolation ==
+  outcome basis: consensus
+  all: 3/9 errors, 95% CI [0.0749, 0.7008] (clopper_pearson)
+
+== Bias factors (ranked by influence) ==
+  target: bad vs good over 9 units, ranked by ols
+  q1=yes: ols=0.5 logistic=n/a
+  ols error: rank deficient
+  logistic error: separation
+
+== Difference-in-differences ==
+  effect: 2
+  treated: pre=1 post=4; control: pre=1 post=2
+  actual control series: (0, 1) (1, 2)
+  actual treated series: (0, 1) (1, 4)
+  counterfactual series: (1, 2)
+  bootstrap SE: 0.125
+"""
+
+    def test_every_error_branch(self):
+        # A failed chi-square body that kept its per-question bodies lists
+        # them, and the Agreement block is empty when agreement failed.
+        assert render_text(_synthetic(_FAILED_SECTIONS)) == _HEADER + """\
+dataset: 12 records, 2 products, 3 reviewers, 2 questions
+
+== Disagreement ranking (highest disagreement first) ==
+  unavailable: kappa failed
+
+== Agreement ==
+
+== Chi-square: answer vs classification ==
+  q1: error: degenerate table
+
+== Team comparison ==
+  error: t tail failed
+
+== Error-rate extrapolation ==
+  error: beta failed
+
+== Bias factors (ranked by influence) ==
+  error: IRLS failed
+
+== Difference-in-differences ==
+  error: bad panel
+"""
+
+    def test_skipped_and_unavailable_branches(self):
+        assert render_text(_synthetic(_SKIPPED_SECTIONS)) == _HEADER + """\
+dataset: 12 records, 2 products, 3 reviewers, 2 questions
+
+== Disagreement ranking (highest disagreement first) ==
+  unavailable: kappa failed
+
+== Agreement ==
+
+== Chi-square: answer vs classification ==
+  unavailable: chi-square failed
+
+== Team comparison ==
+  skipped: no team data
+
+== Error-rate extrapolation ==
+  skipped: no units to extrapolate
+
+== Bias factors (ranked by influence) ==
+  error: IRLS failed
+
+== Difference-in-differences ==
+  skipped: no difference-in-differences input
+"""

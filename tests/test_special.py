@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reviewaudit import ConvergenceError
 from reviewaudit.special import (
     chi_square_upper_tail,
     f_upper_tail,
@@ -59,6 +60,10 @@ class TestLogGamma:
             tol = 1e-11 + 2.0 * (math.ulp(abs(a)) + math.ulp(abs(b)))
             assert resid <= tol, f"x={x}: residual {resid} tol {tol}"
 
+    @pytest.mark.parametrize("x", [1e-8, 0.1, 0.25, 0.4999])
+    def test_reflection_below_one_half(self, x):
+        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=0, abs=1e-15)
+
     def test_factorials(self):
         for n in range(2, 30):
             assert log_gamma(float(n)) == pytest.approx(
@@ -108,6 +113,12 @@ class TestIncompleteGamma:
         with pytest.raises(ValueError):
             regularized_incomplete_gamma_lower(s, x)
 
+    def test_series_cap_raises(self):
+        # ROADMAP item 3: near x = s the series needs about 8 * sqrt(s) terms,
+        # past the iteration cap from df = 8678 on, as the module docstring says.
+        with pytest.raises(ConvergenceError, match="incomplete gamma series"):
+            chi_square_upper_tail(12000, 12000)
+
 
 def _beta_exact_integer(x: float, a: int, b: int) -> float:
     # I_x(a, b) = sum_{j=a}^{a+b-1} C(a+b-1, j) x^j (1-x)^(a+b-1-j)
@@ -142,6 +153,15 @@ class TestIncompleteBeta:
             assert regularized_incomplete_beta(x, a, b) == pytest.approx(
                 _beta_exact_integer(x, a, b), abs=1e-12
             )
+
+    def test_integer_shapes_taken_as_floats(self):
+        # Python-int shapes used to overflow the continued fraction's
+        # products; as floats a shape beyond the largest float is rejected.
+        assert regularized_incomplete_beta(0.3, 5, 7) == regularized_incomplete_beta(0.3, 5.0, 7.0)
+        with pytest.raises(ValueError, match="largest float"):
+            regularized_incomplete_beta(0.5, 10**400, 2)
+        with pytest.raises(ConvergenceError):
+            regularized_incomplete_beta(1e-199, 1, 10**200)
 
     def test_symmetry_sweep(self):
         rng = random.Random(17)
