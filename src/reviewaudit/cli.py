@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 from typing import IO
@@ -277,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built at its first call: parsing leaves no state on it.
+_parser = functools.cache(build_parser)
+
+
 class _Output:
     """stdout, or the --output file opened (and so truncated) at the first
     write: a command that fails before it writes leaves the file as it was."""
@@ -295,13 +300,15 @@ class _Output:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with contextlib.closing(_Output(args.output)) as out:
             return args.func(args, out)
     except BrokenPipeError:
         # the reader has gone, which is no input fault; the flush at exit goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (CsvFormatError, ConfigError, DatasetValidationError, OSError, ValueError) as exc:
         print(f"reviewaudit: invalid input: {exc}", file=sys.stderr)

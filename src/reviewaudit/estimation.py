@@ -27,7 +27,7 @@ from .errors import (
     SeparationError,
 )
 from .model import CLASSIFICATION, TEAM, ReviewDataset, is_int
-from .special import log_gamma, normal_upper_tail, regularized_incomplete_beta
+from .special import _log_beta, normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
 SEPARATION_BOUND = 30.0
@@ -137,7 +137,7 @@ def _log_tail_newton(
 
 def _beta_density(a: int, b: int) -> Callable[[float], float]:
     """The Beta(a, b) density on (0, 1); inf where exp would overflow."""
-    log_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    log_norm = _log_beta(a, b)
 
     def density(p: float) -> float:
         log_density = log_norm + (a - 1) * math.log(p) + (b - 1) * math.log1p(-p)

@@ -13,10 +13,17 @@ e.g. at (12000, 12000). The beta continued fraction fails likewise when both
 shapes are large and x is near a / (a + b): I_0.5(1000000, 1000001) raises,
 and so does binomial_ci(1000000, 2000000, 0.01), whose roots lie within
 1e-5 of 0.5. ROADMAP item 3 plans large-parameter branches for both.
+
+The log-Beta normaliser log B(a, b) of I_x(a, b) costs three log_gamma calls,
+over half of a kernel call, yet a Clopper-Pearson bisection calls the kernel
+about six times with the same shapes. So it is cached per (a, b) pair, in a
+bounded cache that only validated shapes reach; a hit returns the float the
+same expression would compute.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import ConvergenceError
@@ -198,6 +205,13 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     raise ConvergenceError("incomplete beta continued fraction", _MAX_ITER)
 
 
+@functools.lru_cache(maxsize=256)
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0, cached per shape pair. An int shape and the
+    equal float share an entry: log_gamma gives both the same float."""
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b), the regularized incomplete beta function.
 
@@ -217,10 +231,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    front = math.exp(_log_beta(a, b) + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(x, a, b) / a
     return 1.0 - front * _beta_cf(1.0 - x, b, a) / b

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from reviewaudit import SimulationConfig, did_with_error_rates, inject_review_change
+from reviewaudit import SimulationConfig, cli, did_with_error_rates, inject_review_change
 from reviewaudit.cli import build_parser, main
 from reviewaudit.report import ingest_csv_groups
 
@@ -546,6 +546,65 @@ class TestParser:
             main([command, "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: reviewaudit {command} ")
+
+    def test_one_parser_serves_every_call(self, panel, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        cli._parser.cache_clear()
+        panel_path, truth_path = panel
+        audit = ["audit", "--input", str(panel_path), "--ground-truth", str(truth_path)]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+
+        assert run(capsys, [*audit, "--yates", "--output", str(a)])[0] == 0
+        first_build = len(built)
+        assert first_build > 0
+        assert run(capsys, [*audit, "--overall-kappa", "mean", "--output", str(b)])[0] == 0
+        code, out, _ = run(capsys, ["ci", "--x", "5", "--n", "50"])
+        assert (code, json.loads(out)["x"]) == (0, 5)
+        with pytest.raises(SystemExit) as exit_info:
+            main([*audit, "--no-such-flag"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, audit)
+        assert code == 0
+        assert len(built) == first_build
+
+        defaults = {"alpha": 0.05, "ci_level": 0.95, "ci_method": "clopper_pearson",
+                    "ground_truth_provided": True, "overall_kappa_mode": "pooled",
+                    "yates": False}
+        assert json.loads(a.read_text())["config"] == {**defaults, "yates": True}
+        assert json.loads(b.read_text())["config"] == {
+            **defaults, "overall_kappa_mode": "mean_of_questions"}
+        assert json.loads(out)["config"] == defaults
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_in_process_leaks_no_descriptor(tmp_path, monkeypatch):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            assert main(["ci", "--x", "5", "--n", "50"]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestOutputFile:

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewaudit import ConvergenceError
+from reviewaudit import ConvergenceError, special
 from reviewaudit.special import (
     chi_square_upper_tail,
     f_upper_tail,
@@ -178,6 +178,66 @@ class TestIncompleteBeta:
     def test_domain(self, x, a, b):
         with pytest.raises(ValueError):
             regularized_incomplete_beta(x, a, b)
+
+
+def _uncached_beta(x, a, b):
+    """I_x(a, b) as the kernel computes it, with log B(a, b) written out."""
+    a, b = float(a), float(b)
+    front = math.exp(
+        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * special._beta_cf(x, a, b) / a
+    return 1.0 - front * special._beta_cf(1.0 - x, b, a) / b
+
+
+class TestLogBetaCache:
+    """The cached log-Beta normaliser changes no float of the kernel."""
+
+    _SHAPES = st.one_of(st.integers(min_value=1, max_value=10**7),
+                        st.floats(min_value=1e-3, max_value=1e7))
+
+    def _same_as_uncached(self, x, a, b, expected):
+        if expected is ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                regularized_incomplete_beta(x, a, b)
+        else:
+            assert regularized_incomplete_beta(x, a, b) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           _SHAPES, _SHAPES)
+    def test_bit_equal_cold_warm_and_evicted(self, x, a, b):
+        cache = special._log_beta
+        try:
+            expected = _uncached_beta(x, a, b)
+        except ConvergenceError:
+            expected = ConvergenceError
+        cache.cache_clear()
+        self._same_as_uncached(x, a, b, expected)  # cold
+        self._same_as_uncached(x, a, b, expected)  # warm
+        cache.cache_clear()
+        cache(a, b)  # warmed with the shapes as given, as estimation's density does
+        self._same_as_uncached(x, a, b, expected)
+        maxsize = cache.cache_info().maxsize
+        for k in range(maxsize):
+            cache(float(k) + 0.5, 2.0e7)  # evicts (a, b): no drawn shape reaches 2e7
+        misses = cache.cache_info().misses
+        self._same_as_uncached(x, a, b, expected)
+        assert cache.cache_info().misses == misses + 1
+
+    def test_cache_is_bounded(self):
+        assert special._log_beta.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
+                                      (1.0, math.nan), (10**400, 2), (math.inf, 1.0)])
+    def test_rejected_shapes_stay_out_of_the_cache(self, a, b):
+        regularized_incomplete_beta(0.3, 2.0, 5.0)
+        size = special._log_beta.cache_info().currsize
+        with pytest.raises(ValueError):
+            regularized_incomplete_beta(0.3, a, b)
+        assert special._log_beta.cache_info().currsize == size
 
 
 class TestTails:
