@@ -150,9 +150,9 @@ def _cmd_regress(args, out: IO[str]) -> int:
 
 
 def _cmd_did(args, out: IO[str]) -> int:
-    with _csv_reader(args.input, ()) as reader:
-        header = reader.fieldnames
-    if "outcome" in header:
+    with _csv_reader(args.input, ()) as (_, header):
+        outcome_panel = "outcome" in header
+    if outcome_panel:
         did_input = _did_panel(args.input, args.change_period)
     else:
         if not args.ground_truth:

@@ -15,13 +15,16 @@ top-level schema_version field.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import io
 import json
+import os
+import stat
 from dataclasses import dataclass, fields, is_dataclass
 from collections import deque
-from itertools import islice, tee
+from itertools import chain, islice, tee
 from operator import itemgetter
 from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence
 
@@ -113,14 +116,31 @@ def _csv_errors(reader) -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def _csv_reader(source: str | IO[str], required: Sequence[str]) -> Iterator[csv.DictReader]:
-    """A dict reader over source whose header names every required column;
-    csv module errors in the block are raised as CsvFormatError."""
+def _csv_reader(
+    source: str | IO[str], required: Sequence[str]
+) -> Iterator[tuple[Iterator[list[str]], list[str]]]:
+    """A csv reader past a header row that names every required column, and
+    that header; csv module errors in the block are raised as CsvFormatError."""
     with _open_source(source) as stream:
-        reader = csv.DictReader(stream)
-        with _csv_errors(reader.reader):  # its own line_num lags on an error
-            _check_header(reader.fieldnames, required)
-            yield reader
+        reader = csv.reader(stream)
+        with _csv_errors(reader):
+            header = next(reader, None)
+            _check_header(header, required)
+            yield reader, header
+
+
+def _named_rows(reader: Iterator[list[str]], header: Sequence[str],
+                columns: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """The named columns of each non-blank row, read as csv.DictReader reads
+    them: a repeated header name means its last column, and a field the row
+    lacks is blank."""
+    position = {name: i for i, name in enumerate(header)}
+    indices = [position[column] for column in columns]
+    get, width = itemgetter(*indices), max(indices) + 1
+    for row in filter(None, reader):
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        yield get(row)
 
 
 # Rows are read and written in batches of this many, so only one batch of
@@ -144,15 +164,16 @@ def _parses_as_int(value: str) -> bool:
     return True
 
 
-def _check_row(row: Sequence[str], line: int, position: Mapping[str, int]) -> None:
+def _check_row(row: Sequence[str], line: int, position: Mapping[str, int],
+               required: Sequence[str]) -> None:
     """Raise for a row's first bad field: an empty required column, in
-    REQUIRED_FIELDS order, then an unparseable period."""
+    required order, then an unparseable period."""
 
     def value(column: str) -> str:
         i = position.get(column)
         return row[i] if i is not None and i < len(row) else ""
 
-    for column in REQUIRED_FIELDS:
+    for column in required:
         if not is_label(value(column)):
             raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
     period = value("period").strip()
@@ -162,31 +183,57 @@ def _check_row(row: Sequence[str], line: int, position: Mapping[str, int]) -> No
         )
 
 
-def _read_review_csv(
-    stream: IO[str], group: bool = False
-) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
-    """Parse a review CSV straight into code columns, and the group column's
-    codes and labels when group is set.
+def _valid(name: str, values: Iterable[str], required: Sequence[str]) -> bool:
+    """Whether raw values of the named column all pass _check_row."""
+    if name in required:
+        return all(map(is_label, values))
+    if name == "period":
+        return all(map(_parses_as_int, filter(str.strip, values)))
+    return True
 
-    Rows are read as csv.DictReader reads them: blank lines are skipped,
-    missing trailing fields read as empty, extra fields are ignored and a
-    repeated header name means its last column. Values are stripped; team
-    and period may be blank. Errors name the offending column and file line.
-    """
+
+def _review_layout(
+    header: Sequence[str] | None, group: bool
+) -> tuple[dict[str, int], tuple[str, ...], dict[str, ColumnCoder]]:
+    """The header's column positions, the columns that must hold a label
+    (the group column too when group is set), and a coder per column read."""
+    _check_header(header, REQUIRED_FIELDS)
+    position = {name: i for i, name in enumerate(header)}
+    if group and "group" not in position:
+        raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
+    extra = ("group",) if group else ()
+    names = [name for name in FIELDS + extra if name in position]
+    return position, REQUIRED_FIELDS + extra, {name: ColumnCoder(name in _LABELS) for name in names}
+
+
+def _finish(
+    coders: Mapping[str, ColumnCoder]
+) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
+    """The records coded so far, and the group column's codes and labels
+    when it was read."""
+    n_rows = sum(map(len, coders[REQUIRED_FIELDS[0]].parts))
+    coded = [
+        coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
+        else (np.zeros(n_rows, np.int32), (None,))
+        for name in FIELDS
+    ]
+    groups = coders["group"].finish(str.strip) if "group" in coders else None
+    return RecordColumns(*zip(*coded)), groups
+
+
+def _read_csv_stream(
+    stream: IO[str], group: bool
+) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
+    """_read_review_csv by the csv module, _BATCH rows at a time."""
     # replay holds the raw lines of the batch being read, so that the file
     # line of a bad row is found by parsing them again, only on error.
     lines, replay = tee(stream)
     reader = csv.reader(lines)
     with _csv_errors(reader):
         header = next(reader, None)
-    _check_header(header, REQUIRED_FIELDS)
-    position = {name: i for i, name in enumerate(header)}
-    if group and "group" not in position:
-        raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
-    names = [name for name in FIELDS + (("group",) if group else ()) if name in position]
-    coders = {name: ColumnCoder(name in _LABELS) for name in names}
-    getters = [(name, coders[name], itemgetter(position[name])) for name in names]
-    width = max(position[name] for name in names) + 1
+    position, required, coders = _review_layout(header, group)
+    getters = [(name, coder, itemgetter(position[name])) for name, coder in coders.items()]
+    width = max(position[name] for name in coders) + 1
 
     def code(rows: list[list[str]]) -> bool:
         """Code a batch; False if a field may be bad."""
@@ -194,11 +241,7 @@ def _read_review_csv(
             rows = [row + [""] * (width - len(row)) for row in rows]
         ok = True
         for name, coder, get in getters:
-            new = coder.add(map(get, rows), len(rows))
-            if name in REQUIRED_FIELDS:
-                ok = ok and all(map(is_label, new))
-            elif name == "period":
-                ok = ok and all(map(_parses_as_int, filter(str.strip, new)))
+            ok = _valid(name, coder.add(map(get, rows), len(rows)), required) and ok
         return ok
 
     def check_batch() -> None:
@@ -206,7 +249,7 @@ def _read_review_csv(
         again = csv.reader(islice(replay, reader.line_num - read))
         with contextlib.suppress(csv.Error):  # the caller's error is raised after
             for row in filter(None, again):
-                _check_row(row, read + again.line_num, position)
+                _check_row(row, read + again.line_num, position, required)
 
     nonblank = filter(None, reader)
     read = reader.line_num  # lines before the batch, dropped from replay
@@ -224,15 +267,176 @@ def _read_review_csv(
             read = reader.line_num
             if len(batch) < _BATCH:
                 break
+    return _finish(coders)
 
-    n_rows = sum(map(len, coders[REQUIRED_FIELDS[0]].parts))
-    coded = [
-        coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
-        else (np.zeros(n_rows, np.int32), (None,))
-        for name in FIELDS
-    ]
-    groups = coders["group"].finish(str.strip) if group else None
-    return RecordColumns(*zip(*coded)), groups
+
+# A regular file is read in blocks of this many bytes, each cut after its
+# last line end, so that one block's arrays are held at a time.
+_BLOCK = 1 << 16
+# A column with a field over 8 bytes in a block is gathered at its longest
+# field's width only while that takes at most this many times the block's
+# bytes; past that the file goes to the csv path.
+_GATHER_LIMIT = 4
+
+
+class _NotPlain(Exception):
+    """The file fails a check of the block reader; the csv path reads it."""
+
+
+def _count_plain_lines(file: IO[bytes]) -> int:
+    """The file's LFs, counted in one pass that also checks every byte the
+    block reader cannot read: a quote, a NUL or a CR outside CRLF raises
+    _NotPlain, so that such a file goes to the csv path before any coding."""
+    lines = 0
+    for chunk in iter(lambda: file.read(_BLOCK), b""):
+        if chunk.endswith(b"\r"):
+            chunk += file.read(1)  # a CRLF is counted within one chunk
+        if b'"' in chunk or b"\0" in chunk or (
+                b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+            raise _NotPlain
+        lines += chunk.count(b"\n")
+    return lines
+
+
+def _plain_blocks(file: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of a file that _count_plain_lines passed, as blocks of whole
+    lines, each ending in LF: CRLF is read as LF, and a last line without
+    an end gets one. A line longer than _BLOCK raises _NotPlain, and bytes
+    that are not UTF-8 raise UnicodeDecodeError, in any column."""
+    rest = b""
+    while True:
+        chunk = file.read(_BLOCK)
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        block, rest = data[:cut], data[cut:]
+        if len(rest) > _BLOCK:
+            raise _NotPlain
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n")
+        if not block.isascii():
+            block.decode()
+        if block:
+            yield block if block.endswith(b"\n") else block + b"\n"
+        if not chunk:
+            return
+
+
+# _WORD_MASKS[n] keeps the first n bytes of a little-endian uint64.
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+
+
+def _field_keys(buffer: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One key per field, equal for equal bytes: the bytes zero-padded to 8
+    and read as a uint64, or, when a field is longer, zero-padded to the
+    longest as S<width>. buffer ends in at least 8 zero bytes; the data holds
+    no NUL, so the padding cannot make two fields equal."""
+    width = int(lengths.max())
+    if width <= 8:
+        words = np.ndarray((len(buffer) - 7,), "<u8", buffer, strides=(1,))
+        return words[starts] & _WORD_MASKS[lengths]
+    if len(starts) * width > _GATHER_LIMIT * len(buffer):
+        raise _NotPlain
+    padded = np.frombuffer(buffer + bytes(width), np.uint8)
+    fields = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    fields[np.arange(width) >= lengths[:, None]] = 0
+    return fields.view(f"S{width}").ravel()
+
+
+def _code_block(block: bytes, width: int, row: int,
+                columns: Sequence[tuple[str, int, np.ndarray, list[str]]],
+                required: Sequence[str]) -> int:
+    """Code a block's rows from row on, and return the row after them. Each
+    of columns is (name, position, codes, values): codes[row:] get indices
+    into values, to which the block's distinct fields are added. Blank
+    lines are skipped. Raises _NotPlain unless every other line has width
+    fields, no field is over the csv module's size limit, every field
+    passes _check_row and the rows fit."""
+    data = np.frombuffer(block, np.uint8)
+    line_ends = data == ord("\n")
+    lines = np.flatnonzero(line_ends)
+    blank = lines[np.diff(lines, prepend=-1) == 1]
+    if len(blank):  # blank lines, which the csv path skips too
+        return _code_block(np.delete(data, blank).tobytes(), width, row, columns, required)
+    if not len(lines):
+        return row
+    buffer = block + bytes(8)
+    ends = np.flatnonzero(line_ends | (data == ord(",")))
+    if len(ends) != width * len(lines) or not np.array_equal(ends[width - 1::width], lines):
+        raise _NotPlain  # a ragged line
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    if lengths.max() > csv.field_size_limit():
+        raise _NotPlain
+    end = row + len(lines)
+    for name, column, codes, values in columns:
+        if end > len(codes):
+            raise _NotPlain  # the file grew after its lines were counted
+        at, size = starts[column::width], lengths[column::width]
+        _, first, inverse = np.unique(_field_keys(buffer, at, size),
+                                      return_index=True, return_inverse=True)
+        new = [block[i:i + n].decode() for i, n in zip(at[first].tolist(), size[first].tolist())]
+        if not _valid(name, new, required):
+            raise _NotPlain
+        codes[row:end] = inverse + len(values)
+        values += new
+    return end
+
+
+def _read_plain_file(
+    path: str, group: bool
+) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None] | None:
+    """_read_review_csv of a regular file read by blocks with numpy, without
+    an object per row or field; None when a check fails, for the csv path."""
+    try:
+        # Only a regular file is opened here: a pipe opened and closed unread
+        # would lose what its writer sent, and the csv path opens it again.
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as file:
+            # Lines are counted first, so that each column's codes fill one
+            # array and nothing made per block outlives the block: small
+            # arrays kept per block fragment the heap and raise peak RSS.
+            bound = 1 + _count_plain_lines(file)
+            file.seek(0)
+            blocks = _plain_blocks(file)
+            head, _, first = next(blocks, b"").removeprefix(codecs.BOM_UTF8).partition(b"\n")
+            header = head.decode().split(",")
+            if max(map(len, header)) > csv.field_size_limit():
+                return None
+            position, required, coders = _review_layout(header, group)
+            columns = [(name, position[name], np.empty(bound, np.int32), []) for name in coders]
+            rows = 0
+            for block in chain((first,), blocks):
+                rows = _code_block(block, len(header), rows, columns, required)
+    except (_NotPlain, CsvFormatError, UnicodeDecodeError, OSError):
+        return None
+    if not rows:
+        return None
+    while columns:  # popped, so each array is freed once its coder has the codes
+        name, _, codes, values = columns.pop()
+        coders[name].add_codes(codes[:rows], values)
+    return _finish(coders)
+
+
+def _read_review_csv(
+    source: str | IO[str], group: bool = False
+) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
+    """Parse a review CSV straight into code columns, and the group column's
+    codes and labels when group is set.
+
+    Rows are read as csv.DictReader reads them: blank lines are skipped,
+    missing trailing fields read as empty, extra fields are ignored and a
+    repeated header name means its last column. Values are stripped; team
+    and period may be blank. Errors name the offending column and file line.
+
+    A path may first be tried by _read_plain_file (see ingest_csv).
+    """
+    if isinstance(source, str):
+        read = _read_plain_file(source, group)
+        if read is not None:
+            return read
+    with _open_source(source) as stream:
+        return _read_csv_stream(stream, group)
 
 
 def ingest_csv(source: str | IO[str]) -> RecordColumns:
@@ -243,9 +447,14 @@ def ingest_csv(source: str | IO[str]) -> RecordColumns:
     (integer). Errors name the offending column and file line. The result
     is a RecordColumns: a sequence of ReviewRecord held as code columns,
     which validate_dataset keeps without making a record object per row.
+
+    A path to a regular file that holds no quote, NUL or lone CR, whose
+    lines are each under 64 KiB and, blank ones aside, have the header's
+    field count, is read in 64 KiB blocks with numpy. A file that fails one of these checks is read from
+    its start by the csv module, so both routes give identical records and
+    identical errors. A stream is always read by the csv module.
     """
-    with _open_source(source) as stream:
-        records, _ = _read_review_csv(stream)
+    records, _ = _read_review_csv(source)
     if not len(records):
         raise CsvFormatError("no data rows")
     return records
@@ -253,9 +462,8 @@ def ingest_csv(source: str | IO[str]) -> RecordColumns:
 
 def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
     """Read a review CSV with a group column into records per group, in
-    order of each group's first row."""
-    with _open_source(source) as stream:
-        records, (codes, labels) = _read_review_csv(stream, group=True)
+    order of each group's first row. A blank group is an error."""
+    records, (codes, labels) = _read_review_csv(source, group=True)
     first_rows = np.unique(codes, return_index=True)[1]
     return {
         labels[code]: records.take(np.flatnonzero(codes == code))
@@ -266,10 +474,9 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
 def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
     """Read product_id -> classification pairs. A product may repeat only
     with the same classification."""
-    with _csv_reader(source, GROUND_TRUTH_COLUMNS) as reader:
+    with _csv_reader(source, GROUND_TRUTH_COLUMNS) as (reader, header):
         truth: dict[str, str] = {}
-        for row in reader:
-            product, label = (row[column] for column in GROUND_TRUTH_COLUMNS)
+        for product, label in _named_rows(reader, header, GROUND_TRUTH_COLUMNS):
             if not (is_label(product) and is_label(label)):
                 raise CsvFormatError(f"blank ground-truth entry on row {reader.line_num}",
                                      row=reader.line_num)
@@ -339,19 +546,14 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 
 def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation."""
-    with _csv_reader(source, ("group", "period", "outcome")) as reader:
+    columns = ("group", "period", "outcome")
+    with _csv_reader(source, columns) as (reader, header):
         rows: list[tuple[str, int, float]] = []
-        for row in reader:
-            line = reader.line_num
+        for group, period, outcome in _named_rows(reader, header, columns):
             try:
-                rows.append(
-                    (
-                        (row["group"] or "").strip(),
-                        int((row["period"] or "").strip()),
-                        float((row["outcome"] or "").strip()),
-                    )
-                )
+                rows.append((group.strip(), int(period.strip()), float(outcome.strip())))
             except ValueError:
+                line = reader.line_num
                 raise CsvFormatError(
                     f"unparseable period/outcome on row {line}", row=line
                 ) from None

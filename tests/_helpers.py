@@ -1,8 +1,10 @@
-"""Shared builders for hand-made review panels."""
+"""Shared builders for hand-made review panels, and a comparable form of
+what a CSV reader returns or raises."""
 
 from __future__ import annotations
 
 from reviewaudit import ReviewRecord
+from reviewaudit.model import RecordColumns
 
 
 def rec(
@@ -33,3 +35,23 @@ def panel_from_answers(answers, classification: str = "approve") -> list[ReviewR
             for reviewer, answer in by_reviewer.items():
                 records.append(rec(product, reviewer, question, answer, classification))
     return records
+
+
+def _comparable(value):
+    """value with each RecordColumns as its code lists and label tables."""
+    if isinstance(value, RecordColumns):
+        return [codes.tolist() for codes in value.codes], value.labels
+    if isinstance(value, dict):
+        return {key: _comparable(item) for key, item in value.items()}
+    return value
+
+
+def read_outcome(reader, source) -> tuple:
+    """(comparable outcome, the result or the error) of reader(source). The
+    outcome is ("ok", result) or ("error", class, message, row, column)."""
+    try:
+        result = reader(source)
+    except Exception as exc:  # compared by class and text, then re-raised
+        return ("error", type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "column", None)), exc
+    return ("ok", _comparable(result)), result

@@ -459,6 +459,21 @@ class TestDidCommand:
         assert code == 2
         assert "row 4" in err
 
+    def test_review_format_blank_group_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "did_panel.csv"
+        panel_path.write_text(
+            "product_id,reviewer_id,question_id,answer,final_classification,period,group\n"
+            "p1,r1,q1,yes,approve,0,control\n"
+            "p2,r1,q1,yes,approve,1,treated\n"
+            "p3,r1,q1,yes,approve,1, \n"
+        )
+        truth_path = tmp_path / "truth.csv"
+        truth_path.write_text("product_id,classification\np1,approve\np2,approve\n")
+        code, out, err = run(capsys, ["did", "--input", str(panel_path), "--change-period",
+                                      "1", "--ground-truth", str(truth_path)])
+        assert (code, out) == (2, "")
+        assert err == "reviewaudit: invalid input: empty group on row 4\n"
+
     def test_review_format_without_treated_rows_exit_2(self, tmp_path, capsys):
         panel_path = tmp_path / "did_panel.csv"
         panel_path.write_text(

@@ -1,0 +1,308 @@
+"""The two routes of review CSV ingest: a regular file read by blocks with
+numpy, and the csv module, which reads streams and every file the block
+reader hands back. Both must give the same codes, label tables and
+summaries, or the same error."""
+
+import codecs
+import csv
+import io
+import os
+import threading
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reviewaudit import ReviewRecord, ingest_csv, validate_dataset
+from reviewaudit import report
+from reviewaudit.model import REQUIRED_FIELDS
+from reviewaudit.report import ingest_csv_groups, write_panel_csv
+
+from _helpers import read_outcome
+
+# Labels of one to 27 bytes, so a column holds several widths and fields on
+# both sides of the 8-byte key and of a 24-character field size limit; some
+# strip to another one.
+LABELS = ["p1", "a", "r 2", "ab", "reject", "rejected", "rejection-pending", "Zürich",
+          "中文标签", "中文标签中文标签中", "abcdefgh", "abcdefghi", " p1 ", "p1\t", "\u00a0a",
+          "a-label-over-24-bytes-long"]
+PERIODS = ["", " ", "1", " 7 ", "+3", "-2", "1_0", "0", "٣"]
+FIELD = {name: st.sampled_from(LABELS) for name in REQUIRED_FIELDS} | {
+    "period": st.sampled_from(PERIODS),
+    "team": st.sampled_from(LABELS + ["", " "]),
+    "group": st.sampled_from(["treated", "control", " treated", "Kontrollgruppe-ü"]),
+    "extra": st.sampled_from(LABELS + ["", "x" * 30]),
+}
+DAMAGE = ["blank line", "short row", "long row", "comma moved down", "quoted field",
+          "quoted comma", "quoted newline", "bare CR", "blank field", "not an integer",
+          "bad byte", "NUL"]
+
+
+def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
+    """lines with one damaged, chosen by at. A byte that is not UTF-8 is
+    written as a lone surrogate, which the file's encoder turns back into
+    that byte."""
+    lines = list(lines)
+    if kind == "blank line":
+        lines.insert(at % (len(lines) + 1), "")
+        return lines
+    if len(lines) < 2:
+        return lines
+    i = at % (len(lines) - 1)
+    fields = lines[i].split(",")
+    j = at // 7 % len(fields)
+    if kind == "short row":
+        fields.pop()
+    elif kind == "long row":
+        fields.append("x")
+    elif kind == "comma moved down":  # as many commas as lines, in the wrong place
+        fields.append("x")
+        lines[i + 1] = lines[i + 1].rsplit(",", 1)[0]
+    else:
+        fields[j] = {
+            "quoted field": f'"{fields[j]}"',
+            "quoted comma": f'"{fields[j]},x"',
+            "quoted newline": f'"{fields[j]}\n{fields[j]}"',
+            "bare CR": fields[j] + "\rx",
+            "blank field": "",
+            "not an integer": "1.5",  # a label, or a bad period
+            "bad byte": fields[j] + "\udcff",
+            "NUL": fields[j] + "\0",
+        }[kind]
+    lines[i] = ",".join(fields)
+    return lines
+
+
+def _encoded(header, lines, end: str, final_end: bool, bom: bool) -> bytes:
+    text = end.join([",".join(header)] + lines) + (end if final_end else "")
+    return (codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def csv_files(draw) -> bytes:
+    """Bytes of a review CSV: required columns in any order, some optional
+    and unread ones, CRLF or LF, a BOM, and a few damaged lines."""
+    extra = draw(st.lists(st.sampled_from(["team", "period", "group", "extra", "answer"]),
+                          max_size=3))
+    header = draw(st.permutations(list(REQUIRED_FIELDS) + extra))
+    rows = draw(st.lists(st.tuples(*(FIELD[name] for name in header)), max_size=40))
+    lines = [",".join(row) for row in rows]
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(DAMAGE), st.integers(0, 999)),
+                                  max_size=2)):
+        lines = _damaged(lines, kind, at)
+    return _encoded(header, lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()),
+                    draw(st.booleans()))
+
+
+def _summary(source):
+    return validate_dataset(ingest_csv(source)).summary
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("routes") / "input.csv"
+
+
+def _assert_routes_agree(path, data: bytes, block: int, field_limit: int | None = None):
+    """The path route and the csv module on the same file opened as a stream
+    agree on records, groups and summary, or on the error."""
+    path.write_bytes(data)
+    limit = csv.field_size_limit()
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        with mock.patch.object(report, "_BLOCK", block):
+            for reader in (ingest_csv, ingest_csv_groups, _summary):
+                on_path = read_outcome(reader, str(path))[0]
+                with open(path, encoding="utf-8-sig", newline="") as stream:
+                    on_stream = read_outcome(reader, stream)[0]
+                assert on_path == on_stream
+    finally:
+        csv.field_size_limit(limit)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=csv_files(), block=st.sampled_from([64, 256, 1 << 16]),
+       field_limit=st.sampled_from([None, 24]))
+def test_path_and_stream_routes_agree(path, data, block, field_limit):
+    _assert_routes_agree(path, data, block, field_limit)
+
+
+@pytest.mark.parametrize("kind", DAMAGE)
+def test_each_damage_on_both_routes(path, kind):
+    # One damaged line amid plain ones in a file of several blocks, so the
+    # block reader meets it after coding earlier blocks.
+    header = list(REQUIRED_FIELDS) + ["team", "period", "group"]
+    lines = [",".join((f"p{i}", f"r{i % 3}", "q1", LABELS[i % len(LABELS)],
+                       "rejection-pending", "", str(i % 2), "treated"))
+             for i in range(30)]
+    for at, end in [(700, "\n"), (700, "\r\n"), (45, "\n")]:  # a classification, a period
+        _assert_routes_agree(path, _encoded(header, _damaged(lines, kind, at), end, True, False),
+                             block=256)
+
+
+@pytest.mark.parametrize("data", [
+    # a byte that is not UTF-8 in a column ingest does not read
+    b"product_id,reviewer_id,question_id,answer,final_classification,x\np,r,q,a,c,\xff\n",
+    # and in a repeated header name's first column, which it ignores
+    b"answer,product_id,reviewer_id,question_id,answer,final_classification\n"
+    b"\xe4,p,r,q,a,c\n",
+])
+def test_routes_agree_on_unread_columns(path, data):
+    path.write_bytes(data)
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        on_stream = read_outcome(ingest_csv, stream)[0]
+    assert on_stream[:2] == ("error", UnicodeDecodeError)
+    assert read_outcome(ingest_csv, str(path))[0] == on_stream
+
+
+def test_a_file_that_grows_while_read_goes_to_the_csv_path(path, monkeypatch):
+    # The block reader counts the lines before coding them; lines appended
+    # after that do not fit, so the csv module reads the file as it is then.
+    header = ",".join(REQUIRED_FIELDS)
+    path.write_text(header + "\n" + "p1,r1,q1,a,c\n" * 20)
+    plain_blocks = report._plain_blocks
+
+    def growing(file):
+        blocks = plain_blocks(file)
+        yield next(blocks)
+        with open(path, "a") as out:
+            out.write("p2,r1,q1,a,c\n" * 20)
+        yield from blocks
+
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    monkeypatch.setattr(report, "_plain_blocks", growing)
+    records = ingest_csv(str(path))
+    assert [r.product_id for r in records] == ["p1"] * 20 + ["p2"] * 20
+
+
+def _no_csv_path(stream, group):
+    raise AssertionError("the csv module read a plain file")
+
+
+def _no_coding(*args):
+    raise AssertionError("the block reader coded a block")
+
+
+@pytest.mark.parametrize("last", ['p9,r1,q1,a,"c"', "p9,r1,q1,a,c\0", "p9,r1,q1,a,c\rx"])
+def test_bytes_the_block_reader_cannot_read_are_found_before_any_coding(path, monkeypatch,
+                                                                        last):
+    # A quote, a NUL or a bare CR on the last line of a file of many blocks
+    # sends it to the csv path after one scan of its bytes.
+    lines = [",".join(REQUIRED_FIELDS)] + ["p1,r1,q1,a,c"] * 200 + [last]
+    path.write_text("\n".join(lines) + "\n", newline="")
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        on_stream = read_outcome(ingest_csv, stream)[0]
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    monkeypatch.setattr(report, "_code_block", _no_coding)
+    assert read_outcome(ingest_csv, str(path))[0] == on_stream
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_blank_lines_take_the_block_reader(path, monkeypatch, end):
+    # Blank lines after the header, in runs, at the start of a block and at
+    # the end are skipped by the block reader as the csv path skips them.
+    lines = [",".join(REQUIRED_FIELDS), "", ""]
+    for i in range(60):
+        lines += [f"p{i},r{i % 3},q1,a,c"] + [""] * (i % 4 == 0) * (1 + i % 3)
+    path.write_bytes(end.join(lines + ["", ""]).encode())
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        on_stream = ingest_csv(stream)
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    assert ingest_csv(str(path)) == on_stream
+    assert len(on_stream) == 60
+
+
+def test_a_crlf_split_between_blocks_takes_the_block_reader(path, monkeypatch):
+    # Lines of 17 bytes after a 64-byte header put a CR last in some 64-byte
+    # read, with the LF that ends its line first in the next.
+    products = [f"p{i:04d}" for i in range(64)]
+    lines = [",".join(REQUIRED_FIELDS)] + [f"{p},r1,q1,a,c" for p in products]
+    path.write_bytes("\r\n".join(lines + [""]).encode())
+    assert ord("\r") in path.read_bytes()[63::64]
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    assert [r.product_id for r in ingest_csv(str(path))] == products
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_opened_once(tmp_path, monkeypatch):
+    # The block reader leaves a pipe unopened: opened and closed unread, it
+    # would lose what its writer sent, and a second open could wait for a
+    # writer that never comes.
+    fifo = tmp_path / "panel.fifo"
+    os.mkfifo(fifo)
+    data = ",".join(REQUIRED_FIELDS) + "\n" + "p1,r1,q1,a,c\n" * 5000
+    outcome = {}
+    opened = []
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(report, "open", counted_open, raising=False)
+
+    def write():
+        try:
+            with open(fifo, "w") as out:
+                out.write(data)
+        except OSError as exc:
+            outcome["write"] = exc
+
+    def read():
+        outcome["read"] = read_outcome(ingest_csv, str(fifo))[0]
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert opened == [str(fifo)] and "write" not in outcome
+    assert outcome["read"] == read_outcome(ingest_csv, io.StringIO(data))[0]
+
+
+def test_written_panels_take_the_block_reader(tmp_path, monkeypatch):
+    # Labels over 8 bytes, non-ASCII, of several widths in one column, in a
+    # file of several blocks with a BOM and CRLF line ends.
+    records = [
+        ReviewRecord(f"produkt-{p:05d}-ü", f"prüfer-{r}", f"frage-{q}", ["ja", "nein"][p % 2],
+                     ["zulässig", "abgelehnt-wegen-verstoß"][(p + r) % 2],
+                     ["team-süd", None][r % 2], [None, 0, 12][q % 3])
+        for p in range(400) for r in range(3) for q in range(4)
+    ]
+    stream = tmp_path / "panel.csv"
+    with open(stream, "w", encoding="utf-8-sig", newline="\r\n") as out:
+        write_panel_csv(out, [("behandelt-gruppe", records[:2400]),
+                              ("kontrolle", records[2400:])])
+    assert stream.stat().st_size > 2 * report._BLOCK
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    assert ingest_csv(str(stream)) == records
+    groups = ingest_csv_groups(str(stream))
+    assert list(groups) == ["behandelt-gruppe", "kontrolle"]
+    assert groups["kontrolle"] == records[2400:]
+
+
+def test_memory_holds_about_one_block(tmp_path):
+    # Besides the int32 code columns it returns, ingest holds one more
+    # column of codes while finishing them, and the block reader one block's
+    # arrays at a time: less than the file itself, which it never holds whole.
+    path = tmp_path / "panel.csv"
+    rows = 45 * 2700
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.write("product_id,reviewer_id,question_id,answer,final_classification,team\n")
+        out.writelines(f"p{i // 45:05d},r{i // 9 % 5},q{i % 9},a{i % 2},c{i % 3},t{i % 4}\n"
+                       for i in range(rows))
+    tracemalloc.start()
+    try:
+        records = ingest_csv(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    codes = sum(c.nbytes for c in records.codes)
+    assert len(records) == rows and codes == 7 * 4 * rows
+    assert peak - codes < 4 * rows + 16 * report._BLOCK < path.stat().st_size
+    assert np.array_equal(records.codes[0][::45], np.arange(rows // 45))

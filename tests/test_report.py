@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 
 import pytest
@@ -27,7 +28,7 @@ from reviewaudit.report import (
     run_audit,
 )
 
-from _helpers import rec
+from _helpers import read_outcome, rec
 
 
 CSV_HEADER = "product_id,reviewer_id,question_id,answer,final_classification"
@@ -37,157 +38,203 @@ def csv_stream(*rows, header=CSV_HEADER):
     return io.StringIO("\n".join([header, *rows]) + "\n")
 
 
+@pytest.fixture
+def routes(tmp_path):
+    """read(reader, stream): reader on a StringIO, and on a file holding its
+    text, which the block reader takes unless a check sends it to the csv
+    module. Both routes must return equal results or raise the same error
+    class, message, row and column; the stream's result is returned or its
+    error raised. (A text with a bare CR is left out: a file opened with
+    newline="" ends a line there, a StringIO does not.)"""
+    paths = (tmp_path / f"input{i}.csv" for i in itertools.count())
+
+    def read(reader, stream):
+        path = next(paths)
+        path.write_bytes(stream.getvalue().encode("utf-8"))
+        (on_stream, result), (on_file, _) = read_outcome(reader, stream), read_outcome(
+            reader, str(path))
+        assert on_file == on_stream
+        if on_stream[0] == "error":
+            raise result
+        return result
+
+    return read
+
+
 class TestIngestCsv:
-    def test_single_row(self):
-        records = ingest_csv(csv_stream("p1,r1,q1,yes,approve"))
+    def test_single_row(self, routes):
+        records = routes(ingest_csv, csv_stream("p1,r1,q1,yes,approve"))
         assert len(records) == 1
         assert records[0].product_id == "p1"
         assert records[0].team is None and records[0].period is None
 
-    def test_optional_columns(self):
+    def test_optional_columns(self, routes):
         stream = csv_stream(
             "p1,r1,q1,yes,approve,teamA,3",
             "p2,r1,q1,no,reject,,",
             header=CSV_HEADER + ",team,period",
         )
-        records = ingest_csv(stream)
+        records = routes(ingest_csv, stream)
         assert records[0].team == "teamA" and records[0].period == 3
         assert records[1].team is None and records[1].period is None
 
-    def test_missing_required_column_named(self):
+    def test_missing_required_column_named(self, routes):
         stream = io.StringIO("product_id,reviewer_id,question_id,final_classification\n"
                              "p1,r1,q1,approve\n")
         with pytest.raises(CsvFormatError, match="answer"):
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
 
-    def test_unparseable_period_cites_row(self):
+    def test_unparseable_period_cites_row(self, routes):
         rows = ["p%d,r1,q1,yes,approve,1" % i for i in range(5)]
         rows.append("p9,r1,q1,yes,approve,abc")
         stream = csv_stream(*rows, header=CSV_HEADER + ",period")
         with pytest.raises(CsvFormatError, match="row 7") as err:
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         assert err.value.row == 7
 
-    def test_empty_file(self):
+    def test_empty_file(self, routes):
         with pytest.raises(CsvFormatError, match="empty"):
-            ingest_csv(io.StringIO(""))
+            routes(ingest_csv, io.StringIO(""))
 
-    def test_header_only(self):
+    def test_header_only(self, routes):
         with pytest.raises(CsvFormatError, match="no data rows"):
-            ingest_csv(io.StringIO(CSV_HEADER + "\n"))
+            routes(ingest_csv, io.StringIO(CSV_HEADER + "\n"))
 
-    def test_blank_required_value_cites_row_and_column(self):
+    def test_blank_required_value_cites_row_and_column(self, routes):
         stream = csv_stream("p1,r1,q1,yes,approve", "p2,r1,,yes,approve")
         with pytest.raises(CsvFormatError, match="question_id") as err:
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         assert err.value.row == 3
 
     def test_utf8_bom_header(self, tmp_path):
+        # a plain file takes the block reader, a quoted field the csv module
         path = tmp_path / "bom.csv"
-        path.write_bytes(("\ufeff" + CSV_HEADER + "\np1,r1,q1,yes,approve\n").encode("utf-8"))
-        records = ingest_csv(str(path))
-        assert records[0].product_id == "p1"
+        for row in ["p1,r1,q1,yes,approve", '"p1",r1,q1,yes,approve']:
+            path.write_bytes(("\ufeff" + CSV_HEADER + "\n" + row + "\n").encode("utf-8"))
+            records = ingest_csv(str(path))
+            assert records[0].product_id == "p1"
 
-    def test_blank_lines_skipped_and_counted(self):
+    def test_blank_lines_skipped_and_counted(self, routes):
         stream = io.StringIO(CSV_HEADER + "\n\np1,r1,q1,yes,approve\n\n\np2,r1,q1,,approve\n")
         with pytest.raises(CsvFormatError, match="empty answer on row 6"):
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         stream = io.StringIO(CSV_HEADER + "\n\np1,r1,q1,yes,approve\n\n")
-        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes")]
+        assert list(routes(ingest_csv, stream)) == [rec("p1", "r1", "q1", "yes")]
 
-    def test_short_row_reads_missing_fields_as_empty(self):
+    def test_short_row_reads_missing_fields_as_empty(self, routes):
         stream = csv_stream("p1,r1,q1,yes", header=CSV_HEADER)
         with pytest.raises(CsvFormatError, match="empty final_classification on row 2"):
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         stream = csv_stream("p1,r1,q1,yes,approve", header=CSV_HEADER + ",team,period")
-        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes")]
+        assert list(routes(ingest_csv, stream)) == [rec("p1", "r1", "q1", "yes")]
+        # a long row then a short one: as many commas as two full rows
+        stream = csv_stream("p1,r1,q1,yes,approve,x", "p2,r1,q1,yes")
+        with pytest.raises(CsvFormatError, match="empty final_classification on row 3"):
+            routes(ingest_csv, stream)
 
-    def test_extra_fields_ignored(self):
+    def test_extra_fields_ignored(self, routes):
         stream = csv_stream("p1,r1,q1,yes,approve,teamA,4,extra,more",
                             header=CSV_HEADER + ",team,period")
-        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "yes", team="teamA", period=4)]
+        assert list(routes(ingest_csv, stream)) == [
+            rec("p1", "r1", "q1", "yes", team="teamA", period=4)]
 
-    def test_duplicated_header_takes_last_column(self):
+    def test_duplicated_header_takes_last_column(self, routes):
         stream = csv_stream("first,p1,r1,q1,yes,approve,last",
                             header="answer," + CSV_HEADER + ",answer")
-        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "last")]
+        assert list(routes(ingest_csv, stream)) == [rec("p1", "r1", "q1", "last")]
 
-    def test_first_empty_required_column_before_period(self):
+    def test_first_empty_required_column_before_period(self, routes):
         header = "final_classification,period,answer,question_id,reviewer_id,product_id"
         stream = csv_stream("approve,1,yes,q1,r1,p1", ",bad,yes,q1,r1,", header=header)
         with pytest.raises(CsvFormatError, match="empty product_id on row 3") as err:
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         assert err.value.column == "product_id"
 
-    def test_period_parsed_by_int(self):
+    def test_period_parsed_by_int(self, routes):
         stream = csv_stream("p1,r1,q1,yes,approve, 7 ", "p2,r1,q1,yes,approve,+3",
                             "p3,r1,q1,yes,approve,1_0", "p4,r1,q1,yes,approve,-2",
                             header=CSV_HEADER + ",period")
-        assert [r.period for r in ingest_csv(stream)] == [7, 3, 10, -2]
+        assert [r.period for r in routes(ingest_csv, stream)] == [7, 3, 10, -2]
 
-    def test_repeated_bad_period_cites_first_line(self):
+    def test_repeated_bad_period_cites_first_line(self, routes):
         stream = csv_stream("p1,r1,q1,yes,approve,1", "p2,r1,q1,yes,approve,1.5",
                             "p3,r1,q1,yes,approve,1.5", header=CSV_HEADER + ",period")
         with pytest.raises(CsvFormatError, match=r"unparseable period '1\.5' on row 3") as err:
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         assert (err.value.row, err.value.column) == (3, "period")
 
-    def test_quoted_newline_counts_file_lines(self):
+    def test_quoted_newline_counts_file_lines(self, routes):
         stream = csv_stream('p1,r1,q1,"two\nlines",approve', "p2,r1,q1,yes,")
         with pytest.raises(CsvFormatError, match="empty final_classification on row 4"):
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
         stream = csv_stream('p1,r1,q1,"two\nlines",approve')
-        assert list(ingest_csv(stream)) == [rec("p1", "r1", "q1", "two\nlines")]
+        assert list(routes(ingest_csv, stream)) == [rec("p1", "r1", "q1", "two\nlines")]
 
-    def test_error_after_many_rows_cites_its_line(self):
+    def test_error_after_many_rows_cites_its_line(self, routes):
         rows = [f"p{i},r1,q1,yes,approve" for i in range(5000)]
         rows.insert(4500, "")
         rows.append("p,r1,q1,,approve")
         with pytest.raises(CsvFormatError, match="empty answer on row 5003"):
-            ingest_csv(csv_stream(*rows))
+            routes(ingest_csv, csv_stream(*rows))
 
-    def test_bad_field_reported_before_a_later_malformed_row(self):
+    def test_bad_field_reported_before_a_later_malformed_row(self, routes):
         stream = csv_stream("p1,r1,q1,,approve", "p2,r1,q1,a\rb,approve")
         with pytest.raises(CsvFormatError, match="empty answer on row 2"):
-            ingest_csv(stream)
+            routes(ingest_csv, stream)
 
-    def test_values_stripped(self):
+    def test_values_stripped(self, routes):
         stream = csv_stream(" p1 , r1 ,q1,\tyes ,approve ,  ,", header=CSV_HEADER + ",team,period")
-        records = ingest_csv(stream)
+        records = routes(ingest_csv, stream)
         assert len(records) == 1
         assert records[0] == rec("p1", "r1", "q1", "yes")
         assert records[-1] == records[0]
 
-    def test_groups_split_one_parse(self):
+    def test_groups_split_one_parse(self, routes):
         stream = csv_stream("p1,r1,q1,yes,approve,treated", "p2,r1,q1,no,reject,control",
-                            "p3,r1,q1,no,reject", "p4,r1,q1,yes,approve, treated ",
+                            "p3,r1,q1,no,reject,control", "p4,r1,q1,yes,approve, treated ",
                             header=CSV_HEADER + ",group")
-        groups = report_module.ingest_csv_groups(stream)
+        groups = routes(report_module.ingest_csv_groups, stream)
         assert {g: list(records) for g, records in groups.items()} == {
             "treated": [rec("p1", "r1", "q1", "yes"), rec("p4", "r1", "q1", "yes")],
-            "control": [rec("p2", "r1", "q1", "no", "reject")],
-            "": [rec("p3", "r1", "q1", "no", "reject")],
+            "control": [rec("p2", "r1", "q1", "no", "reject"),
+                        rec("p3", "r1", "q1", "no", "reject")],
         }
         with pytest.raises(CsvFormatError, match="empty answer on row 3"):
-            report_module.ingest_csv_groups(
-                csv_stream("p1,r1,q1,yes,approve,treated", "p2,r1,q1,,approve,control",
-                           header=CSV_HEADER + ",group"))
+            routes(report_module.ingest_csv_groups,
+                   csv_stream("p1,r1,q1,yes,approve,treated", "p2,r1,q1,,approve,control",
+                              header=CSV_HEADER + ",group"))
 
-    def test_ground_truth_reader(self):
-        truth = read_ground_truth_csv(
-            io.StringIO("product_id,classification\np1,good\np2,bad\n")
-        )
+    @pytest.mark.parametrize("row, message", [
+        ("p2,r1,q1,no,reject,1", "empty group on row 3"),  # a short row's group is blank
+        ("p2,r1,q1,no,reject,1, ", "empty group on row 3"),
+        ("p2,r1,q1,no,reject,x,", "empty group on row 3"),  # before the period
+        ("p2,r1,q1,,reject,1,", "empty answer on row 3"),  # after the required fields
+    ])
+    def test_blank_group_is_an_error(self, row, message, routes):
+        stream = csv_stream("p1,r1,q1,yes,approve,1,treated", row,
+                            header=CSV_HEADER + ",period,group")
+        with pytest.raises(CsvFormatError) as err:
+            routes(report_module.ingest_csv_groups, stream)
+        assert (str(err.value), err.value.row) == (message, 3)
+        assert err.value.column == message.split()[1]
+        # ingest_csv does not read the group column
+        stream = csv_stream("p1,r1,q1,yes,approve,1,", header=CSV_HEADER + ",period,group")
+        assert len(routes(ingest_csv, stream)) == 1
+
+    def test_ground_truth_reader(self, routes):
+        truth = routes(read_ground_truth_csv,
+                       io.StringIO("product_id,classification\np1,good\np2,bad\n"))
         assert truth == {"p1": "good", "p2": "bad"}
         with pytest.raises(CsvFormatError, match="classification"):
-            read_ground_truth_csv(io.StringIO("product_id\np1\n"))
+            routes(read_ground_truth_csv, io.StringIO("product_id\np1\n"))
 
-    def test_ground_truth_conflict_cites_the_later_row(self):
+    def test_ground_truth_conflict_cites_the_later_row(self, routes):
         text = "product_id,classification\np1,good\np2,bad\n\np1, good \np1,bad\n"
         with pytest.raises(CsvFormatError) as err:
-            read_ground_truth_csv(io.StringIO(text))
+            routes(read_ground_truth_csv, io.StringIO(text))
         assert str(err.value) == "conflicting ground truth for product 'p1' on row 6: 'bad' after 'good'"
         assert (err.value.row, err.value.column) == (6, "classification")
-        exact_repeat = read_ground_truth_csv(io.StringIO(text.rsplit("p1,bad", 1)[0]))
+        exact_repeat = routes(read_ground_truth_csv, io.StringIO(text.rsplit("p1,bad", 1)[0]))
         assert exact_repeat == {"p1": "good", "p2": "bad"}
 
     @pytest.mark.parametrize("reader, text, message", [
@@ -198,9 +245,9 @@ class TestIngestCsv:
         (read_outcome_panel_csv, "group,value\ntreated,1\n",
          "missing required column(s): period, outcome"),
     ])
-    def test_header_errors_name_every_missing_column(self, reader, text, message):
+    def test_header_errors_name_every_missing_column(self, reader, text, message, routes):
         with pytest.raises(CsvFormatError) as err:
-            reader(io.StringIO(text))
+            routes(reader, io.StringIO(text))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("reader, header, rows", [
@@ -208,11 +255,11 @@ class TestIngestCsv:
         (read_ground_truth_csv, "product_id,classification", ("p1,good", "p2,{}")),
         (read_outcome_panel_csv, "group,period,outcome", ("treated,0,0.5", "{},1,0.25")),
     ])
-    def test_oversize_field_cites_its_line(self, reader, header, rows):
+    def test_oversize_field_cites_its_line(self, reader, header, rows, routes):
         # the csv module refuses a field over 131,072 characters
         text = "\n".join([header, "", rows[0], rows[1].format("x" * 200_000)]) + "\n"
         with pytest.raises(CsvFormatError, match="^malformed CSV on row 4: field larger") as err:
-            reader(io.StringIO(text))
+            routes(reader, io.StringIO(text))
         assert err.value.row == 4
 
     @pytest.mark.parametrize("reader", [ingest_csv, read_ground_truth_csv, read_outcome_panel_csv])
@@ -221,15 +268,13 @@ class TestIngestCsv:
             reader(io.StringIO("product_id,a\rb\n"))
         assert err.value.row == 1
 
-    def test_outcome_panel_reader(self):
-        rows = read_outcome_panel_csv(
-            io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,1,0.25\n")
-        )
+    def test_outcome_panel_reader(self, routes):
+        rows = routes(read_outcome_panel_csv,
+                      io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,1,0.25\n"))
         assert rows == [("treated", 0, 0.5), ("control", 1, 0.25)]
         with pytest.raises(CsvFormatError, match="row 3"):
-            read_outcome_panel_csv(
-                io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,x,1\n")
-            )
+            routes(read_outcome_panel_csv,
+                   io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,x,1\n"))
 
 
 def _team_panel(n_teams=2, n_products=8):
@@ -267,39 +312,39 @@ class TestIngestAtBatchBoundary:
     batch = report_module._BATCH
 
     @pytest.mark.parametrize("bad_row", [report_module._BATCH - 1, report_module._BATCH])
-    def test_bad_field_either_side_of_the_boundary(self, bad_row):
+    def test_bad_field_either_side_of_the_boundary(self, bad_row, routes):
         rows = _rows(self.batch + 10)
         rows[bad_row] = "p,r1,q1,,approve"
         with pytest.raises(CsvFormatError, match=f"empty answer on row {bad_row + 2}$") as err:
-            ingest_csv(csv_stream(*rows))
+            routes(ingest_csv, csv_stream(*rows))
         assert err.value.row == bad_row + 2
 
-    def test_bad_period_in_the_second_batch(self):
+    def test_bad_period_in_the_second_batch(self, routes):
         rows = [row + ",1" for row in _rows(self.batch + 10)]
         rows[self.batch + 3] = "p,r1,q1,yes,approve,x"
         with pytest.raises(CsvFormatError, match=f"unparseable period 'x' on row {self.batch + 5}$"):
-            ingest_csv(csv_stream(*rows, header=CSV_HEADER + ",period"))
+            routes(ingest_csv, csv_stream(*rows, header=CSV_HEADER + ",period"))
 
-    def test_blank_rows_straddling_the_boundary(self):
+    def test_blank_rows_straddling_the_boundary(self, routes):
         rows = _rows(self.batch + 10)
         rows[self.batch:self.batch] = ["", ""]  # after the last row of the first batch
         rows[self.batch + 2] = "p,r1,q1,yes,"
         with pytest.raises(CsvFormatError,
                            match=f"empty final_classification on row {self.batch + 4}$"):
-            ingest_csv(csv_stream(*rows))
+            routes(ingest_csv, csv_stream(*rows))
         rows[self.batch + 2] = "p,r1,q1,yes,approve"
-        assert len(ingest_csv(csv_stream(*rows))) == self.batch + 10
+        assert len(routes(ingest_csv, csv_stream(*rows))) == self.batch + 10
 
-    def test_multiline_field_straddling_the_boundary(self):
+    def test_multiline_field_straddling_the_boundary(self, routes):
         rows = _rows(self.batch + 10)
         rows[self.batch - 1] = 'p,r1,q1,"two\nlines",approve'  # last row of the first batch
         rows[self.batch] = "p,r1,,yes,approve"
         with pytest.raises(CsvFormatError, match=f"empty question_id on row {self.batch + 3}$"):
-            ingest_csv(csv_stream(*rows))
+            routes(ingest_csv, csv_stream(*rows))
         rows[self.batch - 1] = 'p,r1,q1,"two\nlines",'  # a bad row that spans two lines
         with pytest.raises(CsvFormatError,
                            match=f"empty final_classification on row {self.batch + 2}$"):
-            ingest_csv(csv_stream(*rows))
+            routes(ingest_csv, csv_stream(*rows))
 
     def test_bad_field_then_malformed_row_in_one_batch(self):
         rows = _rows(self.batch + 10)
