@@ -26,7 +26,7 @@ from .errors import (
     ReviewAuditError,
     SeparationError,
 )
-from .model import CLASSIFICATION, TEAM, ReviewDataset, is_int
+from .model import ANSWER, CLASSIFICATION, TEAM, ReviewDataset, is_int
 from .special import _log_beta, normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
@@ -389,16 +389,22 @@ def _encode_units(
             raise DatasetValidationError(f"factor {q!r} is not a question in the dataset")
 
     units = dataset.units
-    # A factor named twice can never be covered by a unit's distinct answers.
-    covered = np.full(len(units.product), len(set(questions)) == len(questions))
+    # Each design column marks one answer code in one column of the
+    # unit-answer matrix; a declared level that no record uses has no code.
+    code = {label: i for i, label in enumerate(dataset.records.labels[ANSWER])}
+    positions = [dataset.questions.index(q) for q in questions]
     columns: list[str] = []
-    blocks: list[np.ndarray] = []
-    for q in questions:
+    column_positions: list[int] = []
+    column_codes: list[int] = []
+    for q, position in zip(questions, positions):
         levels = dataset.category_space[q][1:]
-        answered, indicators = dataset.unit_indicators(q, levels)
-        covered &= answered
         columns.extend(f"{q}={label}" for label in levels)
-        blocks.append(indicators)
+        column_positions.extend([position] * len(levels))
+        column_codes.extend(code.get(label, -1) for label in levels)
+    answers = dataset.unit_answers()
+    covered = (answers[:, positions] >= 0).all(axis=1)
+    # A factor named twice can never be covered by a unit's distinct answers.
+    covered &= len(set(questions)) == len(questions)
     if not covered.any():
         raise DatasetValidationError("no (product, reviewer) unit covers every factor")
 
@@ -410,8 +416,9 @@ def _encode_units(
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
 
-    design = (np.hstack([block[covered] for block in blocks]) if blocks
-              else np.zeros((len(classes), 0)))
+    # A covered unit holds a code >= 0 in every factor column. The design is
+    # laid out in C order, as the fits' floats depend on the layout.
+    design = (answers[covered][:, column_positions] == column_codes).astype(float, order="C")
     if use_team:
         teams = units.team[covered]
         if not teams.all():  # code 0 is no team

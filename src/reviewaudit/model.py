@@ -18,6 +18,7 @@ kept: a record read from a panel is made from its label tables.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -365,20 +366,14 @@ class ReviewDataset:
             basis = "ground_truth"
         return (units.classification != reference).astype(int), basis
 
-    def unit_indicators(
-        self, question: str, labels: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per unit, in sorted order: whether it has a record for the
-        question, and a 0/1 float column per label marking its answer."""
+    def unit_answers(self) -> np.ndarray:
+        """A units x questions matrix, units in sorted order and questions in
+        the order of questions: each unit's answer code to each question, or
+        -1 where it has no record for the question."""
         unit, starts = self._unit_rows
-        rows = np.flatnonzero(self.records.codes[QUESTION] == self.questions.index(question))
-        answered = np.zeros(len(starts), bool)
-        answered[unit[rows]] = True
-        column = self._answer_positions(labels)[self.records.codes[ANSWER][rows]]
-        marked = column >= 0
-        indicators = np.zeros((len(starts), len(labels)))
-        indicators[unit[rows][marked], column[marked]] = 1.0
-        return answered, indicators
+        answers = np.full((len(starts), len(self.questions)), -1, np.int32)
+        answers[unit, self.records.codes[QUESTION]] = self.records.codes[ANSWER]
+        return answers
 
     def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
         """Each answer code's position in labels, or -1."""
@@ -388,8 +383,11 @@ class ReviewDataset:
     @cached_property
     def _cells(self) -> _Cells:
         codes, n = self.records.codes, self.n_raters
-        # lexsort is stable, so each cell keeps its reviewers in sorted order
-        order = np.lexsort((codes[PRODUCT], codes[QUESTION]))
+        # The records are in (product, reviewer, question) order, so a stable
+        # sort by question alone puts them in (question, product, reviewer)
+        # order; codes in the narrowest unsigned type take numpy's radix sort.
+        question = codes[QUESTION].astype(np.min_scalar_type(len(self.questions)))
+        order = np.argsort(question, kind="stable")
         questions = codes[QUESTION][order][::n]
         return _Cells(
             product=codes[PRODUCT][order][::n],
@@ -422,12 +420,18 @@ class ReviewDataset:
         return lambda: tuple(map(labels.__getitem__, codes.tolist()))
 
 
-def _repeats(*keys: np.ndarray) -> np.ndarray:
-    """Whether each sorted row after the first repeats its predecessor's key."""
-    same = np.ones(len(keys[0]) - 1, bool)
-    for key in keys:
-        same &= key[1:] == key[:-1]
-    return same
+def _sort_order(keys: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """The stable order of rows by code columns, the first most significant,
+    as np.lexsort(keys[::-1]) gives it; sizes bounds each column's codes.
+    The columns are packed into one int64 key and sorted once, unless the
+    sizes' product reaches 2**63."""
+    if math.prod(sizes) >= 1 << 63:
+        return np.lexsort(keys[::-1])
+    packed = keys[0].astype(np.int64)
+    for key, size in zip(keys[1:], sizes[1:]):
+        packed *= size
+        packed += key
+    return np.argsort(packed, kind="stable")
 
 
 def validate_dataset(
@@ -458,11 +462,13 @@ def validate_dataset(
 
     # Sorted by (product, question, reviewer), a cell's records are adjacent,
     # and so are the repeats of a key; the sort is stable, so the smallest
-    # repeat position is the first record whose key was seen before.
-    order = np.lexsort((reviewer, question, product))
-    p, q = product[order], question[order]
-    same_cell = _repeats(p, q)
-    repeat = same_cell & _repeats(reviewer[order])
+    # repeat position is the first record whose key was seen before. It is
+    # one argsort of a packed key, in np.lexsort's order (see _sort_order).
+    order = _sort_order((product, question, reviewer),
+                        (len(products), len(questions), len(reviewers)))
+    p, q, r = product[order], question[order], reviewer[order]
+    same_cell = (p[1:] == p[:-1]) & (q[1:] == q[:-1])
+    repeat = same_cell & (r[1:] == r[:-1])
     if repeat.any():
         i = int(order[1:][repeat].min())
         raise DuplicateRecordError(
@@ -477,9 +483,13 @@ def validate_dataset(
                   for i, j in zip(p[starts[short]].tolist(), q[starts[short]].tolist())]
     if incomplete and policy == "strict":
         raise IncompleteCellError(incomplete)
-    rows = order[np.repeat(~short, sizes)]
-    del order, p, q, same_cell, repeat  # freed before the kept columns are made
-    kept = records.take(rows[np.lexsort((question[rows], reviewer[rows], product[rows]))])
+    keep = np.zeros(len(records), bool)
+    keep[order[np.repeat(~short, sizes)]] = True
+    rows = np.flatnonzero(keep)  # in input order
+    del order, p, q, r, same_cell, repeat, keep  # freed before the kept columns are made
+    rows = rows[_sort_order((product[rows], reviewer[rows], question[rows]),
+                            (len(products), len(reviewers), len(questions)))]
+    kept = records.take(rows)  # in (product, reviewer, question) order
 
     answers = kept.labels[ANSWER]
     observed: dict[str, list[str]] = {}

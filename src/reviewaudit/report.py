@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from collections import deque
 from itertools import chain, islice, tee
 from operator import itemgetter
-from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence
+from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +52,9 @@ from .simulate import DidPair
 
 SCHEMA_VERSION = 1
 GROUND_TRUTH_COLUMNS = ("product_id", "classification")
+
+# A CSV source: a path, as a str or an os.PathLike, or an open text stream.
+Source = Union[str, "os.PathLike[str]", IO[str]]
 
 
 def _fields(result) -> dict:
@@ -82,13 +85,13 @@ def _ok(result) -> dict:
 
 # --- ingestion ---------------------------------------------------------------
 
-def _open_source(source: str | IO[str]) -> ContextManager[IO[str]]:
+def _open_source(source: Source) -> ContextManager[IO[str]]:
     """A path opened for reading, or a caller's stream left open on exit.
 
     Paths are read as utf-8-sig, so a byte-order mark that a spreadsheet
     wrote is not taken for part of the first column name.
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8-sig", newline="")
     return contextlib.nullcontext(source)
 
@@ -117,7 +120,7 @@ def _csv_errors(reader) -> Iterator[None]:
 
 @contextlib.contextmanager
 def _csv_reader(
-    source: str | IO[str], required: Sequence[str]
+    source: Source, required: Sequence[str]
 ) -> Iterator[tuple[Iterator[list[str]], list[str]]]:
     """A csv reader past a header row that names every required column, and
     that header; csv module errors in the block are raised as CsvFormatError."""
@@ -342,15 +345,86 @@ def _field_keys(buffer: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.nd
     return fields.view(f"S{width}").ravel()
 
 
-def _code_block(block: bytes, width: int, row: int,
-                columns: Sequence[tuple[str, int, np.ndarray, list[str]]],
+class _BlockColumn:
+    """One column of a file read by blocks. codes[i] indexes values, the
+    column's distinct fields decoded and checked so far. keys, sorted, are
+    the field keys (see _field_keys) of some of those fields, and index
+    their positions in values, so that a field seen before is coded by one
+    search. A block whose new keys would take the table past its own row
+    count starts it afresh from its own keys, so the table holds no more
+    keys than the longest block has rows."""
+
+    def __init__(self, name: str, position: int, rows: int):
+        self.name, self.position = name, position
+        self.codes = np.empty(rows, np.int32)
+        self.values: list[str] = []
+        self.keys = np.empty(0, np.uint64)
+        self.index = np.empty(0, np.int32)
+
+    def _comparable(self, keys: np.ndarray) -> np.ndarray:
+        """keys in the key table's dtype, the table first widened if need
+        be: both become S at the larger width when either is S, a uint64
+        key read as its 8 bytes. Zero padding keeps order and equality,
+        since the data holds no NUL."""
+        table = self.keys
+        if table.dtype == keys.dtype:
+            return keys
+        width = max(table.itemsize, keys.itemsize)
+        if table.dtype.kind == "u":  # sorted again: uint64 order is not byte order
+            table = table.view("S8").astype(f"S{width}")
+            order = np.argsort(table)
+            self.keys, self.index = table[order], self.index[order]
+        elif table.itemsize < width:
+            self.keys = table.astype(f"S{width}")
+        if keys.dtype.kind == "u":
+            keys = keys.view("S8")
+        return keys.astype(f"S{width}", copy=False)
+
+    def code(self, keys: np.ndarray, block: bytes, at: np.ndarray, size: np.ndarray,
+             row: int, required: Sequence[str]) -> None:
+        """Set codes[row:] for one block's fields, given their keys and
+        their starts and lengths in block. Only fields whose keys are not in
+        the table are decoded, checked and added to values; raises
+        _NotPlain if one fails _check_row."""
+        keys = self._comparable(keys)
+        table, index = self.keys, self.index
+        codes = self.codes[row:row + len(keys)]
+        if len(table):
+            pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+            found = table[pos] == keys
+            if found.all():
+                codes[:] = index[pos]
+                return
+            missing = np.flatnonzero(~found)
+            codes[found] = index[pos[found]]
+        else:  # every key is new
+            missing = slice(None)
+        new_keys, first, inverse = np.unique(keys[missing], return_index=True,
+                                             return_inverse=True)
+        starts, lengths = at[missing][first].tolist(), size[missing][first].tolist()
+        new = [block[i:i + n].decode() for i, n in zip(starts, lengths)]
+        if not _valid(self.name, new, required):
+            raise _NotPlain
+        new_index = np.arange(len(self.values), len(self.values) + len(new), dtype=np.int32)
+        self.values += new
+        codes[missing] = new_index[inverse]
+        if len(table) + len(new_keys) > len(keys):  # afresh from this block's keys
+            used = np.zeros(len(table), bool)
+            used[pos[found]] = True
+            table, index = table[used], index[used]
+        if len(table):
+            slots = np.searchsorted(table, new_keys)
+            new_keys = np.insert(table, slots, new_keys)
+            new_index = np.insert(index, slots, new_index)
+        self.keys, self.index = new_keys, new_index
+
+
+def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColumn],
                 required: Sequence[str]) -> int:
-    """Code a block's rows from row on, and return the row after them. Each
-    of columns is (name, position, codes, values): codes[row:] get indices
-    into values, to which the block's distinct fields are added. Blank
-    lines are skipped. Raises _NotPlain unless every other line has width
-    fields, no field is over the csv module's size limit, every field
-    passes _check_row and the rows fit."""
+    """Code a block's rows from row on into each column, and return the row
+    after them. Blank lines are skipped. Raises _NotPlain unless every
+    other line has width fields, no field is over the csv module's size
+    limit, every field passes _check_row and the rows fit."""
     data = np.frombuffer(block, np.uint8)
     line_ends = data == ord("\n")
     lines = np.flatnonzero(line_ends)
@@ -368,17 +442,11 @@ def _code_block(block: bytes, width: int, row: int,
     if lengths.max() > csv.field_size_limit():
         raise _NotPlain
     end = row + len(lines)
-    for name, column, codes, values in columns:
-        if end > len(codes):
+    for column in columns:
+        if end > len(column.codes):
             raise _NotPlain  # the file grew after its lines were counted
-        at, size = starts[column::width], lengths[column::width]
-        _, first, inverse = np.unique(_field_keys(buffer, at, size),
-                                      return_index=True, return_inverse=True)
-        new = [block[i:i + n].decode() for i, n in zip(at[first].tolist(), size[first].tolist())]
-        if not _valid(name, new, required):
-            raise _NotPlain
-        codes[row:end] = inverse + len(values)
-        values += new
+        at, size = starts[column.position::width], lengths[column.position::width]
+        column.code(_field_keys(buffer, at, size), block, at, size, row, required)
     return end
 
 
@@ -404,7 +472,7 @@ def _read_plain_file(
             if max(map(len, header)) > csv.field_size_limit():
                 return None
             position, required, coders = _review_layout(header, group)
-            columns = [(name, position[name], np.empty(bound, np.int32), []) for name in coders]
+            columns = [_BlockColumn(name, position[name], bound) for name in coders]
             rows = 0
             for block in chain((first,), blocks):
                 rows = _code_block(block, len(header), rows, columns, required)
@@ -413,13 +481,13 @@ def _read_plain_file(
     if not rows:
         return None
     while columns:  # popped, so each array is freed once its coder has the codes
-        name, _, codes, values = columns.pop()
-        coders[name].add_codes(codes[:rows], values)
+        column = columns.pop()
+        coders[column.name].add_codes(column.codes[:rows], column.values)
     return _finish(coders)
 
 
 def _read_review_csv(
-    source: str | IO[str], group: bool = False
+    source: Source, group: bool = False
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
     """Parse a review CSV straight into code columns, and the group column's
     codes and labels when group is set.
@@ -431,15 +499,15 @@ def _read_review_csv(
 
     A path may first be tried by _read_plain_file (see ingest_csv).
     """
-    if isinstance(source, str):
-        read = _read_plain_file(source, group)
+    if isinstance(source, (str, os.PathLike)):
+        read = _read_plain_file(os.fspath(source), group)
         if read is not None:
             return read
     with _open_source(source) as stream:
         return _read_csv_stream(stream, group)
 
 
-def ingest_csv(source: str | IO[str]) -> RecordColumns:
+def ingest_csv(source: Source) -> RecordColumns:
     """Read long-format review records from a CSV path or stream.
 
     Required columns: product_id, reviewer_id, question_id, answer,
@@ -448,11 +516,14 @@ def ingest_csv(source: str | IO[str]) -> RecordColumns:
     is a RecordColumns: a sequence of ReviewRecord held as code columns,
     which validate_dataset keeps without making a record object per row.
 
-    A path to a regular file that holds no quote, NUL or lone CR, whose
-    lines are each under 64 KiB and, blank ones aside, have the header's
-    field count, is read in 64 KiB blocks with numpy. A file that fails one of these checks is read from
-    its start by the csv module, so both routes give identical records and
-    identical errors. A stream is always read by the csv module.
+    A path (a str or an os.PathLike) to a regular file that holds no
+    quote, NUL or lone CR, whose lines are each under 64 KiB and, blank
+    ones aside, have the header's field count, is read in 64 KiB blocks
+    with numpy; each distinct field value is decoded and checked once per
+    file, not once per block (see _BlockColumn). A file that fails one of
+    these checks is read from its start by the csv module, so both routes
+    give identical records and identical errors. A stream is always read
+    by the csv module.
     """
     records, _ = _read_review_csv(source)
     if not len(records):
@@ -460,7 +531,7 @@ def ingest_csv(source: str | IO[str]) -> RecordColumns:
     return records
 
 
-def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
+def ingest_csv_groups(source: Source) -> dict[str, RecordColumns]:
     """Read a review CSV with a group column into records per group, in
     order of each group's first row. A blank group is an error."""
     records, (codes, labels) = _read_review_csv(source, group=True)
@@ -471,7 +542,7 @@ def ingest_csv_groups(source: str | IO[str]) -> dict[str, RecordColumns]:
     }
 
 
-def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
+def read_ground_truth_csv(source: Source) -> dict[str, str]:
     """Read product_id -> classification pairs. A product may repeat only
     with the same classification."""
     with _csv_reader(source, GROUND_TRUTH_COLUMNS) as (reader, header):
@@ -492,23 +563,37 @@ def read_ground_truth_csv(source: str | IO[str]) -> dict[str, str]:
         return truth
 
 
+_QUOTE_NEEDING = ',"\r\n'  # the characters that make csv.writer quote a field
+
+
 def _quoted(value) -> str:
     """A CSV field as csv.writer writes it under QUOTE_MINIMAL: None is
     empty, and a field holding a comma, quote, CR or LF is quoted with each
     quote doubled. (csv.writer with an LF line terminator leaves a bare CR
     unquoted, which a reader then rejects.)"""
     text = "" if value is None else str(value)
-    if any(c in text for c in ',"\r\n'):
+    if any(c in text for c in _QUOTE_NEEDING):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _quoted_table(table: Sequence) -> np.ndarray:
+    """The labels of a table as _quoted writes them. The table is checked
+    as one string, so only a table that holds a comma, quote, CR or LF
+    quotes label by label."""
+    text = ["" if label is None else str(label) for label in table]
+    joined = "".join(text)
+    if any(c in joined for c in _QUOTE_NEEDING):
+        text = list(map(_quoted, text))
+    return np.array(text, object)
 
 
 def _write_rows(stream: IO[str], codes: Sequence[np.ndarray], tables: Sequence[Sequence],
                 end: str = "\n") -> None:
     """Write one CSV row per position of the code columns: each column's
     label, quoted, joined by commas, then end; one write per _BATCH rows."""
-    # A field's quoting depends on the field alone, so each label is quoted once.
-    quoted = [np.array([_quoted(label) for label in table], object) for table in tables]
+    # A field's quoting depends on the field alone, so each table is quoted once.
+    quoted = list(map(_quoted_table, tables))
     for start in range(0, len(codes[0]), _BATCH):
         cells = [table[c[start:start + _BATCH]] for c, table in zip(codes, quoted)]
         stream.write(end.join(map(",".join, zip(*cells))) + end)
@@ -540,11 +625,13 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
     in sorted order, quoted as write_panel_csv quotes."""
     products = sorted(truth)
     stream.write(",".join(GROUND_TRUTH_COLUMNS) + "\n")
-    position = np.arange(len(products))
-    _write_rows(stream, (position, position), (products, [truth[p] for p in products]))
+    # The classifications are written as codes into their distinct labels.
+    code: dict[str, int] = {}
+    classes = np.array([code.setdefault(truth[p], len(code)) for p in products], np.int64)
+    _write_rows(stream, (np.arange(len(products)), classes), (products, list(code)))
 
 
-def read_outcome_panel_csv(source: str | IO[str]) -> list[tuple[str, int, float]]:
+def read_outcome_panel_csv(source: Source) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation."""
     columns = ("group", "period", "outcome")
     with _csv_reader(source, columns) as (reader, header):

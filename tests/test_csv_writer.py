@@ -144,7 +144,11 @@ class TestStdlibBytes:
         [(None, [rec("p1", "r1", "q1", "yes")]), ("a,b", [rec("p2", "r1", "q1", "no", period=0)])],
         [("control", [rec("p1", "r1", "q1", "yes", team="t", period=1)]),
          (None, [rec("p2", "r2", "q2", "no", period=None)])],
-    ], ids=["no-panels", "empty", "empty-group", "group-with-comma", "mixed-groups"])
+        [(None, [rec("p1", "r1", "q1", "yes", "ok", team="t"),
+                 rec("p,2", "r1", "q1", 'say "no"', "o\nk", team="t,2", period=3),
+                 rec("p3", "r1", "q1", "no", "ok", period=-1)])],
+    ], ids=["no-panels", "empty", "empty-group", "group-with-comma", "mixed-groups",
+            "some-labels-quoted"])
     def test_edges(self, panels):
         assert _written(panels) == _stdlib_panel_csv(panels)
 
@@ -158,6 +162,7 @@ class TestStdlibBytes:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.dictionaries(STDLIB_LABELS, STDLIB_LABELS, max_size=10))
+    @example({"p1": "ok", "p,2": "ok", 'p"3': "fl,ag", "p4": "flag", "p5": "fl,ag"})
     def test_ground_truth(self, truth):
         stream = io.StringIO()
         write_ground_truth_csv(stream, truth)

@@ -7,6 +7,7 @@ import codecs
 import csv
 import io
 import os
+import random
 import threading
 import tracemalloc
 from unittest import mock
@@ -286,23 +287,104 @@ def test_written_panels_take_the_block_reader(tmp_path, monkeypatch):
     assert groups["kontrolle"] == records[2400:]
 
 
+def _key_table_file(kind: str) -> bytes:
+    """A plain review file whose columns stress the block reader's table of
+    field keys coded before."""
+    header = ",".join(REQUIRED_FIELDS + ("team",))
+    rows = [[f"p{i // 6:03d}", f"r{i % 3}", f"q{i // 3 % 2}", "ab"[i % 2], "ok", "t1"]
+            for i in range(600)]
+    if kind == "shuffled rows":
+        random.Random(5).shuffle(rows)
+    elif kind == "value back after blocks without it":
+        for i, row in enumerate(rows):  # t1 on the first and last rows only
+            row[5] = "t1" if i < 20 or i >= 580 else f"t{2 + i // 150}"
+    elif kind == "key width changes":
+        # Runs of rows whose keys are all up to 8 bytes, all 10, all 15 (a
+        # 15-byte key cut short to 10 bytes would equal one of those) or
+        # mixed, so that the table changes kind and width. Team's short
+        # values sort one way as bytes and the other way as uint64 keys,
+        # and its runs of 11-byte keys are followed by runs of 17.
+        for i, row in enumerate(rows):
+            k = i // 6 % 5
+            row[0] = [f"p{k}", f"product-{k:02d}", f"product-{k:02d}-more",
+                      [f"p{k}", f"product-{k:02d}", f"product-{k:02d}-more"][i % 3]][i // 40 % 4]
+            row[5] = [["t1", "u0"][i % 2], "team-over-8", "team-over-8-bytes"][i // 50 % 3]
+    elif kind == "never repeats":
+        for i, row in enumerate(rows):
+            row[0] = f"product-{i:05d}"
+    return "\n".join([header] + [",".join(row) for row in rows]).encode() + b"\n"
+
+
+KEY_TABLE_FILES = ["shuffled rows", "value back after blocks without it", "key width changes",
+                   "never repeats"]
+
+
+@pytest.mark.parametrize("kind", KEY_TABLE_FILES)
+@pytest.mark.parametrize("block", [64, 256, 1024])
+def test_key_table_on_both_routes(path, monkeypatch, kind, block):
+    # The table holds no more keys than the longest block coded has rows.
+    data = _key_table_file(kind)
+    _assert_routes_agree(path, data, block)
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        on_stream = ingest_csv(stream)
+    code = report._BlockColumn.code
+    sizes, rows = [], [0]
+
+    def bounded(column, keys, *args):
+        code(column, keys, *args)
+        rows[0] = max(rows[0], len(keys))
+        sizes.append(len(column.keys) <= rows[0] and len(column.keys) == len(column.index))
+
+    monkeypatch.setattr(report, "_BLOCK", block)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    monkeypatch.setattr(report._BlockColumn, "code", bounded)
+    assert ingest_csv(str(path)) == on_stream
+    assert sizes and all(sizes)
+
+
+@pytest.mark.parametrize("kind", KEY_TABLE_FILES)
+def test_each_distinct_value_is_decoded_once(path, monkeypatch, kind):
+    # A column with no more distinct values than each block has rows hands
+    # its coder each value once, in whatever blocks and widths they come.
+    path.write_bytes(_key_table_file(kind))
+    added = []
+    add_codes = report.ColumnCoder.add_codes
+
+    def spy(coder, codes, values):
+        added.append(list(values))
+        return add_codes(coder, codes, values)
+
+    monkeypatch.setattr(report, "_BLOCK", 256)
+    monkeypatch.setattr(report.ColumnCoder, "add_codes", spy)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    ingest_csv(str(path))
+    few = [values for values in added if len(set(values)) <= 5]
+    assert len(few) >= 5 and all(len(set(values)) == len(values) for values in few)
+
+
 def test_memory_holds_about_one_block(tmp_path):
     # Besides the int32 code columns it returns, ingest holds one more
     # column of codes while finishing them, and the block reader one block's
     # arrays at a time: less than the file itself, which it never holds whole.
+    # So does a file whose rows are shuffled: the table of keys seen before
+    # holds no more than a block's rows, and values are decoded about once.
     path = tmp_path / "panel.csv"
     rows = 45 * 2700
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        out.write("product_id,reviewer_id,question_id,answer,final_classification,team\n")
-        out.writelines(f"p{i // 45:05d},r{i // 9 % 5},q{i % 9},a{i % 2},c{i % 3},t{i % 4}\n"
-                       for i in range(rows))
-    tracemalloc.start()
-    try:
-        records = ingest_csv(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    codes = sum(c.nbytes for c in records.codes)
-    assert len(records) == rows and codes == 7 * 4 * rows
-    assert peak - codes < 4 * rows + 16 * report._BLOCK < path.stat().st_size
-    assert np.array_equal(records.codes[0][::45], np.arange(rows // 45))
+    lines = [f"p{i // 45:05d},r{i // 9 % 5},q{i % 9},a{i % 2},c{i % 3},t{i % 4}\n"
+             for i in range(rows)]
+    for shuffled in (False, True):
+        if shuffled:
+            random.Random(0).shuffle(lines)
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            out.write("product_id,reviewer_id,question_id,answer,final_classification,team\n")
+            out.writelines(lines)
+        tracemalloc.start()
+        try:
+            records = ingest_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        codes = sum(c.nbytes for c in records.codes)
+        assert len(records) == rows and codes == 7 * 4 * rows
+        assert peak - codes < 4 * rows + 16 * report._BLOCK < path.stat().st_size
+        assert np.array_equal(records.codes[0], [int(line[1:6]) for line in lines])

@@ -1,0 +1,226 @@
+"""The record orders behind validation, the cell table and the bias design,
+checked against constructions that sort by np.lexsort or loop in Python."""
+
+import collections
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reviewaudit import DatasetValidationError, validate_dataset
+from reviewaudit import model
+from reviewaudit.errors import NonBinaryTargetError
+from reviewaudit.estimation import _encode_units
+from reviewaudit.model import (
+    ANSWER, CLASSIFICATION, PRODUCT, QUESTION, RecordColumns, _sort_order,
+)
+
+from _helpers import read_outcome, rec
+
+
+def _columns(keys, answers, sizes) -> RecordColumns:
+    """Code columns over label tables of the given sizes, some labels unused."""
+    n_products, n_reviewers, n_questions = sizes
+    product, reviewer, question = np.array(keys, np.int32).T
+    answer = np.array(answers, np.int32)
+    zeros = np.zeros(len(keys), np.int32)
+    codes = (product, reviewer, question, answer, (answer + product) % 2, zeros, zeros)
+    labels = (tuple(f"p{i}" for i in range(n_products)), tuple(f"r{i}" for i in range(n_reviewers)),
+              tuple(f"q{i}" for i in range(n_questions)), ("a", "b", "c"), ("c0", "c1"),
+              (None,), (None,))
+    return RecordColumns(codes, labels)
+
+
+def _lexsort_validation(records: RecordColumns, policy: str):
+    """What validate_dataset gives, found by np.lexsort: ("ok", kept codes,
+    kept labels, summary fields) or ("error", class, message)."""
+    records = records.compact()
+    products, reviewers, questions = records.labels[:3]
+    product, reviewer, question = records.codes[:3]
+    order = np.lexsort((reviewer, question, product))
+    keys = np.stack([product, question, reviewer])[:, order]
+    repeat = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+    if repeat.any():
+        i = int(order[1:][repeat].min())
+        return ("error", model.DuplicateRecordError,
+                str(model.DuplicateRecordError(
+                    (products[product[i]], reviewers[reviewer[i]], questions[question[i]]))))
+    size = collections.Counter(zip(product.tolist(), question.tolist()))
+    short = sorted(cell for cell, n in size.items() if n < len(reviewers))
+    incomplete = tuple((products[p], questions[q]) for p, q in short)
+    if incomplete and policy == "strict":
+        return ("error", model.IncompleteCellError, str(model.IncompleteCellError(incomplete)))
+    rows = np.array([i for i in order.tolist() if (product[i], question[i]) not in set(short)],
+                    np.int64)
+    rows = rows[np.lexsort((question[rows], reviewer[rows], product[rows]))]
+    kept = records.take(rows)
+    return ("ok", [c.tolist() for c in kept.codes], kept.labels,
+            (len(records), len(kept), len(incomplete), len(records) - len(kept), incomplete,
+             policy))
+
+
+def _validation(records: RecordColumns, policy: str):
+    outcome, result = read_outcome(lambda r: validate_dataset(r, policy=policy), records)
+    if outcome[0] == "error":
+        return outcome[:3]
+    s = result.summary
+    return ("ok", [c.tolist() for c in result.records.codes], result.records.labels,
+            (s.n_input_records, s.n_records, s.n_dropped_cells, s.n_dropped_records,
+             s.dropped_cells, s.policy))
+
+
+def _lexsort_cells(dataset) -> tuple:
+    """The cell table as two-key np.lexsort builds it."""
+    codes, n = dataset.records.codes, dataset.n_raters
+    order = np.lexsort((codes[PRODUCT], codes[QUESTION]))
+    questions = codes[QUESTION][order][::n]
+    return (codes[PRODUCT][order][::n], codes[ANSWER][order].reshape(-1, n),
+            codes[CLASSIFICATION][order].reshape(-1, n),
+            np.searchsorted(questions, np.arange(len(dataset.questions) + 1)))
+
+
+def _assert_cells(dataset) -> None:
+    for got, want in zip(dataset._cells, _lexsort_cells(dataset)):
+        np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def code_panels(draw):
+    """Records on a small (product, reviewer, question) grid in any order:
+    some keys missing, so cells fall short, and sometimes a key repeated."""
+    sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    grid = [(p, r, q) for p in range(sizes[0]) for r in range(sizes[1]) for q in range(sizes[2])]
+    keys = draw(st.lists(st.sampled_from(grid), unique=True, min_size=1, max_size=len(grid)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    answers = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
+    return _columns(keys, answers, sizes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=code_panels(), policy=st.sampled_from(model.INCOMPLETE_CELL_POLICIES))
+def test_validation_matches_a_lexsort_oracle(records, policy):
+    assert _validation(records, policy) == _lexsort_validation(records, policy)
+    dataset = read_outcome(validate_dataset, records)[1]
+    if not isinstance(dataset, Exception) and len(dataset.records):
+        _assert_cells(dataset)
+
+
+def test_sort_order_packs_keys_below_two_to_the_63(monkeypatch):
+    rng = np.random.default_rng(7)
+    keys = [rng.integers(0, n, 200).astype(np.int32) for n in (3, 5, 4)]
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: calls.append(len(k)) or lexsort(k))
+    want = lexsort(keys[::-1])
+    np.testing.assert_array_equal(_sort_order(keys, (3, 5, 4)), want)
+    assert calls == []
+    # The sizes bound the codes; a product of 2**63 or more keeps lexsort.
+    for sizes in [(2 ** 21, 2 ** 21, 2 ** 21), (3, 2 ** 62, 5), (2 ** 64, 1, 1)]:
+        np.testing.assert_array_equal(_sort_order(keys, sizes), want)
+    assert calls == [3, 3, 3]
+    np.testing.assert_array_equal(_sort_order(keys, (2 ** 21, 2 ** 21, 2 ** 21 - 1)), want)
+    assert calls == [3, 3, 3]
+
+
+def _panel(seed: int, n_products=30, n_reviewers=4, n_questions=4, missing=0.05,
+           team=True):
+    """A panel with about missing of its records left out, so cells drop;
+    the classification varies within a unit, so the majority decides."""
+    rng = random.Random(seed)
+    records = []
+    for p in range(n_products):
+        for r in range(n_reviewers):
+            for q in range(n_questions):
+                if rng.random() < missing:
+                    continue
+                records.append(rec(f"p{p:02d}", f"r{r}", f"q{q}", rng.choice("abc"[:2 + q % 2]),
+                                   rng.choice(["flag", "ok", "ok"]),
+                                   team=f"t{r % 3}" if team else None))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cells_match_the_two_key_lexsort(seed):
+    dataset = validate_dataset(_panel(seed, missing=0.08))
+    assert dataset.summary.n_dropped_cells > 0
+    _assert_cells(dataset)
+
+
+def _design_oracle(dataset, factors):
+    """_encode_units as the per-question loop built it, in plain Python over
+    dataset.records: ("ok", design rows, columns, target, labels) or
+    ("error", class, message)."""
+    questions = [f for f in factors if f != "team"]
+    for q in questions:
+        if q not in dataset.questions:
+            return ("error", DatasetValidationError,
+                    f"factor {q!r} is not a question in the dataset")
+    answers, votes, teams = {}, {}, {}
+    for r in dataset.records:
+        unit = (r.product_id, r.reviewer_id)
+        answers.setdefault(unit, {})[r.question_id] = r.answer
+        votes.setdefault(unit, collections.Counter())[r.final_classification] += 1
+        teams[unit] = r.team
+    units = sorted(answers)
+    covered = [u for u in units if len(set(questions)) == len(questions)
+               and all(q in answers[u] for q in questions)]
+    if not covered:
+        return ("error", DatasetValidationError, "no (product, reviewer) unit covers every factor")
+    target = [min(votes[u], key=lambda c: (-votes[u][c], c)) for u in covered]
+    labels = tuple(sorted(set(target)))
+    if len(labels) != 2:
+        return ("error", NonBinaryTargetError, str(NonBinaryTargetError(labels)))
+    columns, rows = [], [[] for _ in covered]
+    for q in questions:
+        for level in dataset.category_space[q][1:]:
+            columns.append(f"{q}={level}")
+            for row, u in zip(rows, covered):
+                row.append(1.0 if answers[u][q] == level else 0.0)
+    if "team" in factors:
+        if any(teams[u] is None for u in covered):
+            return ("error", DatasetValidationError,
+                    "factor 'team' requested but some units lack a team")
+        for level in sorted({teams[u] for u in covered})[1:]:
+            columns.append(f"team={level}")
+            for row, u in zip(rows, covered):
+                row.append(1.0 if teams[u] == level else 0.0)
+    return ("ok", rows, columns, [float(t == labels[1]) for t in target], labels)
+
+
+def _design(dataset, factors):
+    outcome, result = read_outcome(lambda d: _encode_units(d, factors), dataset)
+    if outcome[0] == "error":
+        return outcome[:3]
+    design, columns, target, labels = result
+    # The fits' last digits depend on the design's memory layout too.
+    assert design.dtype == np.float64 and design.flags.c_contiguous
+    assert design.shape == (len(target), len(columns))
+    return ("ok", design.tolist(), columns, target, labels)
+
+
+FACTORS = [
+    ["q0", "q1", "q2", "q3"],
+    ["q0", "q1", "q2", "q3", "team"],
+    ["q2", "team", "q0"],
+    ["team"],
+    ["q1", "q1"],  # named twice: no unit covers it
+    ["q3", "q9"],
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factors", FACTORS, ids=lambda f: "-".join(f))
+def test_design_matches_a_per_question_loop(seed, factors):
+    records = _panel(seed)
+    for declared in (None, {"q0": ["a", "b", "zz-unused"], "q2": ["b", "c", "a"]}):
+        dataset = validate_dataset(records, declared_categories=declared)
+        assert dataset.summary.n_dropped_cells > 0
+        assert _design(dataset, factors) == _design_oracle(dataset, factors)
+
+
+def test_design_without_team_labels():
+    dataset = validate_dataset(_panel(1, team=False))
+    for factors in (["q0", "team"], ["q0", "q3"]):
+        assert _design(dataset, factors) == _design_oracle(dataset, factors)

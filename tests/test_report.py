@@ -4,6 +4,7 @@ import dataclasses
 import io
 import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -21,6 +22,7 @@ from reviewaudit import report as report_module
 from reviewaudit.report import (
     AuditReport,
     emit_report,
+    ingest_csv_groups,
     parse_report,
     read_ground_truth_csv,
     read_outcome_panel_csv,
@@ -275,6 +277,26 @@ class TestIngestCsv:
         with pytest.raises(CsvFormatError, match="row 3"):
             routes(read_outcome_panel_csv,
                    io.StringIO("group,period,outcome\ntreated,0,0.5\ncontrol,x,1\n"))
+
+
+@pytest.mark.parametrize("reader, text", [
+    (ingest_csv, CSV_HEADER + ",team\np1,r1,q1,yes,ok,t\np1,r2,q1,no,ok,\n"),
+    (ingest_csv_groups, CSV_HEADER + ",group\np1,r1,q1,yes,ok,treated\np1,r1,q1,no,ok,control\n"),
+    (read_ground_truth_csv, "product_id,classification\np1,ok\np2,flag\n"),
+    (read_outcome_panel_csv, "group,period,outcome\ntreated,0,1.5\ncontrol,1,0.25\n"),
+], ids=lambda value: getattr(value, "__name__", "text"))
+def test_a_path_object_reads_as_its_str(tmp_path, monkeypatch, reader, text):
+    # A review CSV named by a Path takes the block reader, as its str does.
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    on_str = read_outcome(reader, str(path))[0]
+    assert on_str[0] == "ok"
+
+    def no_csv_path(stream, group):
+        raise AssertionError("the csv module read a plain file")
+
+    monkeypatch.setattr(report_module, "_read_csv_stream", no_csv_path)
+    assert read_outcome(reader, pathlib.Path(path))[0] == on_str
 
 
 def _team_panel(n_teams=2, n_products=8):
