@@ -221,7 +221,8 @@ def _as_design(
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Prepend the intercept column and resolve column names; the response
     (response_name in errors) must have one value per row, and there must
-    be at least as many rows as columns."""
+    be at least as many rows as columns. The design is laid out in C order
+    whatever the caller's, since the fits' last digits depend on it."""
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -239,7 +240,10 @@ def _as_design(
         raise ValueError(f"{response_name} must have length {n}")
     if n <= k:
         raise ValueError(f"need at least {k + 1} rows for {k} factors plus intercept, got {n}")
-    return np.hstack([np.ones((n, 1)), x]), y, names
+    full = np.empty((n, k + 1))
+    full[:, 0] = 1.0
+    full[:, 1:] = x
+    return full, y, names
 
 
 def _check_rank(full: np.ndarray, names: tuple[str, ...]) -> None:

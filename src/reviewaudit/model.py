@@ -14,6 +14,11 @@ array per record field, each code an index into the field's sorted label
 table, so that code order is label order and every derived input is a
 sort or a bincount over codes. Record objects given to validation are not
 kept: a record read from a panel is made from its label tables.
+
+Validation costs one O(n) order check of the (product, reviewer, question)
+keys; only records out of that order are sorted, once. Its count tables
+are bounded: at most _COUNT_CELLS cells at a time, and none where it would
+have more cells than a few per record (sparse panels are sorted instead).
 """
 
 from __future__ import annotations
@@ -100,6 +105,9 @@ class _Numbering(dict):
         return code
 
 
+_GATHER = 1 << 14  # codes gathered by one np.take in ColumnCoder.finish
+
+
 class ColumnCoder:
     """Integer codes for one column's values, added in chunks.
 
@@ -111,27 +119,35 @@ class ColumnCoder:
     def __init__(self, optional: bool = False):
         self.optional = optional
         self.index = _Numbering({None: 0} if optional else {})
-        self.parts: list[np.ndarray] = []
+        # Each chunk's codes and the table taking them to first-sight
+        # numbers (None where they are those numbers already).
+        self.parts: list[tuple[np.ndarray, np.ndarray | None]] = []
+
+    def __len__(self) -> int:
+        """The number of values added."""
+        return sum(len(codes) for codes, _ in self.parts)
 
     def add(self, values: Iterable, count: int) -> list:
         """Code a chunk of count values; returns the values not seen before."""
         index = self.index
         index.new = []
-        self.parts.append(np.fromiter(map(index.__getitem__, values), np.int32, count))
+        self.parts.append((np.fromiter(map(index.__getitem__, values), np.int32, count), None))
         return index.new
 
     def add_codes(self, codes: np.ndarray, values: Sequence) -> None:
         """Add a chunk given as codes into values, a table of the chunk's
-        values (which may repeat one)."""
+        values (which may repeat one). The codes are kept, not copied, until
+        finish()."""
         index = self.index
         lut = np.array([index.setdefault(value, len(index)) for value in values], np.int32)
-        self.parts.append(lut[codes])
+        self.parts.append((codes, lut))
 
     def finish(self, convert: Callable | None = None) -> tuple[np.ndarray, tuple]:
         """The codes and the label table; convert maps each distinct value
         other than None to its label (values converting to one label share
-        its code). The coder lets go of its chunks, so a caller that keeps
-        the coder does not keep their memory."""
+        its code). Each chunk is gathered once, through its own table
+        composed with the renumbering. The coder lets go of its chunks, so a
+        caller that keeps the coder does not keep their memory."""
         seen = list(self.index)
         if convert is not None:
             seen = [None if value is None else convert(value) for value in seen]
@@ -140,12 +156,19 @@ class ColumnCoder:
             table.insert(0, None)
         position = {label: i for i, label in enumerate(table)}
         lut = np.array([position[label] for label in seen], np.int32)
-        if not self.parts:
-            return np.zeros(0, np.int32), tuple(table)
+        out = np.empty(len(self), np.int32)
         parts, self.parts = self.parts, []
-        raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        del parts
-        return lut[raw], tuple(table)
+        start = 0
+        for codes, chunk in parts:
+            composed = lut if chunk is None else lut[chunk]
+            # np.take casts the codes to intp, so it is given _GATHER at a
+            # time. They index the table by construction; mode="raise" would
+            # check them and gather through a temporary copy of out.
+            for lo in range(0, len(codes), _GATHER):
+                part = codes[lo:lo + _GATHER]
+                np.take(composed, part, out=out[start:start + len(part)], mode="wrap")
+                start += len(part)
+        return out, tuple(table)
 
 
 class RecordColumns(Sequence[ReviewRecord]):
@@ -202,7 +225,7 @@ class RecordColumns(Sequence[ReviewRecord]):
 
     def take(self, index: np.ndarray) -> "RecordColumns":
         """The rows at the given positions, over the same label tables."""
-        return RecordColumns([c[index] for c in self.codes], self.labels)
+        return RecordColumns([np.take(c, index) for c in self.codes], self.labels)
 
     def compact(self) -> "RecordColumns":
         """The same rows, with label tables cut to the values they use."""
@@ -212,7 +235,7 @@ class RecordColumns(Sequence[ReviewRecord]):
             if i in OPTIONAL:
                 used[0] = True
             if not used.all():
-                c = (np.cumsum(used, dtype=np.int32) - 1)[c]
+                c = np.take(np.cumsum(used, dtype=np.int32) - 1, c)
                 table = tuple(compress(table, used.tolist()))
             codes.append(c)
             labels.append(table)
@@ -251,24 +274,37 @@ class _Cells(NamedTuple):
     bounds: np.ndarray  # the cells of question i are bounds[i]:bounds[i + 1]
 
 
-_COUNT_CELLS = 1 << 20  # (group, value) count cells per block in majority
+_COUNT_CELLS = 1 << 20  # the most (group, value) count cells in one table
+_CELLS_PER_ROW = 4  # a sparser product x question table is not laid out
+
+
+def _count_blocks(groups: np.ndarray, values: np.ndarray,
+                  k: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Count tables of (group, value) pairs, a block of groups at a time so
+    that no table passes _COUNT_CELLS cells (or k, if more). groups is
+    sorted and numbered from 0; values are codes in [0, k). Yields (start,
+    lo, hi, counts): rows lo:hi hold the block's groups, and counts[g - start,
+    v] is how many of them have group g and value v."""
+    n_groups = int(groups[-1]) + 1 if len(groups) else 0
+    step = max(1, _COUNT_CELLS // k)
+    starts = range(0, n_groups, step)
+    edges = np.searchsorted(groups, [*starts, n_groups]).tolist()
+    for start, lo, hi in zip(starts, edges, edges[1:]):
+        size = min(step, n_groups - start)
+        flat = groups[lo:hi] - start
+        flat *= k
+        flat += values[lo:hi]
+        yield start, lo, hi, np.bincount(flat, minlength=size * k).reshape(size, k)
 
 
 def majority(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The most frequent value of each group, a tie going to the smallest
     (argmax takes the first maximum). groups is sorted and numbered 0, 1,
-    ... with each occurring; values are codes >= 0. Groups are counted in
-    blocks, so the count table stays small however many there are."""
+    ... with each occurring; values are codes >= 0."""
+    out = np.empty(int(groups[-1]) + 1 if len(groups) else 0, np.int64)
     k = int(values.max()) + 1 if len(values) else 1
-    n_groups = int(groups[-1]) + 1 if len(groups) else 0
-    step = max(1, _COUNT_CELLS // k)
-    starts = range(0, n_groups, step)
-    edges = np.searchsorted(groups, [*starts, n_groups]).tolist()
-    out = np.empty(n_groups, np.int64)
-    for start, lo, hi in zip(starts, edges, edges[1:]):
-        size = min(step, n_groups - start)
-        flat = (groups[lo:hi] - start) * k + values[lo:hi]
-        out[start:start + size] = np.bincount(flat, minlength=size * k).reshape(size, k).argmax(1)
+    for start, _, _, counts in _count_blocks(groups, values, k):
+        out[start:start + len(counts)] = counts.argmax(1)
     return out
 
 
@@ -388,12 +424,13 @@ class ReviewDataset:
         # order; codes in the narrowest unsigned type take numpy's radix sort.
         question = codes[QUESTION].astype(np.min_scalar_type(len(self.questions)))
         order = np.argsort(question, kind="stable")
-        questions = codes[QUESTION][order][::n]
+        first = order[::n]  # each cell's first record
         return _Cells(
-            product=codes[PRODUCT][order][::n],
-            answers=codes[ANSWER][order].reshape(-1, n),
-            classifications=codes[CLASSIFICATION][order].reshape(-1, n),
-            bounds=np.searchsorted(questions, np.arange(len(self.questions) + 1)),
+            product=np.take(codes[PRODUCT], first),
+            answers=np.take(codes[ANSWER], order).reshape(-1, n),
+            classifications=np.take(codes[CLASSIFICATION], order).reshape(-1, n),
+            bounds=np.searchsorted(np.take(codes[QUESTION], first),
+                                   np.arange(len(self.questions) + 1)),
         )
 
     def _question_cells(self, question: str) -> slice:
@@ -420,18 +457,47 @@ class ReviewDataset:
         return lambda: tuple(map(labels.__getitem__, codes.tolist()))
 
 
-def _sort_order(keys: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+def _sort_order(keys: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray | None:
     """The stable order of rows by code columns, the first most significant,
     as np.lexsort(keys[::-1]) gives it; sizes bounds each column's codes.
-    The columns are packed into one int64 key and sorted once, unless the
-    sizes' product reaches 2**63."""
+    The columns are packed into one int64 key, unless the sizes' product
+    reaches 2**63 (then np.lexsort sorts them). None means the packed key
+    strictly increases: the rows are in order already, no two equal, and
+    nothing is sorted."""
     if math.prod(sizes) >= 1 << 63:
         return np.lexsort(keys[::-1])
     packed = keys[0].astype(np.int64)
     for key, size in zip(keys[1:], sizes[1:]):
         packed *= size
         packed += key
+    if (packed[1:] > packed[:-1]).all():
+        return None
     return np.argsort(packed, kind="stable")
+
+
+def _short_cells(product: np.ndarray, question: np.ndarray, n_questions: int,
+                 n_raters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows sorted by product, no (product, question, reviewer) key twice:
+    which rows lie in a (product, question) cell of fewer than n_raters rows,
+    and those cells' product and question codes in (product, question)
+    order. Where the product x question table has at most _CELLS_PER_ROW
+    cells a row, it is counted by _count_blocks in one pass; a sparser one
+    is not laid out, and the cells are found by one sort of their keys."""
+    n_products = int(product[-1]) + 1
+    if n_products * n_questions > _CELLS_PER_ROW * len(product):
+        cells, row_cell, sizes = np.unique(product.astype(np.int64) * n_questions + question,
+                                           return_inverse=True, return_counts=True)
+        short = sizes < n_raters
+        return short[row_cell], *np.divmod(cells[short], n_questions)
+    row_short = np.zeros(len(product), bool)
+    found = [(np.zeros(0, np.intp),) * 2]
+    for start, lo, hi, counts in _count_blocks(product, question, n_questions):
+        short = (counts > 0) & (counts < n_raters)
+        p, q = np.nonzero(short)
+        if len(p):
+            row_short[lo:hi] = short[product[lo:hi] - start, question[lo:hi]]
+            found.append((p + start, q))
+    return row_short, *map(np.concatenate, zip(*found))
 
 
 def validate_dataset(
@@ -449,6 +515,15 @@ def validate_dataset(
     rejected. Records may be record objects or RecordColumns (as ingest_csv
     and the simulator give); either way the dataset keeps code columns only,
     and dataset.records makes a record object only for a row that is read.
+
+    Cost: one O(n) check that the packed (product, reviewer, question) key
+    strictly increases, as it does for the simulator's and write_panel_csv's
+    records; only input out of that order takes one stable sort. Cell sizes
+    are counted in blocks of at most _COUNT_CELLS cells (cells are sorted
+    instead where the product x question table would have more than
+    _CELLS_PER_ROW cells a record), and the observed (question, answer)
+    pairs by one bincount where that table has at most a cell a record.
+    Input in order with no cell dropped keeps its columns as they are.
     """
     if policy not in INCOMPLETE_CELL_POLICIES:
         raise ValueError(f"policy must be one of {INCOMPLETE_CELL_POLICIES}, got {policy!r}")
@@ -458,44 +533,43 @@ def validate_dataset(
         raise DatasetValidationError("input records must be non-empty")
     records = records.compact()
     products, reviewers, questions = records.labels[:3]
-    product, reviewer, question = records.codes[:3]
+    columns = records.codes[:3]
 
-    # Sorted by (product, question, reviewer), a cell's records are adjacent,
-    # and so are the repeats of a key; the sort is stable, so the smallest
-    # repeat position is the first record whose key was seen before. It is
-    # one argsort of a packed key, in np.lexsort's order (see _sort_order).
-    order = _sort_order((product, question, reviewer),
-                        (len(products), len(questions), len(reviewers)))
-    p, q, r = product[order], question[order], reviewer[order]
-    same_cell = (p[1:] == p[:-1]) & (q[1:] == q[:-1])
-    repeat = same_cell & (r[1:] == r[:-1])
-    if repeat.any():
-        i = int(order[1:][repeat].min())
-        raise DuplicateRecordError(
-            (products[product[i]], reviewers[reviewer[i]], questions[question[i]])
-        )
+    # Sorted, the repeats of a key are adjacent; the sort is stable, so the
+    # smallest repeat position is the first record whose key was seen before.
+    order = _sort_order(columns, tuple(map(len, (products, reviewers, questions))))
+    if order is not None:
+        p, r, q = (np.take(c, order) for c in columns)
+        repeat = (p[1:] == p[:-1]) & (r[1:] == r[:-1]) & (q[1:] == q[:-1])
+        if repeat.any():
+            i = int(order[1:][repeat].min())
+            raise DuplicateRecordError(tuple(t[c[i]] for c, t in zip(columns, records.labels)))
+        del r, repeat
+    else:
+        p, q = columns[0], columns[2]
 
     n_raters = len(reviewers)
-    starts = np.flatnonzero(np.concatenate(([True], ~same_cell)))
-    sizes = np.diff(np.append(starts, len(order)))
-    short = sizes < n_raters
-    incomplete = [(products[i], questions[j])
-                  for i, j in zip(p[starts[short]].tolist(), q[starts[short]].tolist())]
+    drop, short_p, short_q = _short_cells(p, q, len(questions), n_raters)
+    incomplete = list(zip(map(products.__getitem__, short_p.tolist()),
+                          map(questions.__getitem__, short_q.tolist())))
     if incomplete and policy == "strict":
         raise IncompleteCellError(incomplete)
-    keep = np.zeros(len(records), bool)
-    keep[order[np.repeat(~short, sizes)]] = True
-    rows = np.flatnonzero(keep)  # in input order
-    del order, p, q, r, same_cell, repeat, keep  # freed before the kept columns are made
-    rows = rows[_sort_order((product[rows], reviewer[rows], question[rows]),
-                            (len(products), len(reviewers), len(questions)))]
-    kept = records.take(rows)  # in (product, reviewer, question) order
+    del p, q
+    if incomplete:
+        keep = np.flatnonzero(~drop)
+        order = keep if order is None else np.take(order, keep)
+    kept = records if order is None else records.take(order)  # in key order
 
     answers = kept.labels[ANSWER]
+    pair = kept.codes[QUESTION].astype(np.int64) * len(answers) + kept.codes[ANSWER]
+    n_pairs = len(questions) * len(answers)
+    if n_pairs <= len(pair):
+        pairs = np.flatnonzero(np.bincount(pair, minlength=n_pairs))
+    else:
+        pairs = np.unique(pair)
     observed: dict[str, list[str]] = {}
-    pairs = np.unique(kept.codes[QUESTION].astype(np.int64) * len(answers) + kept.codes[ANSWER])
-    for pair in pairs.tolist():
-        observed.setdefault(questions[pair // len(answers)], []).append(answers[pair % len(answers)])
+    for key in pairs.tolist():
+        observed.setdefault(questions[key // len(answers)], []).append(answers[key % len(answers)])
     categories: dict[str, tuple[str, ...]] = {}
     for q in questions:
         seen = observed.get(q, [])

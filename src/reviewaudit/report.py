@@ -214,7 +214,7 @@ def _finish(
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
     """The records coded so far, and the group column's codes and labels
     when it was read."""
-    n_rows = sum(map(len, coders[REQUIRED_FIELDS[0]].parts))
+    n_rows = len(coders[REQUIRED_FIELDS[0]])
     coded = [
         coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
         else (np.zeros(n_rows, np.int32), (None,))

@@ -326,6 +326,18 @@ class TestLogistic:
             logistic_fit([[0.0], [1.0], [2.0]], [0.0, 2.0, 1.0])
 
 
+def test_fits_do_not_depend_on_the_design_memory_order():
+    # A Fortran-ordered copy of a design gives the same floats to the last
+    # digit; the 0/1 columns are those of the bias design.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        design = rng.integers(0, 2, (400, 8)).astype(float)
+        labels = (rng.random(400) < 0.3 + 0.4 * design[:, 0]).astype(float)
+        fortran = np.asfortranarray(design)
+        assert ols_fit(fortran, labels) == ols_fit(design, labels)
+        assert logistic_fit(fortran, labels) == logistic_fit(design, labels)
+
+
 def _driven_panel(n=200):
     """qd's answer determines the classification up to 10% deterministic
     flips; qn is uncorrelated noise."""

@@ -3,6 +3,7 @@ checked against constructions that sort by np.lexsort or loop in Python."""
 
 import collections
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,24 +88,61 @@ def _assert_cells(dataset) -> None:
 
 @st.composite
 def code_panels(draw):
-    """Records on a small (product, reviewer, question) grid in any order:
-    some keys missing, so cells fall short, and sometimes a key repeated."""
+    """Records on a small (product, reviewer, question) grid: in any order,
+    or in key order as the simulator and write_panel_csv give them, with
+    some keys missing, so cells fall short, or every key present; and
+    sometimes a key repeated."""
     sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
     grid = [(p, r, q) for p in range(sizes[0]) for r in range(sizes[1]) for q in range(sizes[2])]
-    keys = draw(st.lists(st.sampled_from(grid), unique=True, min_size=1, max_size=len(grid)))
+    layout = draw(st.sampled_from(["any", "sorted", "complete"]))
+    if layout == "complete":
+        keys = list(grid)
+    else:
+        keys = draw(st.lists(st.sampled_from(grid), unique=True, min_size=1, max_size=len(grid)))
     if draw(st.booleans()) and draw(st.booleans()):
         keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    if layout != "any":
+        keys.sort()
     answers = draw(st.lists(st.integers(0, 2), min_size=len(keys), max_size=len(keys)))
     return _columns(keys, answers, sizes)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(records=code_panels(), policy=st.sampled_from(model.INCOMPLETE_CELL_POLICIES))
-def test_validation_matches_a_lexsort_oracle(records, policy):
-    assert _validation(records, policy) == _lexsort_validation(records, policy)
-    dataset = read_outcome(validate_dataset, records)[1]
+@given(records=code_panels(), policy=st.sampled_from(model.INCOMPLETE_CELL_POLICIES),
+       tables=st.sampled_from([(model._COUNT_CELLS, model._CELLS_PER_ROW), (1, 4), (5, 4),
+                               (model._COUNT_CELLS, 0)]))
+def test_validation_matches_a_lexsort_oracle(records, policy, tables):
+    # A small _COUNT_CELLS counts the cells in many blocks; with no cells a
+    # row allowed, they are found by sorting, as in a sparse panel.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_COUNT_CELLS", tables[0])
+        patch.setattr(model, "_CELLS_PER_ROW", tables[1])
+        assert _validation(records, policy) == _lexsort_validation(records, policy)
+        dataset = read_outcome(validate_dataset, records)[1]
     if not isinstance(dataset, Exception) and len(dataset.records):
         _assert_cells(dataset)
+
+
+def test_an_ordered_complete_panel_is_neither_sorted_nor_gathered(monkeypatch):
+    records = RecordColumns.from_records(_panel(0, missing=0.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an ordered, complete panel is sorted or gathered")
+
+    for name in ("argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, forbidden)
+    monkeypatch.setattr(RecordColumns, "take", forbidden)
+    dataset = validate_dataset(records)
+    assert dataset.summary.n_records == len(records) == 30 * 4 * 4
+    assert all(kept is given for kept, given in zip(dataset.records.codes, records.codes))
+    # With the last record moved to the front, one argsort puts it back.
+    monkeypatch.undo()
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(1) or argsort(*args, **kw))
+    moved = validate_dataset(RecordColumns([np.roll(c, 1) for c in records.codes], records.labels))
+    assert len(calls) == 1
+    assert all(map(np.array_equal, moved.records.codes, records.codes))
 
 
 def test_sort_order_packs_keys_below_two_to_the_63(monkeypatch):
@@ -122,6 +160,49 @@ def test_sort_order_packs_keys_below_two_to_the_63(monkeypatch):
     assert calls == [3, 3, 3]
     np.testing.assert_array_equal(_sort_order(keys, (2 ** 21, 2 ** 21, 2 ** 21 - 1)), want)
     assert calls == [3, 3, 3]
+
+
+def _traced_peak(run):
+    """run()'s result and the peak memory tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sparse_panel_validates_in_bounded_memory(monkeypatch):
+    # Every product, question and answer distinct: a product x question or
+    # question x answer table would hold 2.5e9 cells. Validation holds a few
+    # arrays of the records' size instead.
+    n = 50_000
+    rng = np.random.default_rng(11)
+    product, question = rng.permutation(n).astype(np.int32), rng.permutation(n).astype(np.int32)
+    zeros = np.zeros(n, np.int32)
+    codes = (product, zeros, question, np.arange(n, dtype=np.int32), product % 2, zeros, zeros)
+    labels = (tuple(f"p{i:05d}" for i in range(n)), ("r0",), tuple(f"q{i:05d}" for i in range(n)),
+              tuple(f"a{i:05d}" for i in range(n)), ("c0", "c1"), (None,), (None,))
+    records = RecordColumns(codes, labels)
+    dataset, peak = _traced_peak(lambda: validate_dataset(records))
+    assert peak < 64 << 20
+    assert dataset.summary.n_records == n and dataset.summary.n_dropped_cells == 0
+    assert dataset.category_space["q00007"] == (f"a{np.flatnonzero(question == 7)[0]:05d}",)
+    np.testing.assert_array_equal(dataset.records.codes[PRODUCT], np.arange(n))
+
+    # Tables whose sizes' product reaches 2**63 cannot be packed into one
+    # int64 key: the rows go through np.lexsort, in order or not.
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: calls.append(len(k)) or lexsort(k))
+    keys = (product, zeros, question)
+    order, peak = _traced_peak(lambda: _sort_order(keys, (n, 2 ** 40, 2 ** 40)))
+    assert calls == [3] and peak < 64 << 20
+    np.testing.assert_array_equal(order, np.argsort(product))
+    in_order = tuple(np.take(k, order) for k in keys)
+    np.testing.assert_array_equal(_sort_order(in_order, (n, 2 ** 40, 2 ** 40)), np.arange(n))
+    assert calls == [3, 3]
+    assert _sort_order(in_order, (n, 1, n)) is None and calls == [3, 3]
 
 
 def _panel(seed: int, n_products=30, n_reviewers=4, n_questions=4, missing=0.05,
