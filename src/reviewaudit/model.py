@@ -298,11 +298,24 @@ def _count_blocks(groups: np.ndarray, values: np.ndarray,
 
 
 def majority(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The most frequent value of each group, a tie going to the smallest
-    (argmax takes the first maximum). groups is sorted and numbered 0, 1,
-    ... with each occurring; values are codes >= 0."""
-    out = np.empty(int(groups[-1]) + 1 if len(groups) else 0, np.int64)
+    """The most frequent value of each group, a tie going to the smallest.
+    groups is sorted and numbered 0, 1, ... with each occurring; values are
+    codes >= 0. Where the (group, value) table has at most _CELLS_PER_ROW
+    cells a row, it is counted by _count_blocks (argmax takes the first
+    maximum); a sparser one is not laid out, and the pairs are counted by
+    one sort of their packed keys."""
+    n_groups = int(groups[-1]) + 1 if len(groups) else 0
     k = int(values.max()) + 1 if len(values) else 1
+    if n_groups * k > _CELLS_PER_ROW * len(groups):
+        keys, counts = np.unique(groups.astype(np.int64) * k + values, return_counts=True)
+        group, value = np.divmod(keys, k)
+        edges = np.flatnonzero(np.diff(group, prepend=-1))
+        # Runs are in (group, value) order, so a group's smallest most
+        # frequent value is in its first run of the largest count.
+        most = np.repeat(np.maximum.reduceat(counts, edges), np.diff(edges, append=len(group)))
+        first = np.flatnonzero(counts == most)
+        return value[first[np.diff(group[first], prepend=-1) != 0]]
+    out = np.empty(n_groups, np.int64)
     for start, _, _, counts in _count_blocks(groups, values, k):
         out[start:start + len(counts)] = counts.argmax(1)
     return out

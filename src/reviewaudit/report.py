@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass, fields, is_dataclass
 from collections import deque
@@ -146,9 +147,9 @@ def _named_rows(reader: Iterator[list[str]], header: Sequence[str],
         yield get(row)
 
 
-# Rows are read and written in batches of this many, so only one batch of
-# raw rows is held at a time; a small batch leaves the garbage collector few
-# live rows, and the allocator no large strings to return.
+# Rows are read in batches of this many, so only one batch of raw rows is
+# held at a time; a small batch leaves the garbage collector few live rows,
+# and the allocator no large strings to return.
 _BATCH = 512
 
 # How a column's distinct raw values become labels: stripped, and for the
@@ -563,7 +564,7 @@ def read_ground_truth_csv(source: Source) -> dict[str, str]:
         return truth
 
 
-_QUOTE_NEEDING = ',"\r\n'  # the characters that make csv.writer quote a field
+_QUOTE_NEEDING = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a field
 
 
 def _quoted(value) -> str:
@@ -572,31 +573,72 @@ def _quoted(value) -> str:
     quote doubled. (csv.writer with an LF line terminator leaves a bare CR
     unquoted, which a reader then rejects.)"""
     text = "" if value is None else str(value)
-    if any(c in text for c in _QUOTE_NEEDING):
+    if _QUOTE_NEEDING.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _quoted_table(table: Sequence) -> np.ndarray:
-    """The labels of a table as _quoted writes them. The table is checked
-    as one string, so only a table that holds a comma, quote, CR or LF
-    quotes label by label."""
+# Rows are written in batches of this many; one batch's bytes, its keep-mask
+# and its text are all that the writer holds beyond the label tables.
+_WRITE_BATCH = 4096
+
+
+def _encoded_table(table: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of a table as _quoted writes them, UTF-8 encoded into an
+    S<w> array, and each label's length in bytes. The table is checked as
+    one string, so only a table that holds a comma, quote, CR or LF quotes
+    label by label."""
     text = ["" if label is None else str(label) for label in table]
-    joined = "".join(text)
-    if any(c in joined for c in _QUOTE_NEEDING):
+    if _QUOTE_NEEDING.search("".join(text)):
         text = list(map(_quoted, text))
-    return np.array(text, object)
+    data = [label.encode() for label in text]
+    return np.array(data, np.bytes_), np.fromiter(map(len, data), np.intp, len(data))
 
 
 def _write_rows(stream: IO[str], codes: Sequence[np.ndarray], tables: Sequence[Sequence],
                 end: str = "\n") -> None:
     """Write one CSV row per position of the code columns: each column's
-    label, quoted, joined by commas, then end; one write per _BATCH rows."""
-    # A field's quoting depends on the field alone, so each table is quoted once.
-    quoted = list(map(_quoted_table, tables))
-    for start in range(0, len(codes[0]), _BATCH):
-        cells = [table[c[start:start + _BATCH]] for c, table in zip(codes, quoted)]
-        stream.write(end.join(map(",".join, zip(*cells))) + end)
+    label, quoted, joined by commas, then end; one write per _WRITE_BATCH rows.
+
+    A batch is one structured array with an S<w> field per column and one per
+    separator, so each column is filled by one np.take of its codes. Where a
+    label is shorter than its column, a keep-mask of the same layout, taken
+    from per-table mask rows, drops the padding in one compress.
+    """
+    n = len(codes[0])
+    if n == 0:
+        return
+    separators = [b","] * (len(codes) - 1) + [end.encode()]
+    layout, columns = [], []
+    for i, (c, table, separator) in enumerate(zip(codes, tables, separators)):
+        labels, lengths = _encoded_table(table)
+        width = int(lengths.max())
+        if width:  # a column of empty labels has no field, only its separator
+            # Only labels from the smallest code to the largest can occur, so a
+            # team or period table's unused None does not make a column short.
+            short = lengths[c.min():c.max() + 1].min() < width
+            mask = (np.arange(width) < lengths[:, None]).view(labels.dtype)[:, 0] if short else None
+            layout.append((f"c{i}", labels.dtype))
+            columns.append((f"c{i}", c, labels, mask))
+        layout.append((f"s{i}", f"S{len(separator)}"))
+    rows = np.empty(min(n, _WRITE_BATCH), layout)
+    for i, separator in enumerate(separators):
+        rows[f"s{i}"] = separator
+    keep = None
+    if any(mask is not None for *_, mask in columns):
+        keep = np.ones(rows.nbytes, np.uint8).view(rows.dtype)
+    for start in range(0, n, len(rows)):
+        m = min(len(rows), n - start)
+        # The codes index their tables by construction; mode="raise" would
+        # check them and gather through a temporary copy of the field.
+        for name, c, labels, mask in columns:
+            np.take(labels, c[start:start + m], out=rows[name][:m], mode="wrap")
+            if mask is not None:
+                np.take(mask, c[start:start + m], out=keep[name][:m], mode="wrap")
+        data = rows[:m].view(np.uint8)
+        if keep is not None:
+            data = data.compress(keep[:m].view(np.bool_))
+        stream.write(str(data, "utf-8"))
 
 
 def write_panel_csv(

@@ -4,12 +4,14 @@ and the stdlib csv writer's bytes wherever that writer's output reads back."""
 import csv
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reviewaudit import ReviewRecord
+from reviewaudit import ReviewRecord, SimulationConfig, inject_review_change
+from reviewaudit import report
 from reviewaudit.model import FIELDS, RecordColumns
 from reviewaudit.report import (
     _quoted,
@@ -171,3 +173,75 @@ class TestStdlibBytes:
         writer.writerow(["product_id", "classification"])
         writer.writerows(sorted(truth.items()))
         assert stream.getvalue() == expected.getvalue()
+
+
+# UTF-8 widths of 1 to 4 bytes a character, and NUL, which is a byte the
+# fixed-width batches pad with.
+WIDE_LABELS = _labels('a1,"\n éü中€😀\x00')
+
+
+def _batch_panels() -> st.SearchStrategy[list[tuple[str | None, list[ReviewRecord]]]]:
+    """Up to three panels, some empty, under named or unnamed groups."""
+    record = st.builds(
+        ReviewRecord, WIDE_LABELS, WIDE_LABELS, WIDE_LABELS, WIDE_LABELS, WIDE_LABELS,
+        st.none() | WIDE_LABELS, st.none() | st.integers(-3, 12),
+    )
+    return st.lists(st.tuples(st.none() | WIDE_LABELS, st.lists(record, max_size=12)), max_size=3)
+
+
+class TestBatches:
+    """Rows are built _WRITE_BATCH at a time from fixed-width fields; with
+    batches of a few rows, every edge falls inside the drawn panels."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_batch_panels(), st.integers(1, 5), st.booleans())
+    @example(  # widths differ within a column and a batch; team and period never None
+        [("g,1", [rec("p1", "r1", "q1", "a", "c", team="t", period=1),
+                  rec("p€2", "r1", "q10", "ü", "c,1", team="t", period=12),
+                  rec("p😀", "r2", "q1", "a", "c", team="t", period=1)])], 2, False)
+    @example([(None, [rec("p1", "r1", "q1", "a"), rec("p22", "r1", "q1", "b")])], 1, True)
+    @example([("control", []), ("a\n\"b\"", [rec("p1", "r1", "q1", "a")])], 5, False)
+    def test_panels(self, panels, batch, blank_team):
+        if blank_team:
+            panels = [(group, [dataclasses.replace(r, team=None) for r in records])
+                      for group, records in panels]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "_WRITE_BATCH", batch)
+            assert _written(panels) == _stdlib_panel_csv(panels)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.dictionaries(WIDE_LABELS, WIDE_LABELS, max_size=12), st.integers(1, 5))
+    def test_ground_truth(self, truth, batch):
+        stream = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "_WRITE_BATCH", batch)
+            write_ground_truth_csv(stream, truth)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["product_id", "classification"])
+        writer.writerows(sorted(truth.items()))
+        assert stream.getvalue() == expected.getvalue()
+
+
+def test_memory_holds_about_one_batch(tmp_path):
+    # A treated/control pair at the criterion-10 shape, four panels of
+    # 41,256 records (7.1 MB of CSV): besides the label tables, the writer
+    # holds one batch's rows, keep-mask and text at a time.
+    config = SimulationConfig.from_dict({
+        "n_products": 1528, "n_reviewers": 3, "anchoring": 0.2, "seed": 5,
+        "questions": [{"id": f"q{i + 1}", "n_categories": 2, "difficulty": 0.05 * (i + 1)}
+                      for i in range(9)],
+        "treatment": {"change_period": 1, "error_rate_delta": 0.08},
+    })
+    pair = inject_review_change(config)
+    panels = [("control", pair.control.records), ("treated", pair.treated.records)]
+    path = tmp_path / "panel.csv"
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        tracemalloc.start()
+        try:
+            write_panel_csv(stream, panels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == 1 + 4 * 1528 * 3 * 9
+    assert peak <= 2 << 20

@@ -3,6 +3,7 @@ checked against constructions that sort by np.lexsort or loop in Python."""
 
 import collections
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -305,3 +306,23 @@ def test_design_without_team_labels():
     dataset = validate_dataset(_panel(1, team=False))
     for factors in (["q0", "team"], ["q0", "q3"]):
         assert _design(dataset, factors) == _design_oracle(dataset, factors)
+
+
+def test_sparse_unit_majorities_are_sorted_not_counted():
+    # 50,000 single-record units, each with its own classification: a
+    # (unit, classification) count table would hold 2.5e9 cells.
+    n = 50_000
+    zeros, codes = np.zeros(n, np.int32), np.arange(n, dtype=np.int32)
+    records = RecordColumns(
+        (codes, zeros, zeros, zeros, codes[::-1].copy(), zeros, zeros),
+        (tuple(f"p{i:05d}" for i in range(n)), ("r0",), ("q0",), ("a",),
+         tuple(f"c{i:05d}" for i in range(n)), (None,), (None,)))
+    dataset = validate_dataset(records)
+    start = time.perf_counter()
+    units, (errors, basis) = dataset.units, dataset.unit_errors(None)
+    assert time.perf_counter() - start < 0.2
+    np.testing.assert_array_equal(units.classification, codes[::-1])
+    assert basis == "consensus" and not errors.any()
+    dataset = validate_dataset(records)
+    _, peak = _traced_peak(lambda: (dataset.units, dataset.unit_errors(None)))
+    assert peak < 12 << 20

@@ -48,7 +48,7 @@ PERIODS = (None, 1, 0)
 
 
 @st.composite
-def panels(draw):
+def panels(draw, classes=CLASSES):
     products = draw(st.lists(st.sampled_from(PRODUCTS), min_size=1, max_size=4, unique=True))
     reviewers = draw(st.lists(st.sampled_from(REVIEWERS), min_size=1, max_size=3, unique=True))
     questions = draw(st.lists(st.sampled_from(QUESTIONS), min_size=1, max_size=3, unique=True))
@@ -66,10 +66,10 @@ def panels(draw):
                 team = draw(st.sampled_from(TEAMS)) if draw(odd) else team_of[r]
                 period = draw(st.sampled_from(PERIODS)) if draw(odd) else period_of[p]
                 rows.append((p, r, q, draw(st.sampled_from(answers[q])),
-                             draw(st.sampled_from(CLASSES)), team, period))
+                             draw(st.sampled_from(classes)), team, period))
     if rows and draw(odd):
         p, r, q, *_ = draw(st.sampled_from(rows))
-        rows.append((p, r, q, draw(st.sampled_from(ANSWERS)), draw(st.sampled_from(CLASSES)),
+        rows.append((p, r, q, draw(st.sampled_from(ANSWERS)), draw(st.sampled_from(classes)),
                      None, None))
     rows = draw(st.permutations(rows))
     policy = "strict" if draw(st.integers(0, 2)) == 0 else "drop"
@@ -78,7 +78,7 @@ def panels(draw):
         # usually a superset of the observed answers, sometimes missing one
         declared = {q: answers.get(q, [])[draw(odd):] + draw(st.lists(st.sampled_from(ANSWERS)))
                     for q in draw(st.lists(st.sampled_from(QUESTIONS), max_size=2))}
-    truth = {p: draw(st.sampled_from(CLASSES)) for p in products if not draw(odd)}
+    truth = {p: draw(st.sampled_from(classes)) for p in products if not draw(odd)}
     return rows, policy, declared, truth
 
 
@@ -226,3 +226,24 @@ def test_validated_panel_matches_oracle_in_small_count_blocks(case):
     # dropped cells leave uneven in size.
     with mock.patch.object(model, "_COUNT_CELLS", 5):
         _check_case(case)
+
+
+MANY_CLASSES = CLASSES + tuple(f"c{i}" for i in range(12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(panels(MANY_CLASSES), st.sampled_from([0, 1 << 40]))
+def test_unit_majorities_match_oracle_sorted_or_counted(case, cells_per_row):
+    # With no cells a row allowed, every majority is found by sorting its
+    # (group, value) keys; with a huge allowance, by counting them.
+    rows, policy, declared, truth = case
+    panel = _outcome(validate_oracle, rows, policy, declared)
+    if isinstance(panel, tuple):
+        return
+    with mock.patch.object(model, "_CELLS_PER_ROW", cells_per_row):
+        dataset = validate_dataset([ReviewRecord(*row) for row in rows], policy, declared)
+        assert _outcome(lambda: list(_units(dataset).items())) == \
+            _outcome(lambda: list(units_oracle(panel).items()))
+        for reference in (None, truth):
+            assert _outcome(_unit_errors, dataset, reference) == \
+                _outcome(unit_errors_oracle, panel, reference)
