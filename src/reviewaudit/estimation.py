@@ -26,7 +26,7 @@ from .errors import (
     ReviewAuditError,
     SeparationError,
 )
-from .model import ANSWER, CLASSIFICATION, TEAM, ReviewDataset, is_int
+from .model import ANSWER, CLASSIFICATION, QUESTION, TEAM, ReviewDataset, is_int
 from .special import _log_beta, normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
@@ -393,24 +393,31 @@ def _encode_units(
             raise DatasetValidationError(f"factor {q!r} is not a question in the dataset")
 
     units = dataset.units
-    # Each design column marks one answer code in one column of the
-    # unit-answer matrix; a declared level that no record uses has no code.
-    code = {label: i for i, label in enumerate(dataset.records.labels[ANSWER])}
+    unit, _ = dataset._unit_rows
+    codes = dataset.records.codes
+    # A unit holds a question at most once, so it is covered when it has a
+    # record for every factor question; a factor named twice is never covered.
     positions = [dataset.questions.index(q) for q in questions]
-    columns: list[str] = []
-    column_positions: list[int] = []
-    column_codes: list[int] = []
+    factor = np.zeros(len(dataset.questions), bool)
+    factor[positions] = True
+    counted = factor[codes[QUESTION]]
+    covered = np.bincount(unit[counted], minlength=len(units.product)) == len(questions)
+    if not covered.any():
+        raise DatasetValidationError("no (product, reviewer) unit covers every factor")
+    # The covered units' factor answers, a row per unit; the records are
+    # sorted, so each row holds them in question order.
+    answers = codes[ANSWER][counted & covered[unit]].reshape(int(covered.sum()), len(questions))
+
+    # Each design column marks one answer code in one column of answers; a
+    # declared level that no record uses has no code.
+    code = {label: i for i, label in enumerate(dataset.records.labels[ANSWER])}
+    place = {position: i for i, position in enumerate(sorted(positions))}
+    columns, column_places, column_codes = [], [], []
     for q, position in zip(questions, positions):
         levels = dataset.category_space[q][1:]
         columns.extend(f"{q}={label}" for label in levels)
-        column_positions.extend([position] * len(levels))
+        column_places.extend([place[position]] * len(levels))
         column_codes.extend(code.get(label, -1) for label in levels)
-    answers = dataset.unit_answers()
-    covered = (answers[:, positions] >= 0).all(axis=1)
-    # A factor named twice can never be covered by a unit's distinct answers.
-    covered &= len(set(questions)) == len(questions)
-    if not covered.any():
-        raise DatasetValidationError("no (product, reviewer) unit covers every factor")
 
     # codes index sorted label tables, so code order is label order
     classes = units.classification[covered]
@@ -420,9 +427,8 @@ def _encode_units(
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
 
-    # A covered unit holds a code >= 0 in every factor column. The design is
-    # laid out in C order, as the fits' floats depend on the layout.
-    design = (answers[covered][:, column_positions] == column_codes).astype(float, order="C")
+    # Laid out in C order, as the fits' floats depend on the layout.
+    design = (answers[:, column_places] == column_codes).astype(float, order="C")
     if use_team:
         teams = units.team[covered]
         if not teams.all():  # code 0 is no team

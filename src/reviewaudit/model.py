@@ -17,8 +17,8 @@ kept: a record read from a panel is made from its label tables.
 
 Validation costs one O(n) order check of the (product, reviewer, question)
 keys; only records out of that order are sorted, once. Its count tables
-are bounded: at most _COUNT_CELLS cells at a time, and none where it would
-have more cells than a few per record (sparse panels are sorted instead).
+hold at most _CELLS_PER_ROW cells a record: a sparser table is not laid
+out, and its pairs are sorted instead.
 """
 
 from __future__ import annotations
@@ -274,51 +274,47 @@ class _Cells(NamedTuple):
     bounds: np.ndarray  # the cells of question i are bounds[i]:bounds[i + 1]
 
 
-_COUNT_CELLS = 1 << 20  # the most (group, value) count cells in one table
-_CELLS_PER_ROW = 4  # a sparser product x question table is not laid out
+_CELLS_PER_ROW = 4  # a sparser (group, value) count table is not laid out
 
 
-def _count_blocks(groups: np.ndarray, values: np.ndarray,
-                  k: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """Count tables of (group, value) pairs, a block of groups at a time so
-    that no table passes _COUNT_CELLS cells (or k, if more). groups is
-    sorted and numbered from 0; values are codes in [0, k). Yields (start,
-    lo, hi, counts): rows lo:hi hold the block's groups, and counts[g - start,
-    v] is how many of them have group g and value v."""
-    n_groups = int(groups[-1]) + 1 if len(groups) else 0
-    step = max(1, _COUNT_CELLS // k)
-    starts = range(0, n_groups, step)
-    edges = np.searchsorted(groups, [*starts, n_groups]).tolist()
-    for start, lo, hi in zip(starts, edges, edges[1:]):
-        size = min(step, n_groups - start)
-        flat = groups[lo:hi] - start
-        flat *= k
-        flat += values[lo:hi]
-        yield start, lo, hi, np.bincount(flat, minlength=size * k).reshape(size, k)
+def _pair_counts(groups: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (group, value) pairs that occur, as increasing keys group * k +
+    value, and how many rows hold each; groups and values are codes >= 0,
+    values below k. Where the table has at most _CELLS_PER_ROW cells a row,
+    it is counted by one bincount; a sparser one is not laid out, and the
+    keys are sorted instead."""
+    keys = np.multiply(groups, k, dtype=np.int64)
+    keys += values
+    n_cells = (int(groups.max()) + 1) * k if len(groups) else 0
+    if n_cells > _CELLS_PER_ROW * len(keys):
+        return np.unique(keys, return_counts=True)
+    counts = np.bincount(keys, minlength=n_cells)
+    del keys  # so the keys and the pairs found in the table are not held at once
+    pairs = np.flatnonzero(counts)
+    return pairs, counts[pairs]
 
 
 def majority(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The most frequent value of each group, a tie going to the smallest.
     groups is sorted and numbered 0, 1, ... with each occurring; values are
     codes >= 0. Where the (group, value) table has at most _CELLS_PER_ROW
-    cells a row, it is counted by _count_blocks (argmax takes the first
+    cells a row, it is counted by one bincount (argmax takes the first
     maximum); a sparser one is not laid out, and the pairs are counted by
-    one sort of their packed keys."""
+    _pair_counts."""
     n_groups = int(groups[-1]) + 1 if len(groups) else 0
     k = int(values.max()) + 1 if len(values) else 1
-    if n_groups * k > _CELLS_PER_ROW * len(groups):
-        keys, counts = np.unique(groups.astype(np.int64) * k + values, return_counts=True)
-        group, value = np.divmod(keys, k)
-        edges = np.flatnonzero(np.diff(group, prepend=-1))
-        # Runs are in (group, value) order, so a group's smallest most
-        # frequent value is in its first run of the largest count.
-        most = np.repeat(np.maximum.reduceat(counts, edges), np.diff(edges, append=len(group)))
-        first = np.flatnonzero(counts == most)
-        return value[first[np.diff(group[first], prepend=-1) != 0]]
-    out = np.empty(n_groups, np.int64)
-    for start, _, _, counts in _count_blocks(groups, values, k):
-        out[start:start + len(counts)] = counts.argmax(1)
-    return out
+    if n_groups * k <= _CELLS_PER_ROW * len(groups):
+        flat = np.multiply(groups, k, dtype=np.int64)
+        flat += values
+        return np.bincount(flat, minlength=n_groups * k).reshape(n_groups, k).argmax(1)
+    keys, counts = _pair_counts(groups, values, k)
+    group, value = np.divmod(keys, k)
+    edges = np.flatnonzero(np.diff(group, prepend=-1))
+    # Runs are in (group, value) order, so a group's smallest most
+    # frequent value is in its first run of the largest count.
+    most = np.repeat(np.maximum.reduceat(counts, edges), np.diff(edges, append=len(group)))
+    first = np.flatnonzero(counts == most)
+    return value[first[np.diff(group[first], prepend=-1) != 0]]
 
 
 @dataclass(frozen=True)
@@ -415,15 +411,6 @@ class ReviewDataset:
             basis = "ground_truth"
         return (units.classification != reference).astype(int), basis
 
-    def unit_answers(self) -> np.ndarray:
-        """A units x questions matrix, units in sorted order and questions in
-        the order of questions: each unit's answer code to each question, or
-        -1 where it has no record for the question."""
-        unit, starts = self._unit_rows
-        answers = np.full((len(starts), len(self.questions)), -1, np.int32)
-        answers[unit, self.records.codes[QUESTION]] = self.records.codes[ANSWER]
-        return answers
-
     def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
         """Each answer code's position in labels, or -1."""
         index = {label: j for j, label in enumerate(labels)}
@@ -490,27 +477,17 @@ def _sort_order(keys: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray 
 
 def _short_cells(product: np.ndarray, question: np.ndarray, n_questions: int,
                  n_raters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows sorted by product, no (product, question, reviewer) key twice:
-    which rows lie in a (product, question) cell of fewer than n_raters rows,
-    and those cells' product and question codes in (product, question)
-    order. Where the product x question table has at most _CELLS_PER_ROW
-    cells a row, it is counted by _count_blocks in one pass; a sparser one
-    is not laid out, and the cells are found by one sort of their keys."""
-    n_products = int(product[-1]) + 1
-    if n_products * n_questions > _CELLS_PER_ROW * len(product):
-        cells, row_cell, sizes = np.unique(product.astype(np.int64) * n_questions + question,
-                                           return_inverse=True, return_counts=True)
-        short = sizes < n_raters
-        return short[row_cell], *np.divmod(cells[short], n_questions)
-    row_short = np.zeros(len(product), bool)
-    found = [(np.zeros(0, np.intp),) * 2]
-    for start, lo, hi, counts in _count_blocks(product, question, n_questions):
-        short = (counts > 0) & (counts < n_raters)
-        p, q = np.nonzero(short)
-        if len(p):
-            row_short[lo:hi] = short[product[lo:hi] - start, question[lo:hi]]
-            found.append((p + start, q))
-    return row_short, *map(np.concatenate, zip(*found))
+    """Rows with no (product, question, reviewer) key twice: which rows lie
+    in a (product, question) cell of fewer than n_raters rows, and those
+    cells' product and question codes in (product, question) order."""
+    cells, sizes = _pair_counts(product, question, n_questions)
+    short = cells[sizes < n_raters]
+    rows = np.zeros(len(product), bool)
+    if len(short):
+        keys = np.multiply(product, n_questions, dtype=np.int64)
+        keys += question
+        rows = np.isin(keys, short)
+    return rows, *np.divmod(short, n_questions)
 
 
 def validate_dataset(
@@ -532,11 +509,11 @@ def validate_dataset(
     Cost: one O(n) check that the packed (product, reviewer, question) key
     strictly increases, as it does for the simulator's and write_panel_csv's
     records; only input out of that order takes one stable sort. Cell sizes
-    are counted in blocks of at most _COUNT_CELLS cells (cells are sorted
-    instead where the product x question table would have more than
-    _CELLS_PER_ROW cells a record), and the observed (question, answer)
-    pairs by one bincount where that table has at most a cell a record.
-    Input in order with no cell dropped keeps its columns as they are.
+    and the observed (question, answer) pairs are counted by _pair_counts:
+    one bincount where the product x question or question x answer table
+    has at most _CELLS_PER_ROW cells a record, one sort of the pairs where
+    it would have more. Input in order with no cell dropped keeps its
+    columns as they are.
     """
     if policy not in INCOMPLETE_CELL_POLICIES:
         raise ValueError(f"policy must be one of {INCOMPLETE_CELL_POLICIES}, got {policy!r}")
@@ -574,12 +551,7 @@ def validate_dataset(
     kept = records if order is None else records.take(order)  # in key order
 
     answers = kept.labels[ANSWER]
-    pair = kept.codes[QUESTION].astype(np.int64) * len(answers) + kept.codes[ANSWER]
-    n_pairs = len(questions) * len(answers)
-    if n_pairs <= len(pair):
-        pairs = np.flatnonzero(np.bincount(pair, minlength=n_pairs))
-    else:
-        pairs = np.unique(pair)
+    pairs, _ = _pair_counts(kept.codes[QUESTION], kept.codes[ANSWER], len(answers))
     observed: dict[str, list[str]] = {}
     for key in pairs.tolist():
         observed.setdefault(questions[key // len(answers)], []).append(answers[key % len(answers)])

@@ -172,23 +172,20 @@ def _check_row(row: Sequence[str], line: int, position: Mapping[str, int],
                required: Sequence[str]) -> None:
     """Raise for a row's first bad field: an empty required column, in
     required order, then an unparseable period."""
-
-    def value(column: str) -> str:
+    for column in (*required, "period"):
         i = position.get(column)
-        return row[i] if i is not None and i < len(row) else ""
-
-    for column in required:
-        if not is_label(value(column)):
-            raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
-    period = value("period").strip()
-    if period and not _parses_as_int(period):
-        raise CsvFormatError(
-            f"unparseable period {period!r} on row {line}", row=line, column="period"
-        )
+        value = row[i] if i is not None and i < len(row) else ""
+        if _valid(column, (value,), required):
+            continue
+        if column == "period":
+            raise CsvFormatError(f"unparseable period {value.strip()!r} on row {line}",
+                                 row=line, column=column)
+        raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
 
 
 def _valid(name: str, values: Iterable[str], required: Sequence[str]) -> bool:
-    """Whether raw values of the named column all pass _check_row."""
+    """Whether raw values of the named column are all valid: a required
+    column's are labels, and a period's parse as an int where not blank."""
     if name in required:
         return all(map(is_label, values))
     if name == "period":

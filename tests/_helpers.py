@@ -1,7 +1,9 @@
-"""Shared builders for hand-made review panels, and a comparable form of
-what a CSV reader returns or raises."""
+"""Shared builders for hand-made review panels, a comparable form of what
+a CSV reader returns or raises, and a traced peak of memory."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 from reviewaudit import ReviewRecord
 from reviewaudit.model import RecordColumns
@@ -55,3 +57,13 @@ def read_outcome(reader, source) -> tuple:
         return ("error", type(exc), str(exc), getattr(exc, "row", None),
                 getattr(exc, "column", None)), exc
     return ("ok", _comparable(result)), result
+
+
+def traced_peak(run) -> tuple:
+    """run()'s result and the peak memory tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

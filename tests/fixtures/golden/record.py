@@ -184,6 +184,7 @@ CASES = [
      ["ci", "--input", "@panel2.csv", "--ground-truth", "@truth2_missing.csv"]),
     ("regress2_q1_team", ["regress", "--input", "@panel2.csv", "--factors", "q1,team"]),
     ("regress3_q1_team", ["regress", "--input", "@panel3.csv", "--factors", "q1,team"]),
+    ("regress3_team", ["regress", "--input", "@panel3.csv", "--factors", "team"]),
     ("regress2_all_text", ["regress", "--input", "@panel2.csv", "--format", "text"]),
     ("did_outcome", ["did", "--input", "@did_outcome.csv", "--change-period", "1"]),
     ("did_outcome_balanced_text",

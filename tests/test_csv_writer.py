@@ -4,7 +4,6 @@ and the stdlib csv writer's bytes wherever that writer's output reads back."""
 import csv
 import dataclasses
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from reviewaudit.report import (
     write_panel_csv,
 )
 
-from _helpers import rec
+from _helpers import rec, traced_peak
 
 QUOTE_NEEDING = ["x,y", 'say "hi"', "two\nlines", "p\r1", "a\r\nb", '"', ","]
 PLAIN = ["a", "p1", "Zürich", "中文", "r 2"]
@@ -237,11 +236,6 @@ def test_memory_holds_about_one_batch(tmp_path):
     panels = [("control", pair.control.records), ("treated", pair.treated.records)]
     path = tmp_path / "panel.csv"
     with open(path, "w", encoding="utf-8", newline="") as stream:
-        tracemalloc.start()
-        try:
-            write_panel_csv(stream, panels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_panel_csv(stream, panels))
     assert path.read_bytes().count(b"\n") == 1 + 4 * 1528 * 3 * 9
     assert peak <= 2 << 20

@@ -9,7 +9,6 @@ import io
 import os
 import random
 import threading
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,7 @@ from reviewaudit import report
 from reviewaudit.model import REQUIRED_FIELDS
 from reviewaudit.report import ingest_csv_groups, write_panel_csv
 
-from _helpers import read_outcome
+from _helpers import read_outcome, traced_peak
 
 # Labels of one to 27 bytes, so a column holds several widths and fields on
 # both sides of the 8-byte key and of a 24-character field size limit; some
@@ -378,12 +377,7 @@ def test_memory_holds_about_one_block(tmp_path):
         with open(path, "w", encoding="utf-8", newline="") as out:
             out.write("product_id,reviewer_id,question_id,answer,final_classification,team\n")
             out.writelines(lines)
-        tracemalloc.start()
-        try:
-            records = ingest_csv(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        records, peak = traced_peak(lambda: ingest_csv(str(path)))
         codes = sum(c.nbytes for c in records.codes)
         assert len(records) == rows and codes == 7 * 4 * rows
         assert peak - codes < 4 * rows + 16 * report._BLOCK < path.stat().st_size

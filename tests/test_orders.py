@@ -4,7 +4,6 @@ checked against constructions that sort by np.lexsort or loop in Python."""
 import collections
 import random
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from reviewaudit import DatasetValidationError, validate_dataset
 from reviewaudit import model
 from reviewaudit.errors import NonBinaryTargetError
-from reviewaudit.estimation import _encode_units
+from reviewaudit.estimation import _encode_units, bias_factor_report
 from reviewaudit.model import (
     ANSWER, CLASSIFICATION, PRODUCT, QUESTION, RecordColumns, _sort_order,
 )
 
-from _helpers import read_outcome, rec
+from _helpers import read_outcome, rec, traced_peak
 
 
 def _columns(keys, answers, sizes) -> RecordColumns:
@@ -110,18 +109,40 @@ def code_panels(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(records=code_panels(), policy=st.sampled_from(model.INCOMPLETE_CELL_POLICIES),
-       tables=st.sampled_from([(model._COUNT_CELLS, model._CELLS_PER_ROW), (1, 4), (5, 4),
-                               (model._COUNT_CELLS, 0)]))
-def test_validation_matches_a_lexsort_oracle(records, policy, tables):
-    # A small _COUNT_CELLS counts the cells in many blocks; with no cells a
-    # row allowed, they are found by sorting, as in a sparse panel.
+       cells_per_row=st.sampled_from([0, 1 << 40]))
+def test_validation_matches_a_lexsort_oracle(records, policy, cells_per_row):
+    # With no cells a row allowed, the cells and answer pairs are found by
+    # sorting, as in a sparse panel; with a huge allowance, by counting.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_COUNT_CELLS", tables[0])
-        patch.setattr(model, "_CELLS_PER_ROW", tables[1])
+        patch.setattr(model, "_CELLS_PER_ROW", cells_per_row)
         assert _validation(records, policy) == _lexsort_validation(records, policy)
         dataset = read_outcome(validate_dataset, records)[1]
     if not isinstance(dataset, Exception) and len(dataset.records):
         _assert_cells(dataset)
+
+
+@st.composite
+def pairs(draw):
+    """Group and value codes, values below k, as int32 columns, and k."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    groups = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    values = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return np.array(groups, np.int32), np.array(values, np.int32), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=pairs(), cells_per_row=st.sampled_from([0, 1 << 40]))
+def test_pair_counts_match_a_counter(case, cells_per_row):
+    # With no cells a row allowed the pairs are sorted, with a huge
+    # allowance counted in a table; the other route is forbidden.
+    groups, values, k = case
+    forbidden = "bincount" if cells_per_row == 0 else "unique"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_CELLS_PER_ROW", cells_per_row)
+        patch.setattr(np, forbidden, lambda *a, **kw: pytest.fail(f"pairs counted by {forbidden}"))
+        keys, counts = model._pair_counts(groups, values, k)
+    want = sorted(collections.Counter(groups.astype(int) * k + values).items())
+    assert list(zip(keys.tolist(), counts.tolist())) == want
 
 
 def test_an_ordered_complete_panel_is_neither_sorted_nor_gathered(monkeypatch):
@@ -163,16 +184,6 @@ def test_sort_order_packs_keys_below_two_to_the_63(monkeypatch):
     assert calls == [3, 3, 3]
 
 
-def _traced_peak(run):
-    """run()'s result and the peak memory tracemalloc saw while it ran."""
-    tracemalloc.start()
-    try:
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_sparse_panel_validates_in_bounded_memory(monkeypatch):
     # Every product, question and answer distinct: a product x question or
     # question x answer table would hold 2.5e9 cells. Validation holds a few
@@ -185,7 +196,7 @@ def test_a_sparse_panel_validates_in_bounded_memory(monkeypatch):
     labels = (tuple(f"p{i:05d}" for i in range(n)), ("r0",), tuple(f"q{i:05d}" for i in range(n)),
               tuple(f"a{i:05d}" for i in range(n)), ("c0", "c1"), (None,), (None,))
     records = RecordColumns(codes, labels)
-    dataset, peak = _traced_peak(lambda: validate_dataset(records))
+    dataset, peak = traced_peak(lambda: validate_dataset(records))
     assert peak < 64 << 20
     assert dataset.summary.n_records == n and dataset.summary.n_dropped_cells == 0
     assert dataset.category_space["q00007"] == (f"a{np.flatnonzero(question == 7)[0]:05d}",)
@@ -197,7 +208,7 @@ def test_a_sparse_panel_validates_in_bounded_memory(monkeypatch):
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda k: calls.append(len(k)) or lexsort(k))
     keys = (product, zeros, question)
-    order, peak = _traced_peak(lambda: _sort_order(keys, (n, 2 ** 40, 2 ** 40)))
+    order, peak = traced_peak(lambda: _sort_order(keys, (n, 2 ** 40, 2 ** 40)))
     assert calls == [3] and peak < 64 << 20
     np.testing.assert_array_equal(order, np.argsort(product))
     in_order = tuple(np.take(k, order) for k in keys)
@@ -324,5 +335,22 @@ def test_sparse_unit_majorities_are_sorted_not_counted():
     np.testing.assert_array_equal(units.classification, codes[::-1])
     assert basis == "consensus" and not errors.any()
     dataset = validate_dataset(records)
-    _, peak = _traced_peak(lambda: (dataset.units, dataset.unit_errors(None)))
+    _, peak = traced_peak(lambda: (dataset.units, dataset.unit_errors(None)))
     assert peak < 12 << 20
+
+
+def test_bias_design_memory_grows_with_the_records():
+    # 4,000 single-reviewer products, each answering its own question: a
+    # units x questions matrix would hold 16e6 cells. The design is built
+    # from each unit's factor records, so the peak is a few arrays of the
+    # records' size.
+    n = 4000
+    dataset = validate_dataset([rec(f"p{i:04d}", "r0", f"q{i:04d}", "a", f"c{i % 2}")
+                                for i in range(n)])
+    outcome, peak = traced_peak(lambda: read_outcome(bias_factor_report, dataset)[0])
+    assert outcome[:3] == ("error", DatasetValidationError,
+                           "no (product, reviewer) unit covers every factor")
+    assert peak < 4 << 20
+    outcome, peak = traced_peak(lambda: read_outcome(
+        lambda d: bias_factor_report(d, ["q0001"]), dataset)[0])
+    assert outcome[:2] == ("error", NonBinaryTargetError) and peak < 4 << 20

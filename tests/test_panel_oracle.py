@@ -8,6 +8,7 @@ same rows written as CSV and read back by ingest_csv.
 import io
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reviewaudit import (
@@ -216,15 +217,16 @@ def test_validated_panel_matches_oracle(case):
     _check_case(case)
 
 
+@pytest.mark.parametrize("cells_per_row", [0, 1 << 40], ids=["sorted", "counted"])
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(panels())
 @example(ALL_DROPPED)
 @example(TWO_TEAMS)
-def test_validated_panel_matches_oracle_in_small_count_blocks(case):
-    # A count table of 5 cells holds one to five groups, so the unit and
-    # consensus majorities are counted across block edges, on units that
-    # dropped cells leave uneven in size.
-    with mock.patch.object(model, "_COUNT_CELLS", 5):
+def test_validated_panel_matches_oracle_sorted_or_counted(cells_per_row, case):
+    # With no cells a row allowed, cell sizes, answer pairs and the unit and
+    # consensus majorities are all found by sorting their pairs; with a huge
+    # allowance, by counting them in one table.
+    with mock.patch.object(model, "_CELLS_PER_ROW", cells_per_row):
         _check_case(case)
 
 

@@ -113,11 +113,12 @@ def test_inject_review_change_matches_scalar_generator(case):
     assert pair.change_period == config.treatment.change_period
 
 
+@pytest.mark.parametrize("cells_per_row", [0, 1 << 40], ids=["sorted", "counted"])
 @pytest.mark.parametrize("config", [EDGES, LONE])
-def test_majority_in_small_blocks_matches_scalar_generator(config):
-    # a count table of 13 cells holds one group at a time for EDGES (up to
-    # twelve values) and four to six for LONE, the last block short
-    with mock.patch.object(model, "_COUNT_CELLS", 13):
+def test_majority_sorted_or_counted_matches_scalar_generator(config, cells_per_row):
+    # With no cells a row allowed, the simulator's majorities and cell sizes
+    # are found by sorting their pairs; with a huge allowance, by counting.
+    with mock.patch.object(model, "_CELLS_PER_ROW", cells_per_row):
         dataset, truth = simulate_panel(config)
         pair = inject_review_change(config, (-3, 0))
     rows, expected_truth = simulate_oracle(config)
