@@ -209,7 +209,7 @@ class RecordColumns(Sequence[ReviewRecord]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
+            return self.take(np.arange(len(self))[index]).compact()
         return ReviewRecord(*(table[c[index]] for c, table in zip(self.codes, self.labels)))
 
     def __iter__(self) -> Iterator[ReviewRecord]:
@@ -227,18 +227,17 @@ class RecordColumns(Sequence[ReviewRecord]):
         """The rows at the given positions, over the same label tables."""
         return RecordColumns([np.take(c, index) for c in self.codes], self.labels)
 
-    def compact(self) -> "RecordColumns":
-        """The same rows, with label tables cut to the values they use."""
-        codes, labels = [], []
-        for i, (c, table) in enumerate(zip(self.codes, self.labels)):
-            used = np.bincount(c, minlength=len(table)) > 0
+    def compact(self, fields: Iterable[int] = range(len(FIELDS))) -> "RecordColumns":
+        """The same rows, with the label tables of fields (all by default)
+        cut to the values they use; an optional column keeps its None."""
+        codes, labels = list(self.codes), list(self.labels)
+        for i in fields:
+            used = np.bincount(codes[i], minlength=len(labels[i])) > 0
             if i in OPTIONAL:
                 used[0] = True
             if not used.all():
-                c = np.take(np.cumsum(used, dtype=np.int32) - 1, c)
-                table = tuple(compress(table, used.tolist()))
-            codes.append(c)
-            labels.append(table)
+                codes[i] = np.take(np.cumsum(used, dtype=np.int32) - 1, codes[i])
+                labels[i] = tuple(compress(labels[i], used.tolist()))
         return RecordColumns(codes, labels)
 
 
@@ -505,6 +504,9 @@ def validate_dataset(
     rejected. Records may be record objects or RecordColumns (as ingest_csv
     and the simulator give); either way the dataset keeps code columns only,
     and dataset.records makes a record object only for a row that is read.
+    A RecordColumns' label tables must hold only values its records use
+    (an optional column's None aside), as the readers, from_records, a
+    slice and the simulator give them; compact() makes them so.
 
     Cost: one O(n) check that the packed (product, reviewer, question) key
     strictly increases, as it does for the simulator's and write_panel_csv's
@@ -521,7 +523,6 @@ def validate_dataset(
         records = RecordColumns.from_records(list(records))
     if not len(records):
         raise DatasetValidationError("input records must be non-empty")
-    records = records.compact()
     products, reviewers, questions = records.labels[:3]
     columns = records.codes[:3]
 

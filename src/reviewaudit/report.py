@@ -531,11 +531,12 @@ def ingest_csv(source: Source) -> RecordColumns:
 
 def ingest_csv_groups(source: Source) -> dict[str, RecordColumns]:
     """Read a review CSV with a group column into records per group, in
-    order of each group's first row. A blank group is an error."""
+    order of each group's first row, each over the labels it uses. A blank
+    group is an error."""
     records, (codes, labels) = _read_review_csv(source, group=True)
     first_rows = np.unique(codes, return_index=True)[1]
     return {
-        labels[code]: records.take(np.flatnonzero(codes == code))
+        labels[code]: records.take(np.flatnonzero(codes == code)).compact()
         for code in np.argsort(first_rows).tolist()
     }
 

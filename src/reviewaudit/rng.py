@@ -109,6 +109,11 @@ class SplitMix64Array:
             _mix_array(state)
         return cls(state)
 
+    @classmethod
+    def following(cls, stream: SplitMix64, n: int) -> "SplitMix64Array":
+        """n streams whose first draws are stream's next n draws, in order."""
+        return cls(np.arange(n, dtype=np.uint64) * _GOLDEN_U + _U(stream._state))
+
     def next_uint64(self, where: np.ndarray | None = None) -> np.ndarray:
         np.add(self.state, _GOLDEN_U, out=self.state, where=True if where is None else where)
         return _mix_array(self.state.copy())

@@ -33,8 +33,8 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import (ColumnCoder, RecordColumns, ReviewDataset, is_int, is_label, majority,
-                    validate_dataset)
+from .model import (ANSWER, CLASSIFICATION, ColumnCoder, RecordColumns, ReviewDataset, is_int,
+                    is_label, majority, validate_dataset)
 from .rng import SplitMix64Array, derive_stream, weighted_index
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
@@ -252,11 +252,17 @@ def _generate_records(
     return dict(zip(product_ids, map(class_labels.__getitem__, truth_index.tolist())))
 
 
+def _columns(coders: Sequence[ColumnCoder]) -> RecordColumns:
+    """The coders' records; only the answer and class tables can hold
+    labels no record uses (categories never drawn), so only they are cut."""
+    return RecordColumns.from_coders(coders).compact((ANSWER, CLASSIFICATION))
+
+
 def simulate_panel(config: SimulationConfig) -> tuple[ReviewDataset, dict[str, str]]:
     """Generate one review panel and its ground-truth classifications."""
     coders = RecordColumns.coders()
     truth = _generate_records(config, coders)
-    return validate_dataset(RecordColumns.from_coders(coders)), truth
+    return validate_dataset(_columns(coders)), truth
 
 
 @dataclass(frozen=True)
@@ -306,7 +312,7 @@ def inject_review_change(
                 period=period,
                 flip_delta=delta,
             ))
-        datasets[group] = validate_dataset(RecordColumns.from_coders(coders))
+        datasets[group] = validate_dataset(_columns(coders))
     return DidPair(
         treated=datasets["treated"],
         control=datasets["control"],

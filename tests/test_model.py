@@ -1,5 +1,6 @@
 """Dataset validation and derived analysis structures."""
 
+import io
 import pickle
 import random
 
@@ -14,14 +15,20 @@ from reviewaudit import (
     EmptyMatrixError,
     IncompleteCellError,
     KappaUndefinedError,
+    QuestionSpec,
     ReviewRecord,
+    SimulationConfig,
+    Treatment,
     UnknownQuestionError,
     contingency_from,
+    ingest_csv,
     pooled_rating_matrix,
     rating_matrix,
+    simulate,
     validate_dataset,
 )
-from reviewaudit.model import RatingMatrix
+from reviewaudit.model import RatingMatrix, RecordColumns
+from reviewaudit.report import ingest_csv_groups
 
 from _helpers import rec
 
@@ -349,3 +356,32 @@ class TestContingency:
             ContingencyTable.from_observed([])
         with pytest.raises(DegenerateTableError):
             ContingencyTable.from_observed([[0, 0], [0, 0]])
+
+
+def _uses_every_label(records) -> bool:
+    """Whether each label table holds only values the records use (an
+    optional column's None aside): what validate_dataset requires."""
+    return records.compact().labels == records.labels
+
+
+def test_every_producer_uses_every_label(tmp_path, monkeypatch):
+    rows = ["p1,r1,q1,yes,approve,A,0,treated", "p1,r2,q1,no,reject,,0,treated",
+            "p2,r3,q2,maybe,hold,B,,control", "p2,r1,q2,no,approve,B,1,control"]
+    text = "product_id,reviewer_id,question_id,answer,final_classification,team,period,group\n"
+    text += "\n".join(rows) + "\n"
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    # A file takes the block reader, a stream the csv module.
+    produced = [ingest_csv(path), ingest_csv(io.StringIO(text)), *ingest_csv_groups(path).values(),
+                *ingest_csv_groups(io.StringIO(text)).values(), ingest_csv(path)[1:3],
+                RecordColumns.from_records(list(ingest_csv(path)))]
+
+    given = []
+    monkeypatch.setattr(simulate, "validate_dataset", lambda records: given.append(records))
+    config = SimulationConfig(n_products=2, n_reviewers=2, questions=(QuestionSpec("q1", 9, 0.5),),
+                              treatment=Treatment(change_period=1, error_rate_delta=0.5), seed=3)
+    simulate.simulate_panel(config)
+    simulate.inject_review_change(config)
+    assert len(given) == 3
+    for records in produced + given:
+        assert _uses_every_label(records)

@@ -21,7 +21,8 @@ from _helpers import read_outcome, rec, traced_peak
 
 
 def _columns(keys, answers, sizes) -> RecordColumns:
-    """Code columns over label tables of the given sizes, some labels unused."""
+    """Code columns over label tables of the given sizes, cut to the labels
+    used, as every producer hands them to validation."""
     n_products, n_reviewers, n_questions = sizes
     product, reviewer, question = np.array(keys, np.int32).T
     answer = np.array(answers, np.int32)
@@ -30,7 +31,7 @@ def _columns(keys, answers, sizes) -> RecordColumns:
     labels = (tuple(f"p{i}" for i in range(n_products)), tuple(f"r{i}" for i in range(n_reviewers)),
               tuple(f"q{i}" for i in range(n_questions)), ("a", "b", "c"), ("c0", "c1"),
               (None,), (None,))
-    return RecordColumns(codes, labels)
+    return RecordColumns(codes, labels).compact()
 
 
 def _lexsort_validation(records: RecordColumns, policy: str):

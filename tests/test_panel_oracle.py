@@ -145,7 +145,11 @@ def _extrapolation_groups(dataset, truth):
 def _did_observations(dataset, truth):
     """The observations did_with_error_rates builds with the dataset as both
     groups, taken before panel checks and estimation."""
-    with mock.patch.object(did, "DidPanel", lambda observations, change_period: observations), \
+    def unchecked(group, period, outcome, change_period):
+        return tuple(zip(map(did.GROUPS.__getitem__, group.tolist()), period.tolist(),
+                         outcome.tolist()))
+
+    with mock.patch.object(did.DidPanel, "from_arrays", unchecked), \
             mock.patch.object(did, "did_estimate", lambda panel, period_balanced: panel):
         return did.did_with_error_rates(dataset, dataset, truth, 1)
 
