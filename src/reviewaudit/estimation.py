@@ -8,6 +8,15 @@ the bisection that calls the kernel only inside that bracket. Bias factors
 are estimated by fitting an ordinary least-squares model and a logistic
 model (IRLS) to a one-hot design of rubric answers against the binary final
 classification and ranking factors by coefficient magnitude.
+
+Both fits take an optional keyword-only ``counts``, a positive integer
+multiplicity per design row: a row with count c stands for c equal rows.
+Least squares scales each row by sqrt(c); IRLS weights its Hessian,
+gradient, log-likelihood and Fisher information by c; the row-count check
+and the residual degrees of freedom use the sum of the counts. Unit counts
+give the same floats as no counts. A bias design of at least MERGE_UNITS
+units is fitted on its distinct (answers, team, target) rows with their
+unit counts; a smaller one on a row per unit.
 """
 
 from __future__ import annotations
@@ -26,11 +35,15 @@ from .errors import (
     ReviewAuditError,
     SeparationError,
 )
-from .model import ANSWER, CLASSIFICATION, QUESTION, TEAM, ReviewDataset, is_int
+from .model import ANSWER, CLASSIFICATION, QUESTION, TEAM, ReviewDataset, _pair_counts, is_int
 from .special import _log_beta, normal_upper_tail, regularized_incomplete_beta
 
 CI_METHODS = ("clopper_pearson", "wilson")
 SEPARATION_BOUND = 30.0
+# A bias design of at least this many units is fitted on its distinct rows
+# with their unit counts. Below it every unit keeps its own row, so the fits'
+# last digits stay those of a row per unit.
+MERGE_UNITS = 1024
 
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
@@ -218,11 +231,13 @@ def _as_design(
     response: Sequence[float],
     column_names: Sequence[str] | None,
     response_name: str,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    counts: Sequence[int] | None,
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray | None]:
     """Prepend the intercept column and resolve column names; the response
-    (response_name in errors) must have one value per row, and there must
-    be at least as many rows as columns. The design is laid out in C order
-    whatever the caller's, since the fits' last digits depend on it."""
+    (response_name in errors) and counts, if given (returned as floats),
+    must have one value per row, and the rows they stand for must outnumber
+    the columns. The design is laid out in C order whatever the caller's,
+    since the fits' last digits depend on it."""
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -238,12 +253,21 @@ def _as_design(
     y = np.asarray(response, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"{response_name} must have length {n}")
-    if n <= k:
-        raise ValueError(f"need at least {k + 1} rows for {k} factors plus intercept, got {n}")
+    rows = n
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (n,) or counts.dtype.kind not in "iuf":
+            raise ValueError(f"counts must be {n} numbers, one per row")
+        counts = counts.astype(float)
+        if not np.all((counts >= 1.0) & np.isfinite(counts) & (counts == np.floor(counts))):
+            raise ValueError("counts must be positive integers")
+        rows = int(counts.sum())
+    if rows <= k:
+        raise ValueError(f"need at least {k + 1} rows for {k} factors plus intercept, got {rows}")
     full = np.empty((n, k + 1))
     full[:, 0] = 1.0
     full[:, 1:] = x
-    return full, y, names
+    return full, y, names, counts
 
 
 def _check_rank(full: np.ndarray, names: tuple[str, ...]) -> None:
@@ -264,15 +288,24 @@ def ols_fit(
     design: Sequence[Sequence[float]],
     response: Sequence[float],
     column_names: Sequence[str] | None = None,
+    *,
+    counts: Sequence[int] | None = None,
 ) -> RegressionFit:
     """Least squares with an implicit intercept column.
 
     Solved by SVD-backed least squares (never the raw normal equations);
     standard errors come from sigma^2 (X'X)^-1 with
     sigma^2 = RSS / (n - p), reported as 0 for an exact interpolation.
+    counts, if given, are the rows' multiplicities: each row and its
+    response are scaled by sqrt(count), and n is the sum of the counts.
     """
-    full, y, names = _as_design(design, response, column_names, "response")
+    full, y, names, counts = _as_design(design, response, column_names, "response", counts)
     n, p = full.shape
+    if counts is not None:
+        root = np.sqrt(counts)
+        full *= root[:, None]
+        y = y * root
+        n = counts.sum()
     beta, _, rank, _ = np.linalg.lstsq(full, y, rcond=None)
     if rank < p:
         _check_rank(full, names)
@@ -303,6 +336,8 @@ def logistic_fit(
     max_iter: int = 100,
     tol: float = 1e-10,
     column_names: Sequence[str] | None = None,
+    *,
+    counts: Sequence[int] | None = None,
 ) -> RegressionFit:
     """Logistic maximum likelihood via iteratively reweighted least squares.
 
@@ -310,19 +345,22 @@ def logistic_fit(
     perfectly predicted, so the MLE diverges) is detected when any
     coefficient magnitude passes SEPARATION_BOUND and raises a structured
     error; hitting max_iter without either event returns converged=False.
+    counts, if given, are the rows' multiplicities; they weight the
+    Hessian, gradient, log-likelihood and Fisher information.
     """
-    full, y, names = _as_design(design, labels, column_names, "labels")
+    full, y, names, counts = _as_design(design, labels, column_names, "labels", counts)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     _check_rank(full, names)
+    c = 1.0 if counts is None else counts
     beta = np.zeros(full.shape[1])
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         mu = _sigmoid(full @ beta)
-        w = np.maximum(mu * (1.0 - mu), 1e-12)
+        w = c * np.maximum(mu * (1.0 - mu), 1e-12)
         hessian = full.T @ (w[:, None] * full)
-        gradient = full.T @ (y - mu)
+        gradient = full.T @ (c * (y - mu))
         delta = np.linalg.solve(hessian, gradient)
         beta = beta + delta
         max_beta = float(np.max(np.abs(beta)))
@@ -333,8 +371,8 @@ def logistic_fit(
             break
     mu = _sigmoid(full @ beta)
     mu_safe = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    log_lik = float(y @ np.log(mu_safe) + (1.0 - y) @ np.log(1.0 - mu_safe))
-    w = np.maximum(mu * (1.0 - mu), 1e-12)
+    log_lik = float((c * y) @ np.log(mu_safe) + (c * (1.0 - y)) @ np.log(1.0 - mu_safe))
+    w = c * np.maximum(mu * (1.0 - mu), 1e-12)
     fisher = full.T @ (w[:, None] * full)
     se = np.sqrt(np.diag(np.linalg.inv(fisher)))
     return RegressionFit(
@@ -377,14 +415,37 @@ class BiasFactorReport:
     effects: tuple[FactorEffect, ...]
 
 
+def _merge_rows(
+    digits: np.ndarray, radices: list[int], target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (digits row, target) pairs, in increasing mixed-radix
+    key order, and how many rows hold each. digits is int64 with column j
+    below radices[j]; the radices' product times 2 must fit an int64."""
+    group = np.zeros(len(digits), np.int64)
+    for column, radix in zip(digits.T, radices):
+        group *= radix
+        group += column
+    keys, counts = _pair_counts(group, target, 2)
+    group, target = np.divmod(keys, 2)
+    rows = np.empty((len(keys), len(radices)), np.int64)
+    for j in range(len(radices) - 1, -1, -1):
+        group, rows[:, j] = np.divmod(group, radices[j])
+    return rows, target, counts
+
+
 def _encode_units(
     dataset: ReviewDataset, factors: Sequence[str]
-) -> tuple[np.ndarray, list[str], list[float], tuple[str, str]]:
-    """One-hot design over (product, reviewer) units, in sorted unit order.
+) -> tuple[np.ndarray, list[str], np.ndarray, tuple[str, str], np.ndarray | None]:
+    """One-hot design, 0/1 target and row counts over (product, reviewer)
+    units.
 
     A unit enters only if it has a record for every factor question; its
     0/1 target is its majority classification from the dataset's unit table.
-    Reference level per factor is the lexicographically first label.
+    Reference level per factor is the lexicographically first label. Below
+    MERGE_UNITS units each unit is a row, in sorted unit order, and counts
+    is None. From MERGE_UNITS on, units with equal factor answers, team and
+    target share one row, and counts holds its number of units; the rows
+    are in mixed-radix key order.
     """
     questions = [f for f in factors if f != "team"]
     use_team = "team" in factors
@@ -426,9 +487,11 @@ def _encode_units(
     labels = tuple(map(table.__getitem__, used.tolist()))
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)
+    target = (classes == used[1]).astype(np.int64)
 
-    # Laid out in C order, as the fits' floats depend on the layout.
-    design = (answers[:, column_places] == column_codes).astype(float, order="C")
+    # The key digits are int64: under NEP 50 an int32 array times a Python
+    # int stays int32, and the key would wrap.
+    digits, radices = answers.astype(np.int64), [len(code)] * len(questions)
     if use_team:
         teams = units.team[covered]
         if not teams.all():  # code 0 is no team
@@ -436,8 +499,17 @@ def _encode_units(
         levels = np.unique(teams)[1:]
         names = dataset.records.labels[TEAM]
         columns.extend(f"team={names[level]}" for level in levels.tolist())
-        design = np.hstack([design, (teams[:, None] == levels).astype(float)])
-    return design, columns, (classes == used[1]).astype(float).tolist(), labels
+        digits = np.column_stack([digits, teams.astype(np.int64)])
+        radices.append(len(names))
+    counts = None
+    if len(target) >= MERGE_UNITS and 2 * math.prod(radices) <= 2**63:
+        digits, target, counts = _merge_rows(digits, radices, target)
+
+    # Laid out in C order, as the fits' floats depend on the layout.
+    design = (digits[:, column_places] == column_codes).astype(float, order="C")
+    if use_team:
+        design = np.hstack([design, (digits[:, -1:] == levels).astype(float)])
+    return design, columns, target.astype(float), labels, counts
 
 
 def bias_factor_report(
@@ -455,12 +527,12 @@ def bias_factor_report(
     factors = list(factors)
     if not factors:
         raise ValueError("factors must be non-empty")
-    design, columns, target, labels = _encode_units(dataset, factors)
-    ols_result = ols_fit(design, target, column_names=columns)
+    design, columns, target, labels, counts = _encode_units(dataset, factors)
+    ols_result = ols_fit(design, target, column_names=columns, counts=counts)
     logistic_result: RegressionFit | None = None
     logistic_error = None
     try:
-        logistic_result = logistic_fit(design, target, column_names=columns)
+        logistic_result = logistic_fit(design, target, column_names=columns, counts=counts)
     except (ReviewAuditError, ValueError) as exc:
         logistic_error = str(exc)
     else:
@@ -491,7 +563,7 @@ def bias_factor_report(
     effects.sort(key=rank_key)
     return BiasFactorReport(
         target_labels=labels,
-        n_rows=len(design),
+        n_rows=len(design) if counts is None else int(counts.sum()),
         factors=tuple(factors),
         ranked_by=ranked_by,
         ols_intercept=ols_result.intercept,

@@ -28,7 +28,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -274,6 +274,7 @@ class _Cells(NamedTuple):
 
 
 _CELLS_PER_ROW = 4  # a sparser (group, value) count table is not laid out
+_ABSENT = object()  # what unit_errors reads for a product its ground truth lacks
 
 
 def _pair_counts(groups: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,13 +401,16 @@ class ReviewDataset:
             reference = majority(group, units.classification)[group]
             basis = "consensus"
         else:
-            for product in self.products:
-                if product not in ground_truth:
-                    raise MissingGroundTruthError(product)
+            # One pass codes each product's truth: -1 for a label no record
+            # carries, -2 for a product the ground truth lacks.
             index = {label: i for i, label in enumerate(self.records.labels[CLASSIFICATION])}
-            truth = [index.get(ground_truth.get(product), -1)
-                     for product in self.records.labels[PRODUCT]]
-            reference = np.array(truth, np.int64)[units.product]
+            index[_ABSENT] = -2
+            products = self.records.labels[PRODUCT]
+            truth = map(index.get, map(ground_truth.get, products, repeat(_ABSENT)), repeat(-1))
+            reference = np.fromiter(truth, np.int64, len(products))[units.product]
+            absent = reference == -2
+            if absent.any():  # units are in product order: the first is the smallest
+                raise MissingGroundTruthError(products[units.product[absent.argmax()]])
             basis = "ground_truth"
         return (units.classification != reference).astype(int), basis
 

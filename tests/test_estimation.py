@@ -14,6 +14,7 @@ from reviewaudit import (
     ConvergenceError,
     NonBinaryTargetError,
     RankDeficiencyError,
+    ReviewAuditError,
     SeparationError,
     bias_factor_report,
     binomial_ci,
@@ -338,6 +339,99 @@ def test_fits_do_not_depend_on_the_design_memory_order():
         assert logistic_fit(fortran, labels) == logistic_fit(design, labels)
 
 
+def _fit_outcome(fit, design, target, **kwargs):
+    """A fit, or the (type, message) of the error it raised."""
+    try:
+        return fit(design, target, **kwargs)
+    except (ReviewAuditError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_fits_close(merged, full):
+    if isinstance(full, tuple):
+        assert merged == full
+        return
+    assert isinstance(merged, estimation.RegressionFit)
+    assert (merged.model, merged.design_column_names, merged.converged, merged.iterations) == \
+        (full.model, full.design_column_names, full.converged, full.iterations)
+    got = merged.coefficients + merged.standard_errors
+    want = full.coefficients + full.standard_errors
+    for name in ("residual_sum_squares", "log_likelihood"):
+        if getattr(full, name) is not None:
+            got, want = got + (getattr(merged, name),), want + (getattr(full, name),)
+    # 1e-12 relative, or 1e-15 absolute for values near 0
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def _repeated_rows(draw):
+    """Distinct 0/1 design rows with 0/1 targets and unit counts, and the
+    same design with each row repeated count times. Few rows make rank
+    deficiency, and few targets separation, common."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=10))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=2**k - 1), min_size=m, max_size=m))
+    target = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), float)
+    counts = np.array(draw(st.lists(st.integers(min_value=1, max_value=12),
+                                    min_size=m, max_size=m)))
+    design = (np.array(masks)[:, None] >> np.arange(k) & 1).astype(float)
+    return design, target, counts
+
+
+class TestCounts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_repeated_rows())
+    def test_merged_rows_fit_as_the_repeated_rows(self, rows):
+        design, target, counts = rows
+        for fit in (ols_fit, logistic_fit):
+            merged = _fit_outcome(fit, design, target, counts=counts)
+            full = _fit_outcome(fit, np.repeat(design, counts, axis=0),
+                                np.repeat(target, counts))
+            _assert_fits_close(merged, full)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_repeated_rows())
+    def test_unit_counts_change_no_bit(self, rows):
+        design, target, _ = rows
+        ones = np.ones(len(target), np.int64)
+        for fit in (ols_fit, logistic_fit):
+            assert _fit_outcome(fit, design, target, counts=ones) == \
+                _fit_outcome(fit, design, target)
+            assert _fit_outcome(fit, design, target, counts=ones.astype(float)) == \
+                _fit_outcome(fit, design, target)
+
+    def test_merged_errors_name_what_the_full_rows_do(self):
+        # two distinct rows for three columns, 40 units: the rank check,
+        # not the row count, stops both fits
+        design = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        target, counts = np.array([1.0, 0.0]), np.array([15, 25])
+        for fit in (ols_fit, logistic_fit):
+            merged = _fit_outcome(fit, design, target, counts=counts, column_names="abc")
+            assert merged == (RankDeficiencyError,
+                              "design matrix is rank deficient at column 1 ('b')")
+            assert merged == _fit_outcome(fit, np.repeat(design, counts, axis=0),
+                                          np.repeat(target, counts), column_names="abc")
+        separated = np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), np.array([3, 4])
+        merged = _fit_outcome(logistic_fit, *separated[:2], counts=separated[2])
+        assert merged[0] is SeparationError
+        assert merged == _fit_outcome(logistic_fit, np.repeat(separated[0], separated[2], axis=0),
+                                      np.repeat(separated[1], separated[2]))
+        # the counts, not the distinct rows, must outnumber the columns
+        for fit in (ols_fit, logistic_fit):
+            assert _fit_outcome(fit, design, target, counts=[1, 2]) == \
+                (ValueError, "need at least 4 rows for 3 factors plus intercept, got 3")
+
+    @pytest.mark.parametrize("counts", [
+        [1, 0, 2], [1, -1, 2], [1, 2.5, 2], [1, 2], [1, 2, 3, 4], [[1, 2, 3]],
+        [1, float("nan"), 2], [1, float("inf"), 2], [True, True, True], ["1", "2", "3"],
+    ], ids=repr)
+    def test_bad_counts_raise(self, counts):
+        design, target = [[0.0], [1.0], [1.0]], [0.0, 1.0, 0.0]
+        for fit in (ols_fit, logistic_fit):
+            with pytest.raises(ValueError, match="counts"):
+                fit(design, target, counts=counts)
+
+
 def _driven_panel(n=200):
     """qd's answer determines the classification up to 10% deterministic
     flips; qn is uncorrelated noise."""
@@ -440,6 +534,51 @@ class TestBiasFactorReport:
         assert report.ranked_by == "ols"
         assert report.effects[0].ols_coefficient is not None
         assert report.effects[0].logistic_coefficient is None
+
+    def test_large_designs_are_fitted_on_merged_rows(self, monkeypatch):
+        # One unit a product; qa's answer drives the verdict up to noise.
+        rng = random.Random(127)
+        records = []
+        for p in range(estimation.MERGE_UNITS):
+            a, b = rng.choice("xyz"), rng.choice("uv")
+            cls = "flag" if (a == "x") != (rng.random() < 0.2) else "ok"
+            for q, answer in (("qa", a), ("qb", b)):
+                records.append(rec(f"p{p:05d}", "r1", q, answer, cls, team=f"t{p % 3}"))
+        factors = ["qa", "qb", "team"]
+        seen = []
+        for name in ("ols_fit", "logistic_fit"):
+            fit = getattr(estimation, name)
+            monkeypatch.setattr(estimation, name, lambda *args, fit=fit, **kwargs: (
+                seen.append((fit.__name__, kwargs.get("counts"))), fit(*args, **kwargs))[1])
+
+        merged = bias_factor_report(validate_dataset(records), factors)
+        assert [name for name, _ in seen] == ["ols_fit", "logistic_fit"]
+        counts = seen[0][1]
+        assert seen[1][1] is counts and counts.sum() == estimation.MERGE_UNITS
+        assert len(counts) <= 3 * 2 * 3 * 2  # qa x qb x team x verdict
+        assert merged.n_rows == estimation.MERGE_UNITS and merged.ranked_by == "logistic"
+
+        seen.clear()
+        below = bias_factor_report(validate_dataset(records[2:]), factors)
+        assert seen == [("ols_fit", None), ("logistic_fit", None)]
+        assert below.n_rows == estimation.MERGE_UNITS - 1
+
+        # A row per unit gives the same reports to 1e-12.
+        dataset = validate_dataset(records)
+        for factors in (factors, ["team"], ["qb", "qa"]):
+            merged = bias_factor_report(dataset, factors)
+            with monkeypatch.context() as patch:
+                patch.setattr(estimation, "MERGE_UNITS", estimation.MERGE_UNITS + 1)
+                full = bias_factor_report(dataset, factors)
+            assert [counts is None for _, counts in seen[-4:]] == [False, False, True, True]
+            assert [e.name for e in merged.effects] == [e.name for e in full.effects]
+            assert (merged.n_rows, merged.target_labels, merged.logistic_error) == \
+                (full.n_rows, full.target_labels, full.logistic_error)
+            assert (merged.ols_intercept, merged.logistic_intercept) == \
+                pytest.approx((full.ols_intercept, full.logistic_intercept), rel=1e-12, abs=1e-15)
+            values = [(e.ols_coefficient, e.logistic_coefficient) for e in merged.effects]
+            assert values == [pytest.approx((e.ols_coefficient, e.logistic_coefficient),
+                                            rel=1e-12, abs=1e-15) for e in full.effects]
 
     def test_unconverged_logistic_fit_counts_as_failed(self, monkeypatch):
         fit = estimation.logistic_fit

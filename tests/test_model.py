@@ -15,6 +15,7 @@ from reviewaudit import (
     EmptyMatrixError,
     IncompleteCellError,
     KappaUndefinedError,
+    MissingGroundTruthError,
     QuestionSpec,
     ReviewRecord,
     SimulationConfig,
@@ -83,6 +84,22 @@ class TestValidateDataset:
         for truth, basis in ((None, "consensus"), ({}, "ground_truth")):
             errors, got = ds.unit_errors(truth)
             assert (errors.tolist(), got) == ([], basis)
+
+    def test_first_missing_ground_truth_product_is_named(self):
+        # p2 is only in a dropped cell, so it needs no truth; of the kept
+        # products, p3 and p5 have none, and p3 is named.
+        records = [rec(p, f"r{i}", "q1", "yes", "good")
+                   for p in ("p1", "p3", "p4", "p5") for i in range(2)]
+        records.append(rec("p2", "r0", "q1", "no", "good"))
+        ds = validate_dataset(records)
+        assert ds.summary.n_dropped_cells == 1
+        truth = {"p1": "good", "p4": "bad", "p9": "good"}
+        with pytest.raises(MissingGroundTruthError) as err:
+            ds.unit_errors(truth)
+        assert err.value.product_id == "p3"
+        truth.update(p3="good", p5="unseen")
+        errors, basis = ds.unit_errors(truth)
+        assert (errors.tolist(), basis) == ([0, 0, 0, 0, 1, 1, 1, 1], "ground_truth")
 
     def test_single_missing_reviewer_drops_cell(self):
         complete = [rec("p1", f"r{i}", "q1", "yes") for i in range(3)]

@@ -287,11 +287,12 @@ def _design(dataset, factors):
     outcome, result = read_outcome(lambda d: _encode_units(d, factors), dataset)
     if outcome[0] == "error":
         return outcome[:3]
-    design, columns, target, labels = result
+    design, columns, target, labels, counts = result
     # The fits' last digits depend on the design's memory layout too.
     assert design.dtype == np.float64 and design.flags.c_contiguous
     assert design.shape == (len(target), len(columns))
-    return ("ok", design.tolist(), columns, target, labels)
+    assert counts is None  # below MERGE_UNITS, a row per unit
+    return ("ok", design.tolist(), columns, target.tolist(), labels)
 
 
 FACTORS = [
