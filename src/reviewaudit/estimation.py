@@ -9,12 +9,12 @@ are estimated by fitting an ordinary least-squares model and a logistic
 model (IRLS) to a one-hot design of rubric answers against the binary final
 classification and ranking factors by coefficient magnitude.
 
-Both fits take an optional keyword-only ``counts``, a positive integer
-multiplicity per design row: a row with count c stands for c equal rows.
-Least squares scales each row by sqrt(c); IRLS weights its Hessian,
+Both fits take a keyword-only ``counts``, a positive integer multiplicity
+per design row (all ones if None): a row with count c stands for c equal
+rows. Least squares scales each row by sqrt(c); IRLS weights its Hessian,
 gradient, log-likelihood and Fisher information by c; the row-count check
 and the residual degrees of freedom use the sum of the counts. Unit counts
-give the same floats as no counts. A bias design of at least MERGE_UNITS
+give the same floats as a row each. A bias design of at least MERGE_UNITS
 units is fitted on its distinct (answers, team, target) rows with their
 unit counts; a smaller one on a row per unit.
 """
@@ -232,12 +232,12 @@ def _as_design(
     column_names: Sequence[str] | None,
     response_name: str,
     counts: Sequence[int] | None,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], np.ndarray]:
     """Prepend the intercept column and resolve column names; the response
-    (response_name in errors) and counts, if given (returned as floats),
-    must have one value per row, and the rows they stand for must outnumber
-    the columns. The design is laid out in C order whatever the caller's,
-    since the fits' last digits depend on it."""
+    (response_name in errors) and counts (all ones if None; returned as
+    floats) must have one value per row, and the rows they stand for must
+    outnumber the columns. The design is laid out in C order whatever the
+    caller's, since the fits' last digits depend on it."""
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -253,15 +253,13 @@ def _as_design(
     y = np.asarray(response, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"{response_name} must have length {n}")
-    rows = n
-    if counts is not None:
-        counts = np.asarray(counts)
-        if counts.shape != (n,) or counts.dtype.kind not in "iuf":
-            raise ValueError(f"counts must be {n} numbers, one per row")
-        counts = counts.astype(float)
-        if not np.all((counts >= 1.0) & np.isfinite(counts) & (counts == np.floor(counts))):
-            raise ValueError("counts must be positive integers")
-        rows = int(counts.sum())
+    counts = np.ones(n) if counts is None else np.asarray(counts)
+    if counts.shape != (n,) or counts.dtype.kind not in "iuf":
+        raise ValueError(f"counts must be {n} numbers, one per row")
+    counts = counts.astype(float)
+    if not np.all((counts >= 1.0) & np.isfinite(counts) & (counts == np.floor(counts))):
+        raise ValueError("counts must be positive integers")
+    rows = int(counts.sum())
     if rows <= k:
         raise ValueError(f"need at least {k + 1} rows for {k} factors plus intercept, got {rows}")
     full = np.empty((n, k + 1))
@@ -296,16 +294,14 @@ def ols_fit(
     Solved by SVD-backed least squares (never the raw normal equations);
     standard errors come from sigma^2 (X'X)^-1 with
     sigma^2 = RSS / (n - p), reported as 0 for an exact interpolation.
-    counts, if given, are the rows' multiplicities: each row and its
-    response are scaled by sqrt(count), and n is the sum of the counts.
+    counts are the rows' multiplicities (all ones if None): each row and
+    its response are scaled by sqrt(count), and n is the sum of the counts.
     """
     full, y, names, counts = _as_design(design, response, column_names, "response", counts)
-    n, p = full.shape
-    if counts is not None:
-        root = np.sqrt(counts)
-        full *= root[:, None]
-        y = y * root
-        n = counts.sum()
+    root = np.sqrt(counts)
+    full *= root[:, None]
+    y = y * root
+    n, p = counts.sum(), full.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(full, y, rcond=None)
     if rank < p:
         _check_rank(full, names)
@@ -345,22 +341,21 @@ def logistic_fit(
     perfectly predicted, so the MLE diverges) is detected when any
     coefficient magnitude passes SEPARATION_BOUND and raises a structured
     error; hitting max_iter without either event returns converged=False.
-    counts, if given, are the rows' multiplicities; they weight the
-    Hessian, gradient, log-likelihood and Fisher information.
+    counts are the rows' multiplicities (all ones if None); they weight
+    the Hessian, gradient, log-likelihood and Fisher information.
     """
     full, y, names, counts = _as_design(design, labels, column_names, "labels", counts)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     _check_rank(full, names)
-    c = 1.0 if counts is None else counts
     beta = np.zeros(full.shape[1])
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         mu = _sigmoid(full @ beta)
-        w = c * np.maximum(mu * (1.0 - mu), 1e-12)
+        w = counts * np.maximum(mu * (1.0 - mu), 1e-12)
         hessian = full.T @ (w[:, None] * full)
-        gradient = full.T @ (c * (y - mu))
+        gradient = full.T @ (counts * (y - mu))
         delta = np.linalg.solve(hessian, gradient)
         beta = beta + delta
         max_beta = float(np.max(np.abs(beta)))
@@ -371,8 +366,8 @@ def logistic_fit(
             break
     mu = _sigmoid(full @ beta)
     mu_safe = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    log_lik = float((c * y) @ np.log(mu_safe) + (c * (1.0 - y)) @ np.log(1.0 - mu_safe))
-    w = c * np.maximum(mu * (1.0 - mu), 1e-12)
+    log_lik = float((counts * y) @ np.log(mu_safe) + (counts * (1.0 - y)) @ np.log(1.0 - mu_safe))
+    w = counts * np.maximum(mu * (1.0 - mu), 1e-12)
     fisher = full.T @ (w[:, None] * full)
     se = np.sqrt(np.diag(np.linalg.inv(fisher)))
     return RegressionFit(
@@ -435,7 +430,7 @@ def _merge_rows(
 
 def _encode_units(
     dataset: ReviewDataset, factors: Sequence[str]
-) -> tuple[np.ndarray, list[str], np.ndarray, tuple[str, str], np.ndarray | None]:
+) -> tuple[np.ndarray, list[str], np.ndarray, tuple[str, str], np.ndarray]:
     """One-hot design, 0/1 target and row counts over (product, reviewer)
     units.
 
@@ -443,7 +438,7 @@ def _encode_units(
     0/1 target is its majority classification from the dataset's unit table.
     Reference level per factor is the lexicographically first label. Below
     MERGE_UNITS units each unit is a row, in sorted unit order, and counts
-    is None. From MERGE_UNITS on, units with equal factor answers, team and
+    are ones. From MERGE_UNITS on, units with equal factor answers, team and
     target share one row, and counts holds its number of units; the rows
     are in mixed-radix key order.
     """
@@ -501,9 +496,10 @@ def _encode_units(
         columns.extend(f"team={names[level]}" for level in levels.tolist())
         digits = np.column_stack([digits, teams.astype(np.int64)])
         radices.append(len(names))
-    counts = None
     if len(target) >= MERGE_UNITS and 2 * math.prod(radices) <= 2**63:
         digits, target, counts = _merge_rows(digits, radices, target)
+    else:
+        counts = np.ones(len(target), np.int64)
 
     # Laid out in C order, as the fits' floats depend on the layout.
     design = (digits[:, column_places] == column_codes).astype(float, order="C")
@@ -563,7 +559,7 @@ def bias_factor_report(
     effects.sort(key=rank_key)
     return BiasFactorReport(
         target_labels=labels,
-        n_rows=len(design) if counts is None else int(counts.sum()),
+        n_rows=int(counts.sum()),
         factors=tuple(factors),
         ranked_by=ranked_by,
         ols_intercept=ols_result.intercept,

@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/fixtures/golden/record.py
 
-Inputs are seeded simulator panels with a team column added (2 and 3 teams),
+Inputs are seeded simulator panels with a team column added (2 and 3 teams;
+one of them has enough units for a merged bias design),
 a copy of the 2-team panel whose classifications are all one label (so the
 sections that report a partial payload on error do so), ground-truth files
 (one with a product missing), a DiD pair in review format and a DiD outcome
@@ -85,6 +86,14 @@ def make_inputs(directory: Path = HERE) -> None:
     _write("panel3.csv", write_panel_csv, [(None, _with_teams(three.records, teams3))])
     _write("truth3.csv", write_ground_truth_csv, truth3)
 
+    # 1,040 units, at least MERGE_UNITS, so its bias design is fitted on
+    # merged rows.
+    large, truth_large = simulate_panel(SimulationConfig(
+        n_products=260, n_reviewers=4, questions=QUESTIONS[:3], anchoring=0.1, seed=37,
+    ))
+    _write("panel_large.csv", write_panel_csv, [(None, _with_teams(large.records, teams2))])
+    _write("truth_large.csv", write_ground_truth_csv, truth_large)
+
     config = SimulationConfig(
         n_products=12, n_reviewers=3, questions=QUESTIONS[:3],
         treatment=Treatment(change_period=1, error_rate_delta=0.3), seed=5,
@@ -144,6 +153,8 @@ CASES = [
     ("audit_degenerate_text",
      ["audit", "--input", "@degenerate.csv", "--ground-truth", "@truth_degenerate.csv",
       "--format", "text"]),
+    ("audit_large_truth_json",
+     ["audit", "--input", "@panel_large.csv", "--ground-truth", "@truth_large.csv"]),
     ("audit2_did_json",
      ["audit", "--input", "@panel2.csv", "--did-input", "@did_outcome.csv",
       "--change-period", "1"]),

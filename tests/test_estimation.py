@@ -560,7 +560,9 @@ class TestBiasFactorReport:
 
         seen.clear()
         below = bias_factor_report(validate_dataset(records[2:]), factors)
-        assert seen == [("ols_fit", None), ("logistic_fit", None)]
+        assert [name for name, _ in seen] == ["ols_fit", "logistic_fit"]
+        counts = seen[0][1]
+        assert seen[1][1] is counts and counts.tolist() == [1] * (estimation.MERGE_UNITS - 1)
         assert below.n_rows == estimation.MERGE_UNITS - 1
 
         # A row per unit gives the same reports to 1e-12.
@@ -570,7 +572,7 @@ class TestBiasFactorReport:
             with monkeypatch.context() as patch:
                 patch.setattr(estimation, "MERGE_UNITS", estimation.MERGE_UNITS + 1)
                 full = bias_factor_report(dataset, factors)
-            assert [counts is None for _, counts in seen[-4:]] == [False, False, True, True]
+            assert [counts.max() == 1 for _, counts in seen[-4:]] == [False, False, True, True]
             assert [e.name for e in merged.effects] == [e.name for e in full.effects]
             assert (merged.n_rows, merged.target_labels, merged.logistic_error) == \
                 (full.n_rows, full.target_labels, full.logistic_error)

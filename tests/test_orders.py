@@ -291,7 +291,7 @@ def _design(dataset, factors):
     # The fits' last digits depend on the design's memory layout too.
     assert design.dtype == np.float64 and design.flags.c_contiguous
     assert design.shape == (len(target), len(columns))
-    assert counts is None  # below MERGE_UNITS, a row per unit
+    assert counts.tolist() == [1] * len(target)  # below MERGE_UNITS, a row per unit
     return ("ok", design.tolist(), columns, target.tolist(), labels)
 
 
