@@ -99,10 +99,7 @@ def _cmd_agreement(args, out: IO[str]) -> int:
 def _cmd_chisq(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
     questions = [args.question] if args.question else None
-    try:
-        body = _chi_square_section(dataset, args.alpha, args.yates, questions)
-    except ReviewAuditError as exc:
-        body = exc.partial
+    body = _chi_square_section(dataset, args.alpha, args.yates, questions)
     per_question = body["per_question"]
     _emit({"per_question": per_question}, args, out)
     return 0 if all(b["status"] == "ok" for b in per_question.values()) else 1

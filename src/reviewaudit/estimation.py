@@ -46,7 +46,6 @@ SEPARATION_BOUND = 30.0
 MERGE_UNITS = 1024
 
 _BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
 _NEWTON_MAX_STEPS = 24
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -98,10 +97,8 @@ def _bisection_root(fn: Callable[[float], float], newton: Callable[[float, float
         # a NaN estimate falls back to the midpoint above.
         t = newton(t, value) + past
 
-    for _ in range(_BISECT_MAX_ITER):
+    while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
         if mid <= a or (mid < b and (fn(mid) <= 0.0) == rising):
             lo = mid
         else:
@@ -416,16 +413,10 @@ def _merge_rows(
     """The distinct (digits row, target) pairs, in increasing mixed-radix
     key order, and how many rows hold each. digits is int64 with column j
     below radices[j]; the radices' product times 2 must fit an int64."""
-    group = np.zeros(len(digits), np.int64)
-    for column, radix in zip(digits.T, radices):
-        group *= radix
-        group += column
-    keys, counts = _pair_counts(group, target, 2)
+    strides = np.cumprod([1, *radices[:0:-1]], dtype=np.int64)[::-1]
+    keys, counts = _pair_counts(digits @ strides, target, 2)
     group, target = np.divmod(keys, 2)
-    rows = np.empty((len(keys), len(radices)), np.int64)
-    for j in range(len(radices) - 1, -1, -1):
-        group, rows[:, j] = np.divmod(group, radices[j])
-    return rows, target, counts
+    return group[:, None] // strides % radices, target, counts
 
 
 def _encode_units(

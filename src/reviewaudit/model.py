@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -415,9 +416,15 @@ class ReviewDataset:
         return (units.classification != reference).astype(int), basis
 
     def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
-        """Each answer code's position in labels, or -1."""
-        index = {label: j for j, label in enumerate(labels)}
-        return np.array([index.get(label, -1) for label in self.records.labels[ANSWER]], np.int64)
+        """Each answer code's position in labels, or -1. Only labels are
+        looked up, by bisection of the sorted answer table."""
+        table = self.records.labels[ANSWER]
+        positions = np.full(len(table), -1, np.int64)
+        for j, label in enumerate(labels):
+            code = bisect_left(table, label)
+            if code < len(table) and table[code] == label:
+                positions[code] = j
+        return positions
 
     @cached_property
     def _cells(self) -> _Cells:

@@ -714,9 +714,9 @@ def _with_partial(exc: Exception, **partial) -> Exception:
     return exc
 
 
-# Each section builder returns its body or raises; run_audit turns the
-# error into the section's error body, and the CLI subcommands project the
-# same bodies.
+# Each section builder returns its body or raises, except that chi-square
+# returns its own error body; run_audit turns a raised error into the
+# section's error body, and the CLI subcommands project the same bodies.
 
 def _agreement_section(dataset: ReviewDataset, mode: str) -> dict:
     return _ok(analyze_agreement(dataset, mode))
@@ -735,10 +735,8 @@ def _chi_square_section(
         except ReviewAuditError as exc:
             per_question[q] = {"status": "error", "error": str(exc)}
     if all(body["status"] == "error" for body in per_question.values()):
-        raise _with_partial(
-            ReviewAuditError("no question yields a testable contingency table"),
-            per_question=per_question,
-        )
+        return {"status": "error", "error": "no question yields a testable contingency table",
+                "per_question": per_question}
     return {"status": "ok", "per_question": per_question}
 
 

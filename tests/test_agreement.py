@@ -238,6 +238,15 @@ class TestAgreementRate:
 
 
 class TestAnalyzeAgreement:
+    def test_no_complete_product_notes_the_missing_rate(self):
+        # p1 is rated on q1 only and p2 on q2 only
+        records = [rec("p1", "r1", "q1", "yes"), rec("p1", "r2", "q1", "no"),
+                   rec("p2", "r1", "q2", "yes"), rec("p2", "r2", "q2", "no")]
+        report = analyze_agreement(validate_dataset(records))
+        assert report.agreement_rate is None
+        assert report.notes == (
+            "agreement rate unavailable: no product has complete ratings on every question",)
+
     def test_single_question_same_under_both_modes(self):
         records = []
         for p in range(6):

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and end-to-end determinism."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 from reviewaudit import SimulationConfig, cli, did_with_error_rates, inject_review_change
 from reviewaudit.cli import build_parser, main
 from reviewaudit.report import ingest_csv_groups
+
+REVIEW_HEADER = "product_id,reviewer_id,question_id,answer,final_classification\n"
 
 
 def write_config(path, **overrides):
@@ -233,6 +236,21 @@ class TestChisqCommand:
         payload = json.loads(out)
         assert list(payload["per_question"]) == ["q1"]
 
+    def test_every_question_degenerate_exit_1(self, tmp_path, capsys):
+        # One classification throughout: every question's table is
+        # degenerate, and each question's error is printed.
+        path = tmp_path / "degenerate.csv"
+        path.write_text(REVIEW_HEADER + "".join(
+            f"p{p},{r},q1,{'yes' if p % 2 else 'no'},good\np{p},{r},q2,yes,good\n"
+            for p in range(4) for r in ("r1", "r2")))
+        code, out, err = run(capsys, ["chisq", "--input", str(path)])
+        assert (code, err) == (1, "")
+        needs = "(needs >= 2 answers and >= 2 classifications with non-zero margins)"
+        assert json.loads(out) == {"per_question": {
+            "q1": {"status": "error", "error": f"question 'q1' yields a degenerate 2x1 table {needs}"},
+            "q2": {"status": "error", "error": f"question 'q2' yields a degenerate 1x1 table {needs}"},
+        }}
+
 
 def _write_team_csv(path, n_teams):
     lines = ["product_id,reviewer_id,question_id,answer,final_classification,team"]
@@ -368,6 +386,59 @@ class TestCiCommand:
         assert (code, out) == (1, "")
         assert err == ("reviewaudit: analysis failed: incomplete beta continued "
                        "fraction did not converge within 500 iterations\n")
+
+
+class TestInputErrorExitCodes:
+    @pytest.mark.parametrize("files, argv, code, err", [
+        ({"truth.csv": "product_id,classification\np1,good\np2, \n"},
+         ["ci", "--input", "panel.csv", "--ground-truth", "truth.csv"],
+         2, "invalid input: blank ground-truth entry on row 3"),
+        ({"did.csv": "group,period,outcome\n"}, ["did", "--input", "did.csv", "--change-period",
+                                                "1"], 2, "invalid input: no data rows"),
+        ({"did.csv": "group,period,outcome\ncontrol,0,1\ncontrol,9223372036854775808,2\n"
+                     "treated,0,1\ntreated,1,2\n"},
+         ["did", "--input", "did.csv", "--change-period", "1"],
+         1, "analysis failed: periods must fit in 64 bits"),
+        # every cell has one of the roster's two reviewers, so all are dropped
+        ({"dropped.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np2,r2,q1,no,good\n"},
+         ["ci", "--input", "dropped.csv"], 2, "invalid input: no units to extrapolate"),
+        ({"config.json": json.dumps({
+            "n_products": 10, "n_reviewers": 2, "seed": 1,
+            "questions": [{"id": "q1", "n_categories": 2, "difficulty": 0.1}],
+            "treatment": {"change_period": 1, "error_rate_delta": 1.5}})},
+         ["simulate", "--config", "config.json", "--did-pair", "--output", "out.csv"],
+         2, "invalid input: error_rate_delta must be in [0, 1], got 1.5"),
+        ({}, ["audit", "--input", "panel.csv", "--level", "1.0"],
+         2, "invalid input: ci_level must be in (0, 1), got 1.0"),
+    ], ids=["blank truth", "empty did panel", "period over int64", "all cells dropped",
+            "treatment delta", "audit level"])
+    def test_exit_code_and_message(self, tmp_path, capsys, monkeypatch, files, argv, code, err):
+        files = {"panel.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np1,r2,q1,no,bad\n", **files}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, argv) == (code, "", f"reviewaudit: {err}\n")
+
+    def test_header_name_over_the_field_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text(REVIEW_HEADER.rstrip("\n") + "," + "x" * 30 + "\n")
+        limit = csv.field_size_limit(24)
+        try:
+            assert run(capsys, ["agreement", "--input", str(path)]) == (
+                2, "", "reviewaudit: invalid input: malformed CSV on row 1: field larger than "
+                "field limit (24)\n")
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_agreement_without_a_complete_product_notes_it(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text(REVIEW_HEADER + "p1,r1,q1,yes,good\np1,r2,q1,no,bad\n"
+                        "p2,r1,q2,yes,good\np2,r2,q2,no,bad\n")
+        code, out, _ = run(capsys, ["agreement", "--input", str(path)])
+        payload = json.loads(out)
+        assert (code, payload["agreement_rate"]) == (0, None)
+        assert payload["notes"] == [
+            "agreement rate unavailable: no product has complete ratings on every question"]
 
 
 class TestRegressCommand:

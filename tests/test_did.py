@@ -182,6 +182,11 @@ class TestPanelValidation:
             with pytest.raises(PanelError, match="change_period must be an integer"):
                 DidPanel(observations=observations, change_period=change_period)
 
+    def test_period_beyond_int64(self):
+        for period in (2**63, -(2**63) - 1):
+            with pytest.raises(PanelError, match="^periods must fit in 64 bits$"):
+                DidPanel(observations=(("control", period, 1.0),), change_period=1)
+
     def test_panel_is_immutable(self):
         panel = panel_2x2(0.0, 1.0, 0.0, 2.0)
         with pytest.raises(AttributeError):

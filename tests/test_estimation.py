@@ -432,6 +432,61 @@ class TestCounts:
                 fit(design, target, counts=counts)
 
 
+def _merged_rows_oracle(digits, radices, target):
+    """_merge_rows in Python ints: the mixed-radix key of each (row, target)
+    pair, counted, and decoded in increasing key order."""
+    counted = collections.Counter()
+    for row, t in zip(digits, target):
+        key = 0
+        for digit, radix in zip(row, radices):
+            key = key * radix + digit
+        counted[2 * key + t] += 1
+    rows, targets = [], []
+    for key in sorted(counted):
+        group, t = divmod(key, 2)
+        row = []
+        for radix in reversed(radices):
+            group, digit = divmod(group, radix)
+            row.append(digit)
+        rows.append(row[::-1])
+        targets.append(t)
+    return rows, targets, [counted[key] for key in sorted(counted)]
+
+
+@st.composite
+def _mixed_radix_rows(draw):
+    """int64 digits under their radices, with 0/1 targets. The answer
+    columns share one radix, as in _encode_units, and a trailing team column
+    may have its own; or a last radix brings the radices' product times 2 to
+    just under 2**63."""
+    n_answers = draw(st.integers(min_value=1, max_value=4))
+    radices = [draw(st.integers(min_value=1, max_value=6))] * n_answers
+    shape = draw(st.sampled_from(["answers", "team", "widest"]))
+    if shape == "team":
+        radices.append(draw(st.integers(min_value=2, max_value=5)))
+    elif shape == "widest":
+        radices.append(2**62 // math.prod(radices) - draw(st.integers(min_value=0, max_value=2)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    digits = [[draw(st.integers(min_value=0, max_value=radix - 1)) for radix in radices]
+              for _ in range(n)]
+    target = draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
+    return digits, radices, target
+
+
+class TestMergeRows:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_mixed_radix_rows())
+    def test_rows_match_a_python_int_oracle(self, drawn):
+        digits, radices, target = drawn
+        assert 2 * math.prod(radices) <= 2**63
+        rows, targets, counts = estimation._merge_rows(
+            np.array(digits, np.int64), radices, np.array(target, np.int64))
+        assert (rows.dtype, targets.dtype, rows.shape) == \
+            (np.int64, np.int64, (len(targets), len(radices)))
+        assert (rows.tolist(), targets.tolist(), counts.tolist()) == \
+            _merged_rows_oracle(digits, radices, target)
+
+
 def _driven_panel(n=200):
     """qd's answer determines the classification up to 10% deterministic
     flips; qn is uncorrelated noise."""

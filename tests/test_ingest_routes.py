@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewaudit import ReviewRecord, ingest_csv, validate_dataset
+from reviewaudit import CsvFormatError, ReviewRecord, ingest_csv, validate_dataset
 from reviewaudit import report
 from reviewaudit.model import REQUIRED_FIELDS
 from reviewaudit.report import ingest_csv_groups, write_panel_csv
@@ -176,6 +176,40 @@ def test_a_file_that_grows_while_read_goes_to_the_csv_path(path, monkeypatch):
     monkeypatch.setattr(report, "_plain_blocks", growing)
     records = ingest_csv(str(path))
     assert [r.product_id for r in records] == ["p1"] * 20 + ["p2"] * 20
+
+
+def test_a_header_name_over_the_field_limit_goes_to_the_csv_path(path):
+    # The block reader hands a header-only file whose header holds a name
+    # over the csv module's field size limit to the csv path, which refuses
+    # it on row 1, as a stream of the same bytes is refused.
+    data = (",".join(REQUIRED_FIELDS) + "," + "x" * 30 + "\n").encode()
+    _assert_routes_agree(path, data, block=1 << 16, field_limit=24)
+    limit = csv.field_size_limit(24)
+    try:
+        assert report._read_plain_file(str(path), False) is None
+        assert read_outcome(ingest_csv, str(path))[0][1:] == (
+            CsvFormatError, "malformed CSV on row 1: field larger than field limit (24)",
+            1, None)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_a_field_far_wider_than_its_block_goes_to_the_csv_path(path, monkeypatch):
+    # 200 answers of 1 byte and one of 100: gathering the answer column at
+    # its widest field's width would take over _GATHER_LIMIT times the
+    # block's bytes, so the block reader hands the file to the csv module.
+    lines = [",".join(REQUIRED_FIELDS)] + [f"p{i:03d},r1,q1,a,c" for i in range(200)]
+    path.write_text("\n".join(lines + ["p200,r1,q1," + "a" * 100 + ",c", ""]))
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        on_stream = ingest_csv(stream)
+    read = mock.Mock(wraps=report._read_csv_stream)
+    monkeypatch.setattr(report, "_read_csv_stream", read)
+    assert ingest_csv(str(path)) == on_stream
+    assert read.call_count == 1
+    # under a limit the gather stays within, the block reader reads it
+    monkeypatch.setattr(report, "_GATHER_LIMIT", 100)
+    assert ingest_csv(str(path)) == on_stream
+    assert read.call_count == 1
 
 
 def _no_csv_path(stream, group):

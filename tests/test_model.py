@@ -3,6 +3,7 @@
 import io
 import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -373,6 +374,24 @@ class TestContingency:
             ContingencyTable.from_observed([])
         with pytest.raises(DegenerateTableError):
             ContingencyTable.from_observed([[0, 0], [0, 0]])
+
+
+def test_sparse_questions_look_up_only_their_own_answers():
+    # 5,000 products x 2 reviewers, each product with its own question and
+    # two answer labels of its own, so 10,000 answer labels in all. A call
+    # looks up only its question's labels: the 10,000 calls below take about
+    # 1 s on a 2 vCPU Xeon, where a lookup of every label on each call took 9 s.
+    records = [rec(f"p{p:04d}", f"r{r}", f"q{p:04d}", f"a{p:04d}-{r}", ("reject", "approve")[r])
+               for p in range(5000) for r in range(2)]
+    dataset = validate_dataset(RecordColumns.from_records(records))
+    start = time.perf_counter()
+    for q in dataset.questions:
+        matrix = rating_matrix(dataset, q)
+        table = contingency_from(dataset, q)
+    elapsed = time.perf_counter() - start
+    assert (matrix.categories, matrix.counts) == (("a4999-0", "a4999-1"), ((1, 1),))
+    assert table.observed == ((0, 1), (1, 0))
+    assert elapsed < 3.0
 
 
 def _uses_every_label(records) -> bool:

@@ -239,6 +239,21 @@ class TestIngestCsv:
         exact_repeat = routes(read_ground_truth_csv, io.StringIO(text.rsplit("p1,bad", 1)[0]))
         assert exact_repeat == {"p1": "good", "p2": "bad"}
 
+    @pytest.mark.parametrize("text, message, row", [
+        ("product_id,classification\np1,good\np2, \n", "blank ground-truth entry on row 3", 3),
+        # a row short of the classification reads it as blank
+        ("product_id,classification\np1\n", "blank ground-truth entry on row 2", 2),
+        ("product_id,classification\n\n", "ground-truth file has no data rows", None),
+    ])
+    def test_ground_truth_entry_errors(self, text, message, row, routes):
+        with pytest.raises(CsvFormatError) as err:
+            routes(read_ground_truth_csv, io.StringIO(text))
+        assert (str(err.value), err.value.row) == (message, row)
+
+    def test_outcome_panel_without_rows(self, routes):
+        with pytest.raises(CsvFormatError, match="^no data rows$"):
+            routes(read_outcome_panel_csv, io.StringIO("group,period,outcome\n\n"))
+
     @pytest.mark.parametrize("reader, text, message", [
         (read_ground_truth_csv, "", "empty file: no header row"),
         (read_ground_truth_csv, "id,label\np1,good\n",
@@ -507,6 +522,19 @@ class TestRunAudit:
         dataset, _ = _team_panel()
         with pytest.raises(ValueError):
             run_audit(dataset, alpha=1.5)
+
+    @pytest.mark.parametrize("option, message", [
+        ({"overall_kappa_mode": "median"}, "overall_kappa_mode must be one of "
+         "('pooled', 'mean_of_questions'), got 'median'"),
+        ({"ci_method": "exact"}, "ci_method must be one of ('clopper_pearson', 'wilson'), "
+         "got 'exact'"),
+        ({"ci_level": 1.0}, "ci_level must be in (0, 1), got 1.0"),
+    ])
+    def test_option_validation(self, option, message):
+        dataset, _ = _team_panel()
+        with pytest.raises(ValueError) as err:
+            run_audit(dataset, **option)
+        assert str(err.value) == message
 
 
 def _did_panel():

@@ -93,6 +93,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="change_period must be an integer"):
             Treatment(change_period=True, error_rate_delta=0.2)
 
+    @pytest.mark.parametrize("delta", [1.5, -0.1])
+    def test_treatment_delta_must_be_a_probability(self, delta):
+        with pytest.raises(ConfigError) as err:
+            Treatment(1, delta)
+        assert str(err.value) == f"error_rate_delta must be in [0, 1], got {delta}"
+
     def test_from_json(self):
         payload = {
             "n_products": 5,
