@@ -137,8 +137,7 @@ class ColumnCoder:
 
     def add_codes(self, codes: np.ndarray, values: Sequence) -> None:
         """Add a chunk given as codes into values, a table of the chunk's
-        values (which may repeat one). The codes are kept, not copied, until
-        finish()."""
+        values. The codes are kept, not copied, until finish()."""
         index = self.index
         lut = np.array([index.setdefault(value, len(index)) for value in values], np.int32)
         self.parts.append((codes, lut))
@@ -186,24 +185,13 @@ class RecordColumns(Sequence[ReviewRecord]):
         self.codes = tuple(codes)
         self.labels = tuple(labels)
 
-    @staticmethod
-    def coders() -> list[ColumnCoder]:
-        """One empty ColumnCoder per ReviewRecord field, in FIELDS order; the
-        values added must be valid ReviewRecord field values."""
-        return [ColumnCoder(i in OPTIONAL) for i in range(len(FIELDS))]
-
-    @classmethod
-    def from_coders(cls, coders: Sequence[ColumnCoder]) -> "RecordColumns":
-        """Columns over what was added to coders()."""
-        return cls(*zip(*(coder.finish() for coder in coders)))
-
     @classmethod
     def from_records(cls, records: Sequence[ReviewRecord]) -> "RecordColumns":
         """Columns over the records' field values; the records are not kept."""
-        coders = cls.coders()
+        coders = [ColumnCoder(i in OPTIONAL) for i in range(len(FIELDS))]
         for coder, name in zip(coders, FIELDS):
             coder.add(map(operator.attrgetter(name), records), len(records))
-        return cls.from_coders(coders)
+        return cls(*zip(*(coder.finish() for coder in coders)))
 
     def __len__(self) -> int:
         return len(self.codes[0])
@@ -228,18 +216,25 @@ class RecordColumns(Sequence[ReviewRecord]):
         """The rows at the given positions, over the same label tables."""
         return RecordColumns([np.take(c, index) for c in self.codes], self.labels)
 
-    def compact(self, fields: Iterable[int] = range(len(FIELDS))) -> "RecordColumns":
-        """The same rows, with the label tables of fields (all by default)
-        cut to the values they use; an optional column keeps its None."""
-        codes, labels = list(self.codes), list(self.labels)
-        for i in fields:
-            used = np.bincount(codes[i], minlength=len(labels[i])) > 0
-            if i in OPTIONAL:
-                used[0] = True
-            if not used.all():
-                codes[i] = np.take(np.cumsum(used, dtype=np.int32) - 1, codes[i])
-                labels[i] = tuple(compress(labels[i], used.tolist()))
-        return RecordColumns(codes, labels)
+    def compact(self) -> "RecordColumns":
+        """The same rows, with each label table cut to the values it uses;
+        an optional column keeps its None."""
+        cut = [cut_unused(codes, table, i in OPTIONAL)
+               for i, (codes, table) in enumerate(zip(self.codes, self.labels))]
+        return RecordColumns(*zip(*cut))
+
+
+def cut_unused(codes: np.ndarray, table: tuple,
+               optional: bool = False) -> tuple[np.ndarray, tuple]:
+    """Codes into table, and the table, with the labels no code uses taken
+    out by one bincount; an optional table keeps its leading None."""
+    used = np.bincount(codes, minlength=len(table)) > 0
+    if optional:
+        used[0] = True
+    if used.all():
+        return codes, table
+    codes = np.take(np.cumsum(used, dtype=np.int32) - 1, codes)
+    return codes, tuple(compress(table, used.tolist()))
 
 
 @dataclass(frozen=True)
@@ -443,11 +438,15 @@ class ReviewDataset:
                                    np.arange(len(self.questions) + 1)),
         )
 
+    @cached_property
+    def _question_index(self) -> dict[str, int]:
+        return {question: i for i, question in enumerate(self.questions)}
+
     def _question_cells(self, question: str) -> slice:
         """The cells of a question in _cells."""
         try:
-            i = self.questions.index(question)
-        except ValueError:
+            i = self._question_index[question]
+        except (KeyError, TypeError):  # unknown, or unhashable
             raise UnknownQuestionError(question) from None
         bounds = self._cells.bounds
         return slice(int(bounds[i]), int(bounds[i + 1]))
@@ -516,8 +515,9 @@ def validate_dataset(
     and the simulator give); either way the dataset keeps code columns only,
     and dataset.records makes a record object only for a row that is read.
     A RecordColumns' label tables must hold only values its records use
-    (an optional column's None aside), as the readers, from_records, a
-    slice and the simulator give them; compact() makes them so.
+    (an optional column's None aside), as the readers, from_records and a
+    slice give them and as the simulator builds them, sorted and cut by
+    construction; compact() makes any other so.
 
     Cost: one O(n) check that the packed (product, reviewer, question) key
     strictly increases, as it does for the simulator's and write_panel_csv's

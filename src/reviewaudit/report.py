@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .agreement import OVERALL_KAPPA_MODES, analyze_agreement
-from .did import DidPanel, did_estimate, did_with_error_rates
+from .did import GROUPS, DidPanel, did_estimate, did_with_error_rates
 from .errors import CsvFormatError, DatasetValidationError, ReviewAuditError
 from .estimation import CI_METHODS, bias_factor_report, binomial_ci
 from .hypotheses import _check_alpha, chi_square_independence, one_way_anova, two_sample_t
@@ -672,18 +672,26 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 
 
 def read_outcome_panel_csv(source: Source) -> list[tuple[str, int, float]]:
-    """Read (group, period, outcome) observations for DiD estimation."""
+    """Read (group, period, outcome) observations for DiD estimation. A
+    group outside did.GROUPS or a period outside int64 is a CsvFormatError."""
     columns = ("group", "period", "outcome")
     with _csv_reader(source, columns) as (reader, header):
         rows: list[tuple[str, int, float]] = []
         for group, period, outcome in _named_rows(reader, header, columns):
+            line, group = reader.line_num, group.strip()
             try:
-                rows.append((group.strip(), int(period.strip()), float(outcome.strip())))
+                period, outcome = int(period.strip()), float(outcome.strip())
             except ValueError:
-                line = reader.line_num
                 raise CsvFormatError(
                     f"unparseable period/outcome on row {line}", row=line
                 ) from None
+            if group not in GROUPS:
+                raise CsvFormatError(f"unknown group {group!r} on row {line}",
+                                     row=line, column="group")
+            if not -(1 << 63) <= period < 1 << 63:
+                raise CsvFormatError(f"period {period} on row {line} does not fit in 64 bits",
+                                     row=line, column="period")
+            rows.append((group, period, outcome))
         if not rows:
             raise CsvFormatError("no data rows")
         return rows

@@ -13,10 +13,11 @@ generation order.
 SplitMix64Array draws from many such streams at once with numpy uint64
 arithmetic, which wraps mod 2**64 as the masked Python integers do, so its
 draws equal the scalar generator's bit for bit. Draw j of a stream with
-start state s is mix(s + j * golden); a draw under a mask advances only the
-streams it selects, which lets streams make different numbers of draws.
-Every uint64 operand is an array or an explicit np.uint64: NumPy 1.x
-promotes a uint64 scalar mixed with a Python int to float64.
+start state s is mix(s + j * golden); a draw under a boolean mask advances
+only the streams it selects, by adding golden times the mask, which lets
+streams make different numbers of draws. Every uint64 operand is an array
+or an explicit np.uint64: NumPy 1.x promotes a uint64 scalar mixed with a
+Python int to float64 (a bool array times an np.uint64 stays uint64).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class SplitMix64Array:
         return cls(np.arange(n, dtype=np.uint64) * _GOLDEN_U + _U(stream._state))
 
     def next_uint64(self, where: np.ndarray | None = None) -> np.ndarray:
-        np.add(self.state, _GOLDEN_U, out=self.state, where=True if where is None else where)
+        self.state += _GOLDEN_U if where is None else _GOLDEN_U * where
         return _mix_array(self.state.copy())
 
     def random(self, where: np.ndarray | None = None) -> np.ndarray:

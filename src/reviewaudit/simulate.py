@@ -18,9 +18,9 @@ draws.
 A panel is generated with array kernels (rng.SplitMix64Array): one stream
 per (product, question), all advanced together one reviewer step at a
 time, each making only the draws its scalar counterpart would. The output
-is int32 code columns built from small per-panel tables and remapped once
-to sorted label tables (model.ColumnCoder); no per-record label string is
-made.
+is int32 code columns that index the final sorted label tables directly:
+the simulator knows each table's order by construction, so it codes
+through small lookup tables and makes no per-record label string.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import (ANSWER, CLASSIFICATION, ColumnCoder, RecordColumns, ReviewDataset, is_int,
-                    is_label, majority, validate_dataset)
+from .model import (RecordColumns, ReviewDataset, cut_unused, is_int, is_label, majority,
+                    validate_dataset)
 from .rng import SplitMix64Array, derive_stream, weighted_index
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
@@ -182,17 +183,22 @@ def _labels(prefix: str, k: int) -> list[str]:
     return [f"{prefix}{j:0{width}d}" for j in range(k)]
 
 
+def _coded(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted table of the distinct values, and each value's code in it."""
+    table = sorted(set(values))
+    position = {label: i for i, label in enumerate(table)}
+    return tuple(table), np.fromiter(map(position.__getitem__, values), np.int32, len(values))
+
+
 def _generate_records(
     config: SimulationConfig,
-    coders: Sequence[ColumnCoder],
     *,
     salt: tuple[int, ...] = (),
-    product_prefix: str = "p",
-    period: int | None = None,
     flip_delta: float = 0.0,
-) -> dict[str, str]:
-    """Add a panel's records to coders, one per ReviewRecord field, and
-    return its ground truth.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw a chunk of n_products products: each product's latent truth
+    index, the (product, reviewer, question) answer indices and each
+    (product, reviewer) unit's classification index.
 
     Every (product, question) stream is drawn from at once, one reviewer
     step at a time: an anchoring draw, a difficulty draw for the streams
@@ -230,39 +236,63 @@ def _generate_records(
         # force a wrong classification: the lowest index differing from truth
         wrong = (flips.random() < flip_delta) & (verdict == truth_index[:, None])
         verdict = np.where(wrong, (truth_index == 0)[:, None].astype(np.int32), verdict)
+    return truth_index, answers, verdict
 
-    width = len(str(n_products - 1))
-    product_ids = [f"{product_prefix}{i:0{width}d}" for i in range(n_products)]
+
+def _dataset(
+    config: SimulationConfig,
+    chunks: Sequence[tuple[str, int | None, tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> tuple[ReviewDataset, dict[str, str]]:
+    """Validate the records of chunks, (product prefix, period, draws)
+    triples in record order, as one dataset; return it and the chunks'
+    ground truth.
+
+    The codes index the final sorted label tables by construction. A
+    chunk's zero-padded product ids are sorted, and no prefix begins
+    another, so a chunk's products are one run of the product table: a
+    product's code is its prefix's offset plus its index (chunks of one
+    prefix share their ids). Reviewers, questions and answers are coded
+    through small sorted tables; only the answer and class tables can hold
+    labels no record uses (categories never drawn), so only they are cut.
+    """
+    n, per_unit = config.n_products, len(config.questions)
+    per_product = config.n_reviewers * per_unit
+    categories = [q.n_categories for q in config.questions]
+    prefixes = sorted({prefix for prefix, _, _ in chunks})
+    periods = sorted({period for _, period, _ in chunks} - {None})
+    width = len(str(n - 1))
+    ids = {prefix: list(map(f"{prefix}%0{width}d".__mod__, range(n))) for prefix in prefixes}
     class_labels = _labels("class", max(categories))
-    answers += np.cumsum([0] + categories[:-1], dtype=np.int32)  # one table for all questions
-    none = np.zeros(answers.size, np.int32)
+    truth: dict[str, str] = {}
+    for prefix, _, (truth_index, _, _) in chunks:
+        truth.update(zip(ids[prefix], map(class_labels.__getitem__, truth_index.tolist())))
+
+    offsets = np.array([prefixes.index(prefix) * n for prefix, _, _ in chunks], np.int32)
+    products = (offsets[:, None] + np.arange(n, dtype=np.int32)).ravel()
+    period_codes = [0 if period is None else 1 + periods.index(period) for _, period, _ in chunks]
+    reviewers, reviewer_codes = _coded(config.reviewer_ids)
+    questions, question_codes = _coded([q.question_id for q in config.questions])
+    answer_labels, answer_codes = _coded([a for k in categories for a in _labels("a", k)])
+    answers = np.concatenate([draws[1] for _, _, draws in chunks]).reshape(-1, per_unit)
+    answers += np.cumsum([0] + categories[:-1], dtype=np.int32)  # into one table for all questions
+    verdicts, class_labels = cut_unused(
+        np.concatenate([draws[2] for _, _, draws in chunks]).ravel(), class_labels)
+    product_ids = tuple(chain.from_iterable(map(ids.__getitem__, prefixes)))
     columns = (
-        (np.repeat(products, n_reviewers * per_unit), product_ids),
-        (np.tile(np.repeat(np.arange(n_reviewers, dtype=np.int32), per_unit), n_products),
-         config.reviewer_ids),
-        (np.tile(np.arange(per_unit, dtype=np.int32), n_products * n_reviewers),
-         [q.question_id for q in config.questions]),
-        (answers.ravel(), [a for k in categories for a in _labels("a", k)]),
-        (np.repeat(verdict.ravel(), per_unit), class_labels),
-        (none, (None,)),
-        (none, (period,)),
+        (np.repeat(products, per_product), product_ids),
+        (np.tile(np.repeat(reviewer_codes, per_unit), len(products)), reviewers),
+        (np.tile(question_codes, len(products) * config.n_reviewers), questions),
+        cut_unused(np.take(answer_codes, answers.ravel()), answer_labels),
+        (np.repeat(verdicts, per_unit), class_labels),
+        (np.zeros(len(products) * per_product, np.int32), (None,)),
+        (np.repeat(np.array(period_codes, np.int32), n * per_product), (None, *periods)),
     )
-    for coder, (codes, values) in zip(coders, columns):
-        coder.add_codes(codes, values)
-    return dict(zip(product_ids, map(class_labels.__getitem__, truth_index.tolist())))
-
-
-def _columns(coders: Sequence[ColumnCoder]) -> RecordColumns:
-    """The coders' records; only the answer and class tables can hold
-    labels no record uses (categories never drawn), so only they are cut."""
-    return RecordColumns.from_coders(coders).compact((ANSWER, CLASSIFICATION))
+    return validate_dataset(RecordColumns(*zip(*columns))), truth
 
 
 def simulate_panel(config: SimulationConfig) -> tuple[ReviewDataset, dict[str, str]]:
     """Generate one review panel and its ground-truth classifications."""
-    coders = RecordColumns.coders()
-    truth = _generate_records(config, coders)
-    return validate_dataset(_columns(coders)), truth
+    return _dataset(config, [("p", None, _generate_records(config))])
 
 
 @dataclass(frozen=True)
@@ -297,22 +327,17 @@ def inject_review_change(
     truth: dict[str, str] = {}
     datasets = {}
     for gi, group in enumerate(("control", "treated")):
-        coders = RecordColumns.coders()
+        chunks = []
         for period in periods:
             delta = (
                 config.treatment.error_rate_delta
                 if group == "treated" and period >= change
                 else 0.0
             )
-            truth.update(_generate_records(
-                config,
-                coders,
-                salt=(gi, period),
-                product_prefix=f"{group}-{period}-p",
-                period=period,
-                flip_delta=delta,
-            ))
-        datasets[group] = validate_dataset(_columns(coders))
+            draws = _generate_records(config, salt=(gi, period), flip_delta=delta)
+            chunks.append((f"{group}-{period}-p", period, draws))
+        datasets[group], group_truth = _dataset(config, chunks)
+        truth.update(group_truth)
     return DidPair(
         treated=datasets["treated"],
         control=datasets["control"],

@@ -398,7 +398,11 @@ class TestInputErrorExitCodes:
         ({"did.csv": "group,period,outcome\ncontrol,0,1\ncontrol,9223372036854775808,2\n"
                      "treated,0,1\ntreated,1,2\n"},
          ["did", "--input", "did.csv", "--change-period", "1"],
-         1, "analysis failed: periods must fit in 64 bits"),
+         2, "invalid input: period 9223372036854775808 on row 3 does not fit in 64 bits"),
+        ({"did.csv": "group,period,outcome\ncontrol,0,1\nexposed,0,1\ncontrol,1,2\n"
+                     "treated,0,1\ntreated,1,2\n"},
+         ["did", "--input", "did.csv", "--change-period", "1"],
+         2, "invalid input: unknown group 'exposed' on row 3"),
         # every cell has one of the roster's two reviewers, so all are dropped
         ({"dropped.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np2,r2,q1,no,good\n"},
          ["ci", "--input", "dropped.csv"], 2, "invalid input: no units to extrapolate"),
@@ -410,7 +414,8 @@ class TestInputErrorExitCodes:
          2, "invalid input: error_rate_delta must be in [0, 1], got 1.5"),
         ({}, ["audit", "--input", "panel.csv", "--level", "1.0"],
          2, "invalid input: ci_level must be in (0, 1), got 1.0"),
-    ], ids=["blank truth", "empty did panel", "period over int64", "all cells dropped",
+    ], ids=["blank truth", "empty did panel", "period over int64", "unknown group",
+            "all cells dropped",
             "treatment delta", "audit level"])
     def test_exit_code_and_message(self, tmp_path, capsys, monkeypatch, files, argv, code, err):
         files = {"panel.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np1,r2,q1,no,bad\n", **files}

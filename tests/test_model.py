@@ -209,6 +209,15 @@ class TestRatingMatrix:
         with pytest.raises(UnknownQuestionError):
             rating_matrix(self._panel(), "q9")
 
+    @pytest.mark.parametrize("question", [["q1"], {"q1": 1}, 1, None],
+                             ids=["list", "dict", "int", "none"])
+    def test_unhashable_or_non_string_question(self, question):
+        dataset = self._panel()
+        with pytest.raises(UnknownQuestionError):
+            rating_matrix(dataset, question)
+        with pytest.raises(UnknownQuestionError):
+            contingency_from(dataset, question)
+
     def test_no_complete_cells(self):
         records = [rec("p1", f"r{i}", "q1", "yes") for i in range(3)]
         records += [rec("p1", "r0", "q2", "no")]

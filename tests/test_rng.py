@@ -3,6 +3,7 @@ generator they must match bit for bit."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewaudit.rng import SplitMix64, SplitMix64Array, derive_stream, weighted_index
 
@@ -46,6 +47,23 @@ def test_masked_draw_advances_only_selected_streams():
     drawn = array.next_uint64(mask)
     assert [drawn[0], drawn[2]] == [scalars[0].next_uint64(), scalars[2].next_uint64()]
     assert array.next_uint64().tolist() == [s.next_uint64() for s in scalars]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(2, 400), st.integers(0, 2 ** 64 - 1), st.lists(st.floats(0.0, 1.0),
+                                                                min_size=1, max_size=6))
+def test_masked_draws_equal_scalar_draws(n, seed, densities):
+    # Each draw advances a random subset of the streams; every selected
+    # stream must give the scalar stream's next draw.
+    states = [derive_stream(seed, i).next_uint64() for i in range(n)]
+    array, scalars = _arrays(states)
+    pick = SplitMix64Array.following(derive_stream(seed, -1), n)
+    for density in densities:
+        mask = pick.random() < density
+        drawn = array.next_uint64(mask)
+        selected = np.flatnonzero(mask).tolist()
+        assert drawn[selected].tolist() == [scalars[i].next_uint64() for i in selected]
+    assert array.state.tolist() == [s._state for s in scalars]
 
 
 def test_derive_equals_derive_stream():

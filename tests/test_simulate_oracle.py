@@ -126,3 +126,22 @@ def test_majority_sorted_or_counted_matches_scalar_generator(config, cells_per_r
     groups, pair_truth = inject_review_change_oracle(config, (-3, 0))
     assert _csv(pair.treated) == panel_csv_oracle(groups["treated"])
     assert dict(pair.ground_truth) == pair_truth
+
+
+def _assert_every_label_used(dataset):
+    assert dataset.records.labels == dataset.records.compact().labels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(treated_configs())
+@example((EDGES, (-2, 0)))
+@example((LONE, (-1, -2, 3)))
+def test_simulated_label_tables_hold_only_used_labels(case):
+    # One product with twelve categories and no redraw on q2 leaves most
+    # answer and class labels undrawn; the CSV bytes cannot show a table
+    # entry that no record uses.
+    config, periods = case
+    _assert_every_label_used(simulate_panel(config)[0])
+    pair = inject_review_change(config, periods)
+    _assert_every_label_used(pair.treated)
+    _assert_every_label_used(pair.control)
