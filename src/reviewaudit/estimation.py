@@ -21,6 +21,7 @@ unit counts; a smaller one on a row per unit.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -116,8 +117,10 @@ def _approx_normal_quantile_upper(tail: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def _normal_quantile_upper(tail: float) -> float:
-    """z with P(Z >= z) = tail, for tail in (0, 0.5]; internal use only."""
+    """z with P(Z >= z) = tail, for tail in (0, 0.5]; internal use only.
+    Cached per tail, which a Wilson interval takes from its level alone."""
     if tail >= 0.5:
         return 0.0
     return _bisection_root(
@@ -175,7 +178,8 @@ def binomial_ci(
     each by bisection to 1e-10; x = 0 pins the lower bound at 0 and x = n
     the upper at 1. The bisection's float is reached by a Newton bracket
     started at the Wilson bound, then an exact replay of the bisection.
-    wilson: closed-form score interval.
+    wilson: closed-form score interval; its normal quantile z is bisected
+    once per level and then cached.
     """
     if not (is_int(x) and is_int(n)):
         raise ValueError("x and n must be integers")
@@ -435,16 +439,18 @@ def _encode_units(
     """
     questions = [f for f in factors if f != "team"]
     use_team = "team" in factors
+    positions = []
     for q in questions:
-        if q not in dataset.questions:
-            raise DatasetValidationError(f"factor {q!r} is not a question in the dataset")
+        try:
+            positions.append(dataset._question_index[q])
+        except (KeyError, TypeError):  # unknown, or unhashable
+            raise DatasetValidationError(f"factor {q!r} is not a question in the dataset") from None
 
     units = dataset.units
     unit, _ = dataset._unit_rows
     codes = dataset.records.codes
     # A unit holds a question at most once, so it is covered when it has a
     # record for every factor question; a factor named twice is never covered.
-    positions = [dataset.questions.index(q) for q in questions]
     factor = np.zeros(len(dataset.questions), bool)
     factor[positions] = True
     counted = factor[codes[QUESTION]]
@@ -468,8 +474,8 @@ def _encode_units(
 
     # codes index sorted label tables, so code order is label order
     classes = units.classification[covered]
-    used = np.unique(classes)
     table = dataset.records.labels[CLASSIFICATION]
+    used = np.flatnonzero(np.bincount(classes, minlength=len(table)))
     labels = tuple(map(table.__getitem__, used.tolist()))
     if len(labels) != 2:
         raise NonBinaryTargetError(labels)

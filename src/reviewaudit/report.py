@@ -18,8 +18,10 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import functools
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -58,8 +60,14 @@ GROUND_TRUTH_COLUMNS = ("product_id", "classification")
 Source = Union[str, "os.PathLike[str]", IO[str]]
 
 
+@functools.lru_cache(maxsize=64)
+def _field_names(kind: type) -> tuple[str, ...]:
+    """A result dataclass's field names, read once per type."""
+    return tuple(f.name for f in fields(kind))
+
+
 def _fields(result) -> dict:
-    return {f.name: getattr(result, f.name) for f in fields(result)}
+    return {name: getattr(result, name) for name in _field_names(type(result))}
 
 
 def _plain(value, round_floats: bool = True):
@@ -905,9 +913,56 @@ def run_audit(
 
 # --- serialization -----------------------------------------------------------
 
+_json_string = json.encoder.encode_basestring_ascii  # json's C escaper
+
+
 def _json_text(payload) -> str:
-    """Canonical JSON: sorted keys, two-space indent, and never NaN or Infinity."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, and never NaN or Infinity.
+
+    The text of json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    plus a newline, written here because json.dumps takes its pure-Python
+    encoder once an indent is set. Keys must be str, as every report key is.
+    """
+    parts: list[str] = []
+    _write_json(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, write) -> None:
+    """Write value's JSON; newline is the line break and indent of its level."""
+    if isinstance(value, str):
+        write(_json_string(value))
+    elif value is None or value is True or value is False:
+        write("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        write(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):  # the escaper refuses a key that is not a str
+            write(f"{sep}{inner}{_json_string(key)}: ")
+            _write_json(value[key], inner, write)
+            sep = ","
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for item in value:
+            write(sep + inner)
+            _write_json(item, inner, write)
+            sep = ","
+        write(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_report(report: AuditReport, fmt: str = "json") -> str:

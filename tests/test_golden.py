@@ -4,13 +4,21 @@ The inputs and outputs live in tests/fixtures/golden/ and were written by
 its record.py. A difference here means the program's output changed.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from reviewaudit import report
+from reviewaudit.agreement import AgreementReport, KappaResult
 from reviewaudit.cli import main
+from reviewaudit.did import DidResult
+from reviewaudit.estimation import BiasFactorReport, BinomialInterval, FactorEffect
+from reviewaudit.hypotheses import AnovaDecomposition
+from reviewaudit.hypotheses import TestResult as HypothesisTest
+from reviewaudit.report import AuditReport
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -23,6 +31,29 @@ def test_golden_output(case, capsys):
     out = capsys.readouterr().out
     assert out == (GOLDEN / "out" / f"{case['name']}.txt").read_text(encoding="utf-8")
     assert code == case["exit"]
+
+
+def test_cached_field_names_match_dataclasses_fields(monkeypatch, capsys):
+    """report._fields, which reads a type's field names once, gives what
+    dataclasses.fields gives, in its order, for every result emitted by
+    every golden case."""
+    seen = set()
+    cached = report._fields
+
+    def checked(result):
+        got = cached(result)
+        expected = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        assert list(got) == list(expected)
+        assert all(got[name] is expected[name] for name in got)
+        seen.add(type(result))
+        return got
+
+    monkeypatch.setattr(report, "_fields", checked)
+    for case in CASES:
+        main([str(GOLDEN / a[1:]) if a.startswith("@") else a for a in case["argv"]])
+    capsys.readouterr()
+    assert {AuditReport, AgreementReport, KappaResult, HypothesisTest, AnovaDecomposition,
+            BinomialInterval, BiasFactorReport, FactorEffect, DidResult} <= seen
 
 
 def test_cases_cover_every_subcommand():

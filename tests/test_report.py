@@ -4,9 +4,11 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewaudit import (
     AgreementReport,
@@ -602,6 +604,26 @@ class TestSectionGuard:
         }
 
 
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: float(f"{x:.12g}")),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+                     0.1, 1e16, 123456789012.0, 0.000123456789012]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f\u2028", "é中😀\ud800", ""]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text() | st.sampled_from(['"k"', "\\", "\n", "ü"]), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
 class TestSerialization:
     def test_round_trip_and_determinism(self):
         dataset, truth = _team_panel()
@@ -656,6 +678,29 @@ class TestSerialization:
         dataset, truth = _team_panel()
         with pytest.raises(ValueError):
             emit_report(run_audit(dataset, ground_truth=truth), "yaml")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_writer_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert report_module._json_text(payload) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [lambda v: v, lambda v: {"a": [1, {"b": v}]},
+                                       lambda v: (0.5, [v])])
+    def test_writer_refuses_nan_and_infinity(self, bad, where):
+        payload = where(bad)
+        with pytest.raises(ValueError, match="JSON compliant") as ours:
+            report_module._json_text(payload)
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {None: 0}, {"a": {1.5: 0}}, {1, 2},
+                                         [b"x"], {"a": object()}])
+    def test_writer_refuses_non_str_keys_and_other_types(self, payload):
+        with pytest.raises(TypeError):
+            report_module._json_text(payload)
 
 
 class TestTextRendering:
