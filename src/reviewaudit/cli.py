@@ -14,7 +14,7 @@ import dataclasses
 import functools
 import os
 import sys
-from typing import IO
+from typing import IO, Callable
 
 from . import __version__
 from .did import DidPanel
@@ -30,7 +30,6 @@ from .report import (
     _did_section,
     _extrapolation_section,
     _json_text,
-    _open_source,
     _plain,
     _team_section,
     emit_report,
@@ -82,12 +81,13 @@ def _maybe_truth(args) -> dict[str, str] | None:
     return read_ground_truth_csv(args.ground_truth) if args.ground_truth else None
 
 
-def _did_panel(path: str, change_period: int | None) -> DidPanel:
-    """A group,period,outcome CSV as a DiD panel changing at change_period."""
+def _did_panel(path: str, change_period: int | None) -> Callable[[], DidPanel]:
+    """Read a group,period,outcome CSV; return the maker of its DiD panel
+    changing at change_period, which the DiD section calls."""
     observations = tuple(read_outcome_panel_csv(path))
     if change_period is None:
         raise ValueError("--did-input requires --change-period")
-    return DidPanel(observations=observations, change_period=change_period)
+    return functools.partial(DidPanel, observations, change_period)
 
 
 def _cmd_agreement(args, out: IO[str]) -> int:
@@ -98,6 +98,8 @@ def _cmd_agreement(args, out: IO[str]) -> int:
 
 def _cmd_chisq(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
+    if args.question and args.question not in dataset.questions:
+        raise DatasetValidationError(f"question {args.question!r} not present in dataset")
     questions = [args.question] if args.question else None
     body = _chi_square_section(dataset, args.alpha, args.yates, questions)
     per_question = body["per_question"]
@@ -170,7 +172,7 @@ def _cmd_did(args, out: IO[str]) -> int:
 
 
 def _cmd_simulate(args, out: IO[str]) -> int:
-    with _open_source(args.config) as stream:
+    with open(args.config, encoding="utf-8-sig") as stream:
         config = SimulationConfig.from_json(stream)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

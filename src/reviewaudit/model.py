@@ -93,15 +93,9 @@ REQUIRED_FIELDS = FIELDS[:TEAM]  # each a non-empty string in every record
 
 
 class _Numbering(dict):
-    """Codes by value: a value looked up for the first time gets the next
-    code and is listed in new."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.new: list = []
+    """Codes by value: a value looked up for the first time gets the next code."""
 
     def __missing__(self, value) -> int:
-        self.new.append(value)
         code = self[value] = len(self)
         return code
 
@@ -128,12 +122,9 @@ class ColumnCoder:
         """The number of values added."""
         return sum(len(codes) for codes, _ in self.parts)
 
-    def add(self, values: Iterable, count: int) -> list:
-        """Code a chunk of count values; returns the values not seen before."""
-        index = self.index
-        index.new = []
-        self.parts.append((np.fromiter(map(index.__getitem__, values), np.int32, count), None))
-        return index.new
+    def add(self, values: Iterable, count: int) -> None:
+        """Code a chunk of count values."""
+        self.parts.append((np.fromiter(map(self.index.__getitem__, values), np.int32, count), None))
 
     def add_codes(self, codes: np.ndarray, values: Sequence) -> None:
         """Add a chunk given as codes into values, a table of the chunk's

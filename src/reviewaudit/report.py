@@ -15,7 +15,6 @@ top-level schema_version field.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import functools
@@ -24,12 +23,13 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
+import tempfile
 from dataclasses import dataclass, fields, is_dataclass
-from collections import deque
-from itertools import chain, islice, tee
+from itertools import chain, islice
 from operator import itemgetter
-from typing import IO, ContextManager, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -94,17 +94,6 @@ def _ok(result) -> dict:
 
 # --- ingestion ---------------------------------------------------------------
 
-def _open_source(source: Source) -> ContextManager[IO[str]]:
-    """A path opened for reading, or a caller's stream left open on exit.
-
-    Paths are read as utf-8-sig, so a byte-order mark that a spreadsheet
-    wrote is not taken for part of the first column name.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
-    return contextlib.nullcontext(source)
-
-
 def _check_header(fieldnames: Sequence[str] | None, required: Sequence[str]) -> None:
     """Raise unless a header row exists and names every required column."""
     if fieldnames is None:
@@ -133,7 +122,7 @@ def _csv_reader(
 ) -> Iterator[tuple[Iterator[list[str]], list[str]]]:
     """A csv reader past a header row that names every required column, and
     that header; csv module errors in the block are raised as CsvFormatError."""
-    with _open_source(source) as stream:
+    with _byte_file(source) as (file, text), io.TextIOWrapper(file, **text) as stream:
         reader = csv.reader(stream)
         with _csv_errors(reader):
             header = next(reader, None)
@@ -174,21 +163,6 @@ def _parses_as_int(value: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _check_row(row: Sequence[str], line: int, position: Mapping[str, int],
-               required: Sequence[str]) -> None:
-    """Raise for a row's first bad field: an empty required column, in
-    required order, then an unparseable period."""
-    for column in (*required, "period"):
-        i = position.get(column)
-        value = row[i] if i is not None and i < len(row) else ""
-        if _valid(column, (value,), required):
-            continue
-        if column == "period":
-            raise CsvFormatError(f"unparseable period {value.strip()!r} on row {line}",
-                                 row=line, column=column)
-        raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
 
 
 def _valid(name: str, values: Iterable[str], required: Sequence[str]) -> bool:
@@ -233,74 +207,82 @@ def _finish(
 def _read_csv_stream(
     stream: IO[str], group: bool
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
-    """_read_review_csv by the csv module, _BATCH rows at a time."""
-    # replay holds the raw lines of the batch being read, so that the file
-    # line of a bad row is found by parsing them again, only on error.
-    lines, replay = tee(stream)
-    reader = csv.reader(lines)
+    """_read_review_csv by the csv module, _BATCH rows at a time, of a
+    seekable stream. Only the values new in a batch are checked; when one
+    fails, or the csv module raises, _check_rows reads the stream again to
+    report the first bad row."""
+    reader = csv.reader(stream)
     with _csv_errors(reader):
-        header = next(reader, None)
-    position, required, coders = _review_layout(header, group)
-    getters = [(name, coder, itemgetter(position[name])) for name, coder in coders.items()]
-    width = max(position[name] for name in coders) + 1
-
-    def code(rows: list[list[str]]) -> bool:
-        """Code a batch; False if a field may be bad."""
-        if min(map(len, rows)) < width:
-            rows = [row + [""] * (width - len(row)) for row in rows]
-        ok = True
-        for name, coder, get in getters:
-            ok = _valid(name, coder.add(map(get, rows), len(rows)), required) and ok
-        return ok
-
-    def check_batch() -> None:
-        """Raise for the batch's first bad field, citing its file line."""
-        again = csv.reader(islice(replay, reader.line_num - read))
-        with contextlib.suppress(csv.Error):  # the caller's error is raised after
-            for row in filter(None, again):
-                _check_row(row, read + again.line_num, position, required)
-
-    nonblank = filter(None, reader)
-    read = reader.line_num  # lines before the batch, dropped from replay
-    deque(islice(replay, read), maxlen=0)
-    with _csv_errors(reader):
-        while True:
-            try:
-                batch = list(islice(nonblank, _BATCH))
-            except csv.Error:
-                check_batch()  # a bad field on an earlier row is reported first
-                raise
-            if batch and not code(batch):
-                check_batch()
-            deque(islice(replay, reader.line_num - read), maxlen=0)
-            read = reader.line_num
-            if len(batch) < _BATCH:
-                break
+        position, required, coders = _review_layout(next(reader, None), group)
+        width = max(position[name] for name in coders) + 1
+        rows = filter(None, reader)
+        try:
+            while batch := list(islice(rows, _BATCH)):
+                if min(map(len, batch)) < width:
+                    batch = [row + [""] * (width - len(row)) for row in batch]
+                for name, coder in coders.items():
+                    seen = len(coder.index)
+                    coder.add(map(itemgetter(position[name]), batch), len(batch))
+                    if not _valid(name, islice(reversed(coder.index), len(coder.index) - seen),
+                                  required):
+                        _check_rows(stream, position, required)
+        except csv.Error:  # a bad field on an earlier row is reported first
+            _check_rows(stream, position, required)
+            raise
     return _finish(coders)
 
 
-# A regular file is read in blocks of this many bytes, each cut after its
-# last line end, so that one block's arrays are held at a time.
+def _check_rows(stream: IO[str], position: Mapping[str, int], required: Sequence[str]) -> None:
+    """Read stream again from its start and raise for its first bad row, or
+    the csv module's error: for a row's first bad field, an empty required
+    column, in required order, then an unparseable period."""
+    stream.seek(0)
+    reader = csv.reader(stream)
+    with _csv_errors(reader):
+        next(reader)
+        for row in filter(None, reader):
+            line = reader.line_num
+            for column in (*required, "period"):
+                i = position.get(column)
+                value = row[i] if i is not None and i < len(row) else ""
+                if _valid(column, (value,), required):
+                    continue
+                if column == "period":
+                    raise CsvFormatError(f"unparseable period {value.strip()!r} on row {line}",
+                                         row=line, column=column)
+                raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
+
+
+# A file is read in blocks of this many bytes, each cut after its last line
+# end outside quotes, so that one block's arrays are held at a time.
 _BLOCK = 1 << 16
 # A column with a field over 8 bytes in a block is gathered at its longest
 # field's width only while that takes at most this many times the block's
 # bytes; past that the file goes to the csv path.
 _GATHER_LIMIT = 4
+# The bytes that may come before a field's opening quote or after its closing
+# one: a comma or LF that ends a field, or the other quote of a doubled pair.
+_QUOTE_EDGE = np.isin(np.arange(256), np.frombuffer(b',\n"', np.uint8))
 
 
 class _NotPlain(Exception):
     """The file fails a check of the block reader; the csv path reads it."""
 
 
+def _in_quotes(data: np.ndarray) -> np.ndarray:
+    """Whether each byte of data (which starts outside quotes) is in quotes."""
+    return np.logical_xor.accumulate(data == ord('"'))
+
+
 def _count_plain_lines(file: IO[bytes]) -> int:
     """The file's LFs, counted in one pass that also checks every byte the
-    block reader cannot read: a quote, a NUL or a CR outside CRLF raises
-    _NotPlain, so that such a file goes to the csv path before any coding."""
+    block reader cannot read: a NUL or a CR outside CRLF raises _NotPlain,
+    so that such a file goes to the csv path before any coding."""
     lines = 0
     for chunk in iter(lambda: file.read(_BLOCK), b""):
         if chunk.endswith(b"\r"):
             chunk += file.read(1)  # a CRLF is counted within one chunk
-        if b'"' in chunk or b"\0" in chunk or (
+        if b"\0" in chunk or (
                 b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
             raise _NotPlain
         lines += chunk.count(b"\n")
@@ -309,19 +291,21 @@ def _count_plain_lines(file: IO[bytes]) -> int:
 
 def _plain_blocks(file: IO[bytes]) -> Iterator[bytes]:
     """The bytes of a file that _count_plain_lines passed, as blocks of whole
-    lines, each ending in LF: CRLF is read as LF, and a last line without
-    an end gets one. A line longer than _BLOCK raises _NotPlain, and bytes
-    that are not UTF-8 raise UnicodeDecodeError, in any column."""
+    records, each ending in LF: a block is cut after its last LF outside
+    quotes, and a last line without an end gets one. A record longer than
+    _BLOCK raises _NotPlain, and bytes that are not UTF-8 raise
+    UnicodeDecodeError, in any column."""
     rest = b""
     while True:
         chunk = file.read(_BLOCK)
         data = rest + chunk
         cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        if chunk and b'"' in data and data.count(b'"', 0, cut) % 2:  # that LF is quoted
+            array = np.frombuffer(data, np.uint8)
+            cut = 1 + int(np.flatnonzero((array == ord("\n")) & ~_in_quotes(array)).max(initial=-1))
         block, rest = data[:cut], data[cut:]
         if len(rest) > _BLOCK:
             raise _NotPlain
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n")
         if not block.isascii():
             block.decode()
         if block:
@@ -353,7 +337,9 @@ def _field_keys(buffer: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.nd
 
 class _BlockColumn:
     """One column of a file read by blocks. codes[i] indexes values, the
-    column's distinct fields decoded and checked so far. keys, sorted, are
+    column's distinct fields decoded, unquoted and checked so far; a quoted
+    and an unquoted field of one text are two keys and two values, which
+    ColumnCoder.add_codes gives one code. keys, sorted, are
     the field keys (see _field_keys) of some of those fields, and index
     their positions in values, so that a field seen before is coded by one
     search. A block whose new keys would take the table past its own row
@@ -390,8 +376,8 @@ class _BlockColumn:
              row: int, required: Sequence[str]) -> None:
         """Set codes[row:] for one block's fields, given their keys and
         their starts and lengths in block. Only fields whose keys are not in
-        the table are decoded, checked and added to values; raises
-        _NotPlain if one fails _check_row."""
+        the table are decoded, unquoted, checked and added to values; raises
+        _NotPlain if one fails _check_rows."""
         keys = self._comparable(keys)
         table, index = self.keys, self.index
         codes = self.codes[row:row + len(keys)]
@@ -409,6 +395,7 @@ class _BlockColumn:
                                              return_inverse=True)
         starts, lengths = at[missing][first].tolist(), size[missing][first].tolist()
         new = [block[i:i + n].decode() for i, n in zip(starts, lengths)]
+        new = [text[1:-1].replace('""', '"') if text[:1] == '"' else text for text in new]
         if not _valid(self.name, new, required):
             raise _NotPlain
         new_index = np.arange(len(self.values), len(self.values) + len(new), dtype=np.int32)
@@ -428,11 +415,29 @@ class _BlockColumn:
 def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColumn],
                 required: Sequence[str]) -> int:
     """Code a block's rows from row on into each column, and return the row
-    after them. Blank lines are skipped. Raises _NotPlain unless every
-    other line has width fields, no field is over the csv module's size
-    limit, every field passes _check_row and the rows fit."""
+    after them. CRLF is read as LF, and blank lines are skipped. Raises
+    _NotPlain unless every quoted field is wholly quoted with its inner
+    quotes doubled and holds no CR (RFC 4180), every other line has width
+    fields, no field is over the csv module's size limit, every field
+    passes _check_rows and the rows fit."""
+    raw = block
+    if b"\r" in raw:  # each CR ends a CRLF (see _count_plain_lines)
+        block = raw.replace(b"\r", b"")
     data = np.frombuffer(block, np.uint8)
-    line_ends = data == ord("\n")
+    line_ends, commas = data == ord("\n"), data == ord(",")
+    if b'"' in block:  # a comma or LF between a field's quotes is part of it
+        quotes = np.flatnonzero(data == ord('"'))
+        if len(quotes) % 2 or not (_QUOTE_EDGE[data[quotes[::2] - 1]].all()
+                                   and _QUOTE_EDGE[data[quotes[1::2] + 1]].all()):
+            raise _NotPlain  # an open quote, a quote in a field or text after a closing one
+        # the positions from each opening quote up to its closing one
+        sizes = quotes[1::2] - quotes[::2]
+        inside = np.repeat(quotes[::2] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        if raw is not block and line_ends[inside].any():  # a quoted LF: was it a CRLF?
+            raw_data = np.frombuffer(raw, np.uint8)
+            if _in_quotes(raw_data)[raw_data == ord("\r")].any():
+                raise _NotPlain  # a quoted CR, which the csv module keeps
+        line_ends[inside] = commas[inside] = False
     lines = np.flatnonzero(line_ends)
     blank = lines[np.diff(lines, prepend=-1) == 1]
     if len(blank):  # blank lines, which the csv path skips too
@@ -440,7 +445,7 @@ def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColu
     if not len(lines):
         return row
     buffer = block + bytes(8)
-    ends = np.flatnonzero(line_ends | (data == ord(",")))
+    ends = np.flatnonzero(line_ends | commas)
     if len(ends) != width * len(lines) or not np.array_equal(ends[width - 1::width], lines):
         raise _NotPlain  # a ragged line
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -457,39 +462,63 @@ def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColu
 
 
 def _read_plain_file(
-    path: str, group: bool
+    file: IO[bytes], encoding: str, group: bool
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None] | None:
-    """_read_review_csv of a regular file read by blocks with numpy, without
-    an object per row or field; None when a check fails, for the csv path."""
+    """_read_review_csv of a seekable file of bytes read by blocks with
+    numpy, without an object per row or field, its header decoded with
+    encoding; None when a check fails, for the csv path."""
     try:
-        # Only a regular file is opened here: a pipe opened and closed unread
-        # would lose what its writer sent, and the csv path opens it again.
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-        with open(path, "rb") as file:
-            # Lines are counted first, so that each column's codes fill one
-            # array and nothing made per block outlives the block: small
-            # arrays kept per block fragment the heap and raise peak RSS.
-            bound = 1 + _count_plain_lines(file)
-            file.seek(0)
-            blocks = _plain_blocks(file)
-            head, _, first = next(blocks, b"").removeprefix(codecs.BOM_UTF8).partition(b"\n")
-            header = head.decode().split(",")
-            if max(map(len, header)) > csv.field_size_limit():
-                return None
-            position, required, coders = _review_layout(header, group)
-            columns = [_BlockColumn(name, position[name], bound) for name in coders]
-            rows = 0
-            for block in chain((first,), blocks):
-                rows = _code_block(block, len(header), rows, columns, required)
-    except (_NotPlain, CsvFormatError, UnicodeDecodeError, OSError):
-        return None
-    if not rows:
+        # Lines are counted first, so that each column's codes fill one
+        # array and nothing made per block outlives the block: small
+        # arrays kept per block fragment the heap and raise peak RSS.
+        bound = 1 + _count_plain_lines(file)
+        file.seek(0)
+        blocks = _plain_blocks(file)
+        head, _, first = next(blocks, b"").partition(b"\n")
+        # strict, so that an open quote in the header sends the file to the csv path
+        header = next(csv.reader([head.decode(encoding)], strict=True))
+        position, required, coders = _review_layout(header, group)
+        columns = [_BlockColumn(name, position[name], bound) for name in coders]
+        rows = 0
+        for block in chain((first,), blocks):
+            rows = _code_block(block, len(header), rows, columns, required)
+    except (_NotPlain, csv.Error, CsvFormatError, UnicodeDecodeError, OSError):
         return None
     while columns:  # popped, so each array is freed once its coder has the codes
         column = columns.pop()
         coders[column.name].add_codes(column.codes[:rows], column.values)
     return _finish(coders)
+
+
+@contextlib.contextmanager
+def _byte_file(source: Source) -> Iterator[tuple[IO[bytes], dict[str, str]]]:
+    """source as a seekable file of bytes, and the TextIOWrapper arguments its
+    text is read with. A regular file is opened. A path that is not a regular
+    file (a pipe) is copied as it is into an unnamed temporary file, and read
+    as a regular file. A text stream is copied there as UTF-8: line by line,
+    so that the copy splits at a lone CR only if the stream does (as one
+    opened with newline="" does, and an io.StringIO does not), with lone
+    surrogates kept. Only a path's BOM is dropped."""
+    with contextlib.ExitStack() as files:
+        if isinstance(source, (str, os.PathLike)):
+            file = files.enter_context(open(source, "rb"))
+            text = {"encoding": "utf-8-sig", "newline": ""}
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                yield file, text
+                return
+            copy = files.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(file, copy, _BLOCK)
+        else:
+            copy = files.enter_context(tempfile.TemporaryFile())
+            text = {"encoding": "utf-8", "errors": "surrogatepass", "newline": "\n"}
+            lines = iter(source)
+            while batch := list(islice(lines, _BATCH)):
+                chunk = "".join(batch)
+                if "\r" in chunk and any(line.endswith("\r") for line in batch):
+                    text["newline"] = ""
+                copy.write(chunk.encode("utf-8", "surrogatepass"))
+        copy.seek(0)
+        yield copy, text
 
 
 def _read_review_csv(
@@ -503,14 +532,16 @@ def _read_review_csv(
     repeated header name means its last column. Values are stripped; team
     and period may be blank. Errors name the offending column and file line.
 
-    A path may first be tried by _read_plain_file (see ingest_csv).
+    _read_plain_file reads the bytes that _byte_file gives, or the csv
+    module does when it cannot (see ingest_csv).
     """
-    if isinstance(source, (str, os.PathLike)):
-        read = _read_plain_file(os.fspath(source), group)
+    with _byte_file(source) as (file, text):
+        read = _read_plain_file(file, text["encoding"], group)
         if read is not None:
             return read
-    with _open_source(source) as stream:
-        return _read_csv_stream(stream, group)
+        file.seek(0)
+        with io.TextIOWrapper(file, **text) as stream:
+            return _read_csv_stream(stream, group)
 
 
 def ingest_csv(source: Source) -> RecordColumns:
@@ -522,14 +553,16 @@ def ingest_csv(source: Source) -> RecordColumns:
     is a RecordColumns: a sequence of ReviewRecord held as code columns,
     which validate_dataset keeps without making a record object per row.
 
-    A path (a str or an os.PathLike) to a regular file that holds no
-    quote, NUL or lone CR, whose lines are each under 64 KiB and, blank
-    ones aside, have the header's field count, is read in 64 KiB blocks
-    with numpy; each distinct field value is decoded and checked once per
-    file, not once per block (see _BlockColumn). A file that fails one of
-    these checks is read from its start by the csv module, so both routes
-    give identical records and identical errors. A stream is always read
-    by the csv module.
+    The source is a path (a str or an os.PathLike) or a text stream; a
+    stream, or a path that is not a regular file, is first copied into an
+    unnamed temporary file (see _byte_file). The bytes are read in 64 KiB
+    blocks with numpy, each distinct field value decoded and checked once
+    per file (see _BlockColumn), unless they hold a NUL, a CR outside a
+    CRLF, a quote outside an RFC 4180 quoted field, a quoted CR, a record
+    over 64 KiB or, blank lines aside, one without the header's field
+    count. Then the csv module reads them from their start, so both routes
+    give identical records and errors. Only a path's byte-order mark is
+    dropped: a stream whose text starts with U+FEFF fails on its header.
     """
     records, _ = _read_review_csv(source)
     if not len(records):
@@ -681,14 +714,15 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
 
 def read_outcome_panel_csv(source: Source) -> list[tuple[str, int, float]]:
     """Read (group, period, outcome) observations for DiD estimation. A
-    group outside did.GROUPS or a period outside int64 is a CsvFormatError."""
+    group outside did.GROUPS, a period outside int64 or an outcome that is
+    not finite is a CsvFormatError."""
     columns = ("group", "period", "outcome")
     with _csv_reader(source, columns) as (reader, header):
         rows: list[tuple[str, int, float]] = []
         for group, period, outcome in _named_rows(reader, header, columns):
             line, group = reader.line_num, group.strip()
             try:
-                period, outcome = int(period.strip()), float(outcome.strip())
+                period, value = int(period.strip()), float(outcome.strip())
             except ValueError:
                 raise CsvFormatError(
                     f"unparseable period/outcome on row {line}", row=line
@@ -699,7 +733,10 @@ def read_outcome_panel_csv(source: Source) -> list[tuple[str, int, float]]:
             if not -(1 << 63) <= period < 1 << 63:
                 raise CsvFormatError(f"period {period} on row {line} does not fit in 64 bits",
                                      row=line, column="period")
-            rows.append((group, period, outcome))
+            if not math.isfinite(value):
+                raise CsvFormatError(f"outcome {outcome.strip()} on row {line} is not finite",
+                                     row=line, column="outcome")
+            rows.append((group, period, value))
         if not rows:
             raise CsvFormatError("no data rows")
         return rows
@@ -826,9 +863,12 @@ def _bias_section(dataset: ReviewDataset, factors: Sequence[str] | None = None) 
     return _ok(bias_factor_report(dataset, factors))
 
 
-def _did_section(did_panel: DidPanel | DidPair | None, period_balanced: bool = False) -> dict:
+def _did_section(did_panel: DidPanel | DidPair | Callable[[], DidPanel] | None,
+                 period_balanced: bool = False) -> dict:
     if did_panel is None:
         return {"status": "skipped", "reason": "no difference-in-differences input"}
+    if callable(did_panel):  # a panel that cannot be made is this section's error
+        did_panel = did_panel()
     if isinstance(did_panel, DidPair):
         result = did_with_error_rates(did_panel.treated, did_panel.control, did_panel.ground_truth,
                                       did_panel.change_period, period_balanced=period_balanced)
@@ -853,13 +893,14 @@ def run_audit(
     ci_method: str = "clopper_pearson",
     ci_level: float = 0.95,
     yates: bool = False,
-    did_panel: DidPanel | DidPair | None = None,
+    did_panel: DidPanel | DidPair | Callable[[], DidPanel] | None = None,
 ) -> AuditReport:
     """Run every audit section over a validated dataset.
 
     Sections are independent: one failing is recorded as a structured
     error and the rest still run. The call itself raises only if the
-    arguments are invalid.
+    arguments are invalid. did_panel may be a function that makes the
+    panel; the did section calls it, so an unusable panel is its error.
     """
     _check_alpha(alpha)
     if overall_kappa_mode not in OVERALL_KAPPA_MODES:

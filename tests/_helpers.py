@@ -4,8 +4,9 @@ a CSV reader returns or raises, and a traced peak of memory."""
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
-from reviewaudit import ReviewRecord
+from reviewaudit import ReviewRecord, report
 from reviewaudit.model import RecordColumns
 
 
@@ -57,6 +58,13 @@ def read_outcome(reader, source) -> tuple:
         return ("error", type(exc), str(exc), getattr(exc, "row", None),
                 getattr(exc, "column", None)), exc
     return ("ok", _comparable(result)), result
+
+
+def csv_outcome(reader, source) -> tuple:
+    """read_outcome(reader, source)[0] with the block reader turned off, so
+    that the csv module reads the source: the reference for the block reader."""
+    with mock.patch.object(report, "_read_plain_file", lambda *args: None):
+        return read_outcome(reader, source)[0]
 
 
 def traced_peak(run) -> tuple:

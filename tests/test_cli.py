@@ -202,6 +202,22 @@ class TestAudit:
         assert code == 0
         assert json.loads(out)["sections"]["did"]["effect"] == 6.0
 
+    def test_unusable_did_panel_is_the_did_section_error(self, panel, tmp_path, capsys):
+        # The control group has no post-period rows: the other sections'
+        # report is still written, with the did section's error body.
+        panel_path, _ = panel
+        did_csv = tmp_path / "did.csv"
+        did_csv.write_text("group,period,outcome\ncontrol,0,10\ntreated,0,20\ntreated,1,30\n")
+        code, out, err = run(capsys, [
+            "audit", "--input", str(panel_path),
+            "--did-input", str(did_csv), "--change-period", "1",
+        ])
+        assert (code, err) == (1, "")
+        sections = json.loads(out)["sections"]
+        assert sections["did"] == {"status": "error",
+                                   "error": "control group has no post-period observations"}
+        assert sections["agreement"]["status"] == "ok"
+
 
 class TestAgreementCommand:
     def test_json_payload(self, panel, capsys):
@@ -235,6 +251,11 @@ class TestChisqCommand:
                                     "--question", "q1"])
         payload = json.loads(out)
         assert list(payload["per_question"]) == ["q1"]
+
+    def test_question_not_in_the_panel_exit_2(self, panel, capsys):
+        panel_path, _ = panel
+        assert run(capsys, ["chisq", "--input", str(panel_path), "--question", "nope"]) == (
+            2, "", "reviewaudit: invalid input: question 'nope' not present in dataset\n")
 
     def test_every_question_degenerate_exit_1(self, tmp_path, capsys):
         # One classification throughout: every question's table is
@@ -403,6 +424,11 @@ class TestInputErrorExitCodes:
                      "treated,0,1\ntreated,1,2\n"},
          ["did", "--input", "did.csv", "--change-period", "1"],
          2, "invalid input: unknown group 'exposed' on row 3"),
+        *(({"did.csv": f"group,period,outcome\ncontrol,0,1\ncontrol,1,{outcome}\n"
+                       "treated,0,1\ntreated,1,2\n"},
+           ["did", "--input", "did.csv", "--change-period", "1"],
+           2, f"invalid input: outcome {outcome} on row 3 is not finite")
+          for outcome in ("nan", "inf", "1e999")),
         # every cell has one of the roster's two reviewers, so all are dropped
         ({"dropped.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np2,r2,q1,no,good\n"},
          ["ci", "--input", "dropped.csv"], 2, "invalid input: no units to extrapolate"),
@@ -415,7 +441,7 @@ class TestInputErrorExitCodes:
         ({}, ["audit", "--input", "panel.csv", "--level", "1.0"],
          2, "invalid input: ci_level must be in (0, 1), got 1.0"),
     ], ids=["blank truth", "empty did panel", "period over int64", "unknown group",
-            "all cells dropped",
+            "nan outcome", "inf outcome", "overflowing outcome", "all cells dropped",
             "treatment delta", "audit level"])
     def test_exit_code_and_message(self, tmp_path, capsys, monkeypatch, files, argv, code, err):
         files = {"panel.csv": REVIEW_HEADER + "p1,r1,q1,yes,good\np1,r2,q1,no,bad\n", **files}

@@ -1,7 +1,8 @@
-"""The two routes of review CSV ingest: a regular file read by blocks with
-numpy, and the csv module, which reads streams and every file the block
-reader hands back. Both must give the same codes, label tables and
-summaries, or the same error."""
+"""The two routes of review CSV ingest: bytes read by blocks with numpy
+(a regular file, or a pipe's bytes or a stream's text copied into a
+temporary file), and the csv module, which reads the bytes the block reader
+hands back. Both must give the same codes, label tables and summaries, or
+the same error."""
 
 import codecs
 import csv
@@ -20,7 +21,7 @@ from reviewaudit import report
 from reviewaudit.model import REQUIRED_FIELDS
 from reviewaudit.report import ingest_csv_groups, write_panel_csv
 
-from _helpers import read_outcome, traced_peak
+from _helpers import csv_outcome, read_outcome, traced_peak
 
 # Labels of one to 27 bytes, so a column holds several widths and fields on
 # both sides of the 8-byte key and of a 24-character field size limit; some
@@ -37,7 +38,9 @@ FIELD = {name: st.sampled_from(LABELS) for name in REQUIRED_FIELDS} | {
 }
 DAMAGE = ["blank line", "short row", "long row", "comma moved down", "quoted field",
           "quoted comma", "quoted newline", "bare CR", "blank field", "not an integer",
-          "bad byte", "NUL"]
+          "bad byte", "NUL", "doubled quote", "empty quoted field", "quotes doubled around",
+          "quote in a field", "text after a closing quote", "quoted CR", "quoted CRLF",
+          "quoted newlines over a block"]
 
 
 def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
@@ -65,6 +68,15 @@ def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
             "quoted field": f'"{fields[j]}"',
             "quoted comma": f'"{fields[j]},x"',
             "quoted newline": f'"{fields[j]}\n{fields[j]}"',
+            "doubled quote": f'"{fields[j]}""x"',
+            "empty quoted field": '""',
+            "quotes doubled around": f'""{fields[j]}""',  # csv reads p1 as p1""
+            "quote in a field": f'{fields[j]}"x',
+            "text after a closing quote": f'"{fields[j]}"x',
+            "quoted CR": f'"{fields[j]}\rx"',
+            "quoted CRLF": f'"{fields[j]}\r\nx"',
+            # long enough that a block is likely to end between its quotes
+            "quoted newlines over a block": f'"{fields[j]}' + "\n" * 40 + f'{fields[j]}"',
             "bare CR": fields[j] + "\rx",
             "blank field": "",
             "not an integer": "1.5",  # a label, or a bad period
@@ -106,8 +118,8 @@ def path(tmp_path_factory):
 
 
 def _assert_routes_agree(path, data: bytes, block: int, field_limit: int | None = None):
-    """The path route and the csv module on the same file opened as a stream
-    agree on records, groups and summary, or on the error."""
+    """The file read by path, the file opened as a stream and the csv module
+    alone on the file agree on records, groups and summary, or on the error."""
     path.write_bytes(data)
     limit = csv.field_size_limit()
     try:
@@ -118,7 +130,7 @@ def _assert_routes_agree(path, data: bytes, block: int, field_limit: int | None 
                 on_path = read_outcome(reader, str(path))[0]
                 with open(path, encoding="utf-8-sig", newline="") as stream:
                     on_stream = read_outcome(reader, stream)[0]
-                assert on_path == on_stream
+                assert on_path == on_stream == csv_outcome(reader, str(path))
     finally:
         csv.field_size_limit(limit)
 
@@ -186,7 +198,8 @@ def test_a_header_name_over_the_field_limit_goes_to_the_csv_path(path):
     _assert_routes_agree(path, data, block=1 << 16, field_limit=24)
     limit = csv.field_size_limit(24)
     try:
-        assert report._read_plain_file(str(path), False) is None
+        with open(path, "rb") as file:
+            assert report._read_plain_file(file, "utf-8-sig", False) is None
         assert read_outcome(ingest_csv, str(path))[0][1:] == (
             CsvFormatError, "malformed CSV on row 1: field larger than field limit (24)",
             1, None)
@@ -220,11 +233,11 @@ def _no_coding(*args):
     raise AssertionError("the block reader coded a block")
 
 
-@pytest.mark.parametrize("last", ['p9,r1,q1,a,"c"', "p9,r1,q1,a,c\0", "p9,r1,q1,a,c\rx"])
+@pytest.mark.parametrize("last", ["p9,r1,q1,a,c\0", "p9,r1,q1,a,c\rx"])
 def test_bytes_the_block_reader_cannot_read_are_found_before_any_coding(path, monkeypatch,
                                                                         last):
-    # A quote, a NUL or a bare CR on the last line of a file of many blocks
-    # sends it to the csv path after one scan of its bytes.
+    # A NUL or a bare CR on the last line of a file of many blocks sends it
+    # to the csv path after one scan of its bytes.
     lines = [",".join(REQUIRED_FIELDS)] + ["p1,r1,q1,a,c"] * 200 + [last]
     path.write_text("\n".join(lines) + "\n", newline="")
     with open(path, encoding="utf-8-sig", newline="") as stream:
@@ -232,6 +245,91 @@ def test_bytes_the_block_reader_cannot_read_are_found_before_any_coding(path, mo
     monkeypatch.setattr(report, "_BLOCK", 64)
     monkeypatch.setattr(report, "_code_block", _no_coding)
     assert read_outcome(ingest_csv, str(path))[0] == on_stream
+
+
+def test_a_quoted_crlf_goes_to_the_csv_path_after_blocks_are_coded(path, monkeypatch):
+    # A quoted CRLF passes the scan of bytes, since its CR ends a CRLF, but
+    # the csv module keeps the CR in the field. The block that holds it sends
+    # the file to the csv path, after the blocks before it were coded.
+    lines = [",".join(REQUIRED_FIELDS)] + ["p1,r1,q1,a,c"] * 200 + ['p9,r1,q1,a,"c\r\nx"']
+    path.write_text("\n".join(lines) + "\n", newline="")
+    expected = csv_outcome(ingest_csv, str(path))
+    assert expected[0] == "ok"
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    coded = mock.Mock(wraps=report._code_block)
+    read = mock.Mock(wraps=report._read_csv_stream)
+    monkeypatch.setattr(report, "_code_block", coded)
+    monkeypatch.setattr(report, "_read_csv_stream", read)
+    assert read_outcome(ingest_csv, str(path))[0] == expected
+    assert coded.call_count > 1 and read.call_count == 1
+
+
+def test_a_pipe_reports_a_bad_row_before_a_later_bad_byte(tmp_path):
+    # A pipe's bytes are read as a regular file's: a bad row is reported
+    # before bytes that are not UTF-8 thousands of rows later are decoded.
+    rows = ["p1,r1,q1,a,c"] * 3000
+    rows[1] = "p1,r1,q1,,c"
+    data = (",".join(REQUIRED_FIELDS) + "\n" + "\n".join(rows) + "\np\xff,r1,q1,a,c\n").encode(
+        "latin-1")
+    regular, fifo = tmp_path / "panel.csv", tmp_path / "panel.fifo"
+    regular.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    expected = read_outcome(ingest_csv, str(regular))[0]
+    assert expected[1:3] == (CsvFormatError, "empty answer on row 3")
+    assert read_outcome(ingest_csv, str(fifo))[0] == expected
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
+def _quoted_rows(end: str) -> str:
+    """A review CSV as spreadsheets write it: fields quoted where they hold
+    a comma, a quote or a line end, inner quotes doubled, end after rows."""
+    teams = ("t", '"t,1"')
+    rows = [",".join(REQUIRED_FIELDS + ("team",))]
+    rows += [f'p{i},r{i % 3},q1,"yes, {i % 4}","say ""{i % 2}""",{teams[i % 2]}'
+             for i in range(200)]
+    note = "two\n" * 8 + "lines"
+    for i in range(1, len(rows), 9):  # quoted LFs, some across the end of a block
+        rows[i] = f'p{i},r0,q1,"{note}",ok,"{"x" * 30}"'
+    return end.join(rows) + end
+
+
+@pytest.mark.parametrize("kind", ["quoted file", "Excel-style file", "stream", "named pipe"])
+def test_quoted_files_streams_and_pipes_take_the_block_reader(tmp_path, monkeypatch, kind):
+    # Quoted commas, doubled quotes and a quoted LF, in a file with LF or
+    # CRLF ends, a text stream or a pipe, are read by blocks, as the csv
+    # module reads them.
+    text = _quoted_rows("\r\n" if kind == "Excel-style file" else "\n")
+    expected = read_outcome(lambda s: report._read_csv_stream(s, False)[0],
+                            io.StringIO(text, newline=""))[0]
+    assert expected[0] == "ok"
+    source = tmp_path / "panel.csv"
+    writer = None
+    if kind == "stream":
+        source = io.StringIO(text)
+    elif kind == "named pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        os.mkfifo(source)
+        writer = threading.Thread(target=source.write_bytes, args=(text.encode(),), daemon=True)
+        writer.start()
+    else:
+        source.write_bytes(text.encode())
+    monkeypatch.setattr(report, "_BLOCK", 256)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    assert read_outcome(ingest_csv, source)[0] == expected
+    if writer is not None:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+def test_a_stream_keeps_its_lone_surrogates():
+    # A stream opened with errors="surrogateescape" may hold lone surrogates:
+    # its copy keeps them, and they read back as part of their labels.
+    text = ",".join(REQUIRED_FIELDS) + "\np\udcff,r1,q1,a,c\n"
+    assert [r.product_id for r in ingest_csv(io.StringIO(text))] == ["p\udcff"]
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
@@ -242,12 +340,12 @@ def test_blank_lines_take_the_block_reader(path, monkeypatch, end):
     for i in range(60):
         lines += [f"p{i},r{i % 3},q1,a,c"] + [""] * (i % 4 == 0) * (1 + i % 3)
     path.write_bytes(end.join(lines + ["", ""]).encode())
-    with open(path, encoding="utf-8-sig", newline="") as stream:
-        on_stream = ingest_csv(stream)
+    on_csv = csv_outcome(ingest_csv, str(path))
     monkeypatch.setattr(report, "_BLOCK", 64)
     monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
-    assert ingest_csv(str(path)) == on_stream
-    assert len(on_stream) == 60
+    records = ingest_csv(str(path))
+    assert read_outcome(ingest_csv, str(path))[0] == on_csv
+    assert len(records) == 60
 
 
 def test_a_crlf_split_between_blocks_takes_the_block_reader(path, monkeypatch):

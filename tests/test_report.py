@@ -32,7 +32,7 @@ from reviewaudit.report import (
     run_audit,
 )
 
-from _helpers import read_outcome, rec
+from _helpers import csv_outcome, read_outcome, rec
 
 
 CSV_HEADER = "product_id,reviewer_id,question_id,answer,final_classification"
@@ -44,12 +44,12 @@ def csv_stream(*rows, header=CSV_HEADER):
 
 @pytest.fixture
 def routes(tmp_path):
-    """read(reader, stream): reader on a StringIO, and on a file holding its
-    text, which the block reader takes unless a check sends it to the csv
-    module. Both routes must return equal results or raise the same error
-    class, message, row and column; the stream's result is returned or its
-    error raised. (A text with a bare CR is left out: a file opened with
-    newline="" ends a line there, a StringIO does not.)"""
+    """read(reader, stream): reader on a StringIO, on a file holding its
+    text, and on that file with the block reader turned off, so that the
+    csv module reads it. All three must return equal results or raise the
+    same error class, message, row and column; the stream's result is
+    returned or its error raised. (A text with a bare CR is left out: a
+    file opened with newline="" ends a line there, a StringIO does not.)"""
     paths = (tmp_path / f"input{i}.csv" for i in itertools.count())
 
     def read(reader, stream):
@@ -57,7 +57,7 @@ def routes(tmp_path):
         path.write_bytes(stream.getvalue().encode("utf-8"))
         (on_stream, result), (on_file, _) = read_outcome(reader, stream), read_outcome(
             reader, str(path))
-        assert on_file == on_stream
+        assert on_file == on_stream == csv_outcome(reader, str(path))
         if on_stream[0] == "error":
             raise result
         return result
