@@ -24,7 +24,7 @@ from .errors import (
     KappaUndefinedError,
     NoCompleteProductsError,
 )
-from .model import RatingMatrix, ReviewDataset, rating_matrix
+from .model import RatingMatrix, ReviewDataset, _pair_counts, rating_matrix
 
 OVERALL_KAPPA_MODES = ("pooled", "mean_of_questions")
 
@@ -40,29 +40,35 @@ class KappaResult:
 
 
 def fleiss_kappa(matrix: RatingMatrix) -> KappaResult:
-    """Fleiss' kappa for a rating matrix, computed on its count array.
+    """Fleiss' kappa for a rating matrix, computed on its nonzero counts.
 
-    p_bar is the math.fsum of the per-subject terms P_i, computed exactly:
-    each distinct term, a float num / den with den a power of two, is
-    weighted by how many subjects share it, the weighted numerators are
-    summed as integers over the largest den, and the sum is rounded once.
-    fsum is the correctly rounded sum of its terms, so the float is the same.
+    P_i is a_i / C(n, 2), with a_i = sum_j C(n_ij, 2) the subject's agreeing
+    rater pairs: the same rational, so the same float, as the identity
+    above. p_bar is the math.fsum of the P_i, computed exactly: each
+    distinct term, a float num / den with den a power of two, is weighted
+    by how many subjects share it, the weighted numerators are summed as
+    integers over the largest den, and the sum is rounded once. fsum is the
+    correctly rounded sum of its terms, so the float is the same.
 
     Raises KappaUndefinedError when every rating falls in one category
     (chance agreement is exactly 1 and the statistic has a zero
     denominator); that situation is detected on the integer counts, never
     by floating-point comparison.
     """
-    counts, n = matrix.array, matrix.n
-    n_subjects = len(counts)
+    subject, category, count = matrix.pairs
+    n, n_subjects = matrix.n, matrix.n_subjects
     total_ratings = n_subjects * n
-    col_totals = counts.sum(axis=0).tolist()
+    # Sums of integer weights, exact in float64 below 2**53.
+    col_totals = np.bincount(category, count, matrix.n_categories).astype(np.int64).tolist()
     if total_ratings in col_totals:
         raise KappaUndefinedError(
             "all ratings fall in a single category; kappa is undefined"
         )
-    squares, multiplicity = np.unique(np.einsum("ij,ij->i", counts, counts), return_counts=True)
-    terms = [((s - n) / (n * (n - 1))).as_integer_ratio() for s in squares.tolist()]
+    agreeing = np.bincount(subject, count * (count - 1) // 2, n_subjects).astype(np.int64)
+    # Each distinct a_i and how many subjects share it, as (a_i, 0) pairs.
+    values, multiplicity = _pair_counts(agreeing, 0, 1)
+    rater_pairs = n * (n - 1) // 2
+    terms = [(a / rater_pairs).as_integer_ratio() for a in values.tolist()]
     scale = max(den for _, den in terms)
     exact = sum(m * num * (scale // den) for m, (num, den) in zip(multiplicity.tolist(), terms))
     p_bar = exact / scale / n_subjects
@@ -84,13 +90,14 @@ def agreement_rate(dataset: ReviewDataset) -> float:
 
     A product counts toward the denominator only when it has a complete
     cell for every question; it counts toward the numerator when all
-    reviewers gave identical answers on every question.
+    reviewers gave identical answers on every question, that is when every
+    cell has one answer chosen n times (sum_j n_ij^2 = n^2).
     """
-    cells = dataset._cells
-    unanimous = (cells.answers == cells.answers[:, :1]).all(axis=1)
+    products, _, cell, _, count = dataset._cells
     n_questions = len(dataset.questions)
-    complete = int(np.count_nonzero(np.bincount(cells.product) == n_questions))
-    consensus = int(np.count_nonzero(np.bincount(cells.product[unanimous]) == n_questions))
+    complete = int(np.count_nonzero(np.bincount(products) == n_questions))
+    unanimous = products[cell[count == dataset.n_raters]]
+    consensus = int(np.count_nonzero(np.bincount(unanimous) == n_questions))
     if complete == 0:
         raise NoCompleteProductsError(
             "no product has complete ratings on every question"
@@ -122,8 +129,10 @@ class AgreementReport:
 
 def pooled_rating_matrix(dataset: ReviewDataset) -> RatingMatrix:
     """All complete (product, question) cells as subjects over the union
-    category space; the "product/question" subject names are made when
-    first read."""
+    category space: dataset._cells' answer counts as they are, with each
+    answer at its union position, so the matrix holds one entry per (cell,
+    answer) pair that occurs. The "product/question" subject names are
+    made when first read."""
     union: set[str] = set()
     for q in dataset.questions:
         union.update(dataset.category_space[q])
@@ -132,18 +141,19 @@ def pooled_rating_matrix(dataset: ReviewDataset) -> RatingMatrix:
         raise KappaUndefinedError(
             "union category space has a single category; agreement is undefined"
         )
-    counts = dataset._category_counts(slice(None), categories)
-    if not len(counts):
-        raise EmptyMatrixError("dataset has no complete cells")
     products, questions = dataset._cell_products(slice(None)), dataset.questions
     per_question = np.diff(dataset._cells.bounds)
+    n_cells = int(per_question.sum())
+    if not n_cells:
+        raise EmptyMatrixError("dataset has no complete cells")
+    _, _, cell, answer, count = dataset._cells
 
     def subjects() -> tuple[str, ...]:
         cell_questions = np.repeat(np.arange(len(per_question)), per_question).tolist()
         return tuple(map("{}/{}".format, products(), map(questions.__getitem__, cell_questions)))
 
-    return RatingMatrix(counts=counts, n=dataset.n_raters, categories=categories,
-                        subjects=subjects)
+    pairs = (cell, dataset._answer_positions(categories, answer), count)
+    return RatingMatrix._from_pairs(pairs, n_cells, dataset.n_raters, categories, subjects)
 
 
 def analyze_agreement(dataset: ReviewDataset, mode: str = "pooled") -> AgreementReport:

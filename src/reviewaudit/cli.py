@@ -25,6 +25,7 @@ from .model import INCOMPLETE_CELL_POLICIES, ReviewDataset, validate_dataset
 from .report import (
     _agreement_section,
     _bias_section,
+    _byte_file,
     _chi_square_section,
     _csv_reader,
     _did_section,
@@ -81,10 +82,10 @@ def _maybe_truth(args) -> dict[str, str] | None:
     return read_ground_truth_csv(args.ground_truth) if args.ground_truth else None
 
 
-def _did_panel(path: str, change_period: int | None) -> Callable[[], DidPanel]:
+def _did_panel(source: str | IO[bytes], change_period: int | None) -> Callable[[], DidPanel]:
     """Read a group,period,outcome CSV; return the maker of its DiD panel
     changing at change_period, which the DiD section calls."""
-    observations = tuple(read_outcome_panel_csv(path))
+    observations = tuple(read_outcome_panel_csv(source))
     if change_period is None:
         raise ValueError("--did-input requires --change-period")
     return functools.partial(DidPanel, observations, change_period)
@@ -149,24 +150,27 @@ def _cmd_regress(args, out: IO[str]) -> int:
 
 
 def _cmd_did(args, out: IO[str]) -> int:
-    with _csv_reader(args.input, ()) as (_, header):
-        outcome_panel = "outcome" in header
-    if outcome_panel:
-        did_input = _did_panel(args.input, args.change_period)
-    else:
-        if not args.ground_truth:
-            raise ValueError("review-format DiD input needs --ground-truth for error rates")
-        by_group = ingest_csv_groups(args.input)
-        missing = {"treated", "control"} - set(by_group)
-        if missing:
-            raise DatasetValidationError(f"DiD input lacks group(s): {sorted(missing)}")
-        truth = read_ground_truth_csv(args.ground_truth)
-        did_input = DidPair(
-            treated=validate_dataset(by_group["treated"], policy=args.policy),
-            control=validate_dataset(by_group["control"], policy=args.policy),
-            ground_truth=truth,
-            change_period=args.change_period,
-        )
+    # The input is opened once, as a pipe can be read only once: its header
+    # tells the format, and the same bytes are then read from their start.
+    with _byte_file(args.input) as (panel, _):
+        with _csv_reader(panel, ()) as (_, header):
+            outcome_panel = "outcome" in header
+        if outcome_panel:
+            did_input = _did_panel(panel, args.change_period)
+        else:
+            if not args.ground_truth:
+                raise ValueError("review-format DiD input needs --ground-truth for error rates")
+            by_group = ingest_csv_groups(panel)
+            missing = {"treated", "control"} - set(by_group)
+            if missing:
+                raise DatasetValidationError(f"DiD input lacks group(s): {sorted(missing)}")
+            truth = read_ground_truth_csv(args.ground_truth)
+            did_input = DidPair(
+                treated=validate_dataset(by_group["treated"], policy=args.policy),
+                control=validate_dataset(by_group["control"], policy=args.policy),
+                ground_truth=truth,
+                change_period=args.change_period,
+            )
     _emit(_did_section(did_input, args.period_balanced), args, out)
     return 0
 

@@ -251,13 +251,16 @@ class Units(NamedTuple):
 
 
 class _Cells(NamedTuple):
-    """Kept records as blocks of n_raters, one block per (product, question)
-    cell, cells in (question, product) order and reviewers sorted within."""
+    """The complete (product, question) cells, in (question, product)
+    order, and how many of a cell's reviewers chose each answer, as (cell,
+    answer code, count) for each pair that occurs, in (cell, answer) order.
+    Every rating matrix and the agreement rate are read from these."""
 
     product: np.ndarray  # product code per cell
-    answers: np.ndarray  # cells x n_raters answer codes
-    classifications: np.ndarray  # cells x n_raters classification codes
     bounds: np.ndarray  # the cells of question i are bounds[i]:bounds[i + 1]
+    cell: np.ndarray
+    answer: np.ndarray
+    count: np.ndarray
 
 
 _CELLS_PER_ROW = 4  # a sparser (group, value) count table is not laid out
@@ -279,6 +282,24 @@ def _pair_counts(groups: np.ndarray, values: np.ndarray, k: int) -> tuple[np.nda
     del keys  # so the keys and the pairs found in the table are not held at once
     pairs = np.flatnonzero(counts)
     return pairs, counts[pairs]
+
+
+def _triple_counts(first: np.ndarray, second: np.ndarray, values: np.ndarray,
+                   sizes: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """The (first, second, value) code triples that occur, in increasing
+    order, as three arrays, and how many rows hold each; sizes bound the
+    columns' codes. They are counted by _pair_counts over (first, second)
+    groups, which are numbered first where a packed key could pass 2**63."""
+    groups = np.multiply(first, sizes[1], dtype=np.int64)
+    groups += second
+    heads = None
+    if math.prod(sizes) >= 1 << 63:
+        heads, groups = np.unique(groups, return_inverse=True)
+    keys, counts = _pair_counts(groups, values, sizes[2])
+    group, value = np.divmod(keys, sizes[2])
+    if heads is not None:
+        group = heads[group]
+    return (*np.divmod(group, sizes[1]), value, counts)
 
 
 def majority(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -401,54 +422,56 @@ class ReviewDataset:
             basis = "ground_truth"
         return (units.classification != reference).astype(int), basis
 
-    def _answer_positions(self, labels: Sequence[str]) -> np.ndarray:
-        """Each answer code's position in labels, or -1. Only labels are
-        looked up, by bisection of the sorted answer table."""
+    def _answer_positions(self, labels: Sequence[str], codes: np.ndarray) -> np.ndarray:
+        """The position in labels (which are sorted, as a category space is)
+        of each answer code in codes, which labels must hold. Only labels
+        are looked up, by bisection of the sorted answer table."""
         table = self.records.labels[ANSWER]
-        positions = np.full(len(table), -1, np.int64)
+        found, positions = [], []
         for j, label in enumerate(labels):
             code = bisect_left(table, label)
             if code < len(table) and table[code] == label:
-                positions[code] = j
-        return positions
+                found.append(code)
+                positions.append(j)
+        return np.array(positions, np.int64)[np.searchsorted(found, codes)]
 
     @cached_property
     def _cells(self) -> _Cells:
-        codes, n = self.records.codes, self.n_raters
-        # The records are in (product, reviewer, question) order, so a stable
-        # sort by question alone puts them in (question, product, reviewer)
-        # order; codes in the narrowest unsigned type take numpy's radix sort.
-        question = codes[QUESTION].astype(np.min_scalar_type(len(self.questions)))
-        order = np.argsort(question, kind="stable")
-        first = order[::n]  # each cell's first record
-        return _Cells(
-            product=np.take(codes[PRODUCT], first),
-            answers=np.take(codes[ANSWER], order).reshape(-1, n),
-            classifications=np.take(codes[CLASSIFICATION], order).reshape(-1, n),
-            bounds=np.searchsorted(np.take(codes[QUESTION], first),
-                                   np.arange(len(self.questions) + 1)),
-        )
+        codes, labels = self.records.codes, self.records.labels
+        question, product, answer, count = _triple_counts(
+            codes[QUESTION], codes[PRODUCT], codes[ANSWER],
+            (len(self.questions), len(labels[PRODUCT]), len(labels[ANSWER])))
+        first = np.diff(question, prepend=-1) != 0  # each cell's first pair
+        first[1:] |= product[1:] != product[:-1]
+        bounds = np.searchsorted(question[first], np.arange(len(self.questions) + 1))
+        return _Cells(product[first], bounds, np.cumsum(first) - 1, answer, count)
+
+    @cached_property
+    def _verdict_counts(self) -> tuple[np.ndarray, ...]:
+        """How many kept records of a question pair an answer with a final
+        classification: (question, classification, answer, count) for each
+        triple that occurs, in that order. Every contingency table is read
+        from these."""
+        codes, labels = self.records.codes, self.records.labels
+        return _triple_counts(codes[QUESTION], codes[CLASSIFICATION], codes[ANSWER],
+                              (len(self.questions), len(labels[CLASSIFICATION]),
+                               len(labels[ANSWER])))
 
     @cached_property
     def _question_index(self) -> dict[str, int]:
         return {question: i for i, question in enumerate(self.questions)}
 
-    def _question_cells(self, question: str) -> slice:
-        """The cells of a question in _cells."""
+    def _question_number(self, question: str) -> int:
         try:
-            i = self._question_index[question]
+            return self._question_index[question]
         except (KeyError, TypeError):  # unknown, or unhashable
             raise UnknownQuestionError(question) from None
+
+    def _question_cells(self, question: str) -> slice:
+        """The cells of a question in _cells."""
+        i = self._question_number(question)
         bounds = self._cells.bounds
         return slice(int(bounds[i]), int(bounds[i + 1]))
-
-    def _category_counts(self, cells: slice, categories: tuple[str, ...]) -> np.ndarray:
-        """Per cell, how many reviewers chose each category (which must
-        cover the cells' answers), as a cells x categories array."""
-        chosen = self._answer_positions(categories)[self._cells.answers[cells]]
-        n_cells, width = len(chosen), len(categories)
-        flat = (np.arange(n_cells)[:, None] * width + chosen).ravel()
-        return np.bincount(flat, minlength=n_cells * width).reshape(n_cells, width)
 
     def _cell_products(self, cells: slice) -> Callable[[], tuple[str, ...]]:
         """A function giving the cells' product ids; it keeps the codes and
@@ -612,14 +635,18 @@ def _count_array(counts, width: int) -> tuple[np.ndarray, int]:
 class RatingMatrix:
     """Per-subject category counts: N subjects x K categories, n raters each.
 
-    The counts are held as one read-only int64 N x K array, array; counts
-    reads them as a tuple of int tuples, built on first read. subjects may
-    be given as a function returning the N subject names, which is then
-    called when they are first read. Counts and n must be integers (not
-    bools) and the categories distinct.
+    The counts are held as their nonzero entries, pairs: three read-only
+    int64 arrays of subject, category and count, in (subject, category)
+    order, at least one entry per subject. The N x K array, array, is laid
+    out when first read, and counts reads it as a tuple of int tuples. The
+    constructor takes the counts as rows; subjects may be given as a
+    function returning the N subject names, which is then called when they
+    are first read. Counts and n must be integers (not bools) and the
+    categories distinct.
     """
 
-    array: np.ndarray = field(repr=False)
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    n_subjects: int
     n: int
     categories: tuple[str, ...]
 
@@ -647,9 +674,7 @@ class RatingMatrix:
             subjects = tuple(subjects)
             if len(subjects) != len(counts):
                 raise ValueError("subjects and counts must have equal length")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "categories", categories)
-        object.__setattr__(self, "_names", subjects)
+        object.__setattr__(self, "_names", subjects)  # for the errors below
         array, valid = _count_array(counts, len(categories))
         sums = array.sum(axis=1)
         bad = np.flatnonzero((array < 0).any(axis=1) | (sums != n))
@@ -667,9 +692,40 @@ class RatingMatrix:
             raise ValueError(
                 f"count {value!r} for subject {self.subjects[valid]!r} is not an integer"
             )
-        array = array.view()
+        subject, category = np.nonzero(array)
+        self._hold((subject, category, array[subject, category]), len(array), n, categories,
+                   subjects)
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], n_subjects: int,
+                    n: int, categories: tuple[str, ...],
+                    subjects: Sequence[str] | Callable[[], Sequence[str]]) -> "RatingMatrix":
+        """A matrix of counts given as pairs, which hold valid counts by
+        construction: only n is checked."""
+        if n < 2:
+            raise EmptyMatrixError(f"rating matrix requires n >= 2 raters, got {n}")
+        matrix = cls.__new__(cls)
+        matrix._hold(pairs, n_subjects, n, categories, subjects)
+        return matrix
+
+    def _hold(self, pairs, n_subjects: int, n: int, categories: tuple[str, ...],
+              subjects) -> None:
+        pairs = tuple(np.asarray(a, np.int64).view() for a in pairs)
+        for a in pairs:
+            a.flags.writeable = False
+        object.__setattr__(self, "_names", subjects)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "n_subjects", n_subjects)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "categories", categories)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        subject, category, count = self.pairs
+        array = np.zeros((self.n_subjects, self.n_categories), np.int64)
+        array[subject, category] = count
         array.flags.writeable = False
-        object.__setattr__(self, "array", array)
+        return array
 
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
@@ -681,10 +737,6 @@ class RatingMatrix:
         return tuple(names()) if callable(names) else names
 
     @property
-    def n_subjects(self) -> int:
-        return len(self.array)
-
-    @property
     def n_categories(self) -> int:
         return len(self.categories)
 
@@ -692,13 +744,16 @@ class RatingMatrix:
         if not isinstance(other, RatingMatrix):
             return NotImplemented
         return (self.n == other.n and self.categories == other.categories
-                and np.array_equal(self.array, other.array) and self.subjects == other.subjects)
+                and self.n_subjects == other.n_subjects
+                and all(map(np.array_equal, self.pairs, other.pairs))
+                and self.subjects == other.subjects)
 
     def __hash__(self) -> int:
-        return hash((self.counts, self.n, self.categories, self.subjects))
+        return hash((*(a.tobytes() for a in self.pairs), self.n, self.categories, self.subjects))
 
     def __reduce__(self):
-        return RatingMatrix, (self.array, self.n, self.categories, self.subjects)
+        return RatingMatrix._from_pairs, (self.pairs, self.n_subjects, self.n, self.categories,
+                                          self.subjects)
 
 
 def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
@@ -706,6 +761,7 @@ def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
 
     Rows are restricted to products with a complete cell for the question,
     in sorted product order; columns follow the question's category space.
+    The counts are the question's slice of dataset._cells' answer counts.
     """
     cells = dataset._question_cells(question)
     if dataset.n_raters < 2:
@@ -719,12 +775,12 @@ def rating_matrix(dataset: ReviewDataset, question: str) -> RatingMatrix:
         raise KappaUndefinedError(
             f"question {question!r} has a single-category space; agreement is undefined"
         )
-    return RatingMatrix(
-        counts=dataset._category_counts(cells, categories),
-        n=dataset.n_raters,
-        categories=categories,
-        subjects=dataset._cell_products(cells),
-    )
+    _, _, cell, answer, count = dataset._cells
+    lo, hi = np.searchsorted(cell, (cells.start, cells.stop)).tolist()
+    pairs = (cell[lo:hi] - cells.start, dataset._answer_positions(categories, answer[lo:hi]),
+             count[lo:hi])
+    return RatingMatrix._from_pairs(pairs, cells.stop - cells.start, dataset.n_raters,
+                                    categories, dataset._cell_products(cells))
 
 
 @dataclass(frozen=True)
@@ -806,26 +862,30 @@ class ContingencyTable:
 def contingency_from(dataset: ReviewDataset, question: str) -> ContingencyTable:
     """Cross-tabulate a question's answers against final classifications.
 
-    Each (product, reviewer) answer instance contributes one count. A table
+    Each (product, reviewer) answer instance contributes one count; the
+    counts are the question's slice of dataset._verdict_counts. A table
     with fewer than two distinct answers or classifications, or with a zero
     margin (possible under a declared category space), is degenerate and
     raises rather than being silently reduced.
     """
-    cells = dataset._question_cells(question)
-    if cells.start == cells.stop:
+    i = dataset._question_number(question)
+    q, classification, answer, count = dataset._verdict_counts
+    lo, hi = np.searchsorted(q, (i, i + 1)).tolist()
+    if lo == hi:
         raise EmptyMatrixError(f"question {question!r} has no records")
     answers = dataset.category_space[question]
-    row = dataset._answer_positions(answers)[dataset._cells.answers[cells].ravel()]
-    used, column = np.unique(dataset._cells.classifications[cells].ravel(), return_inverse=True)
-    labels = dataset.records.labels[CLASSIFICATION]
-    classifications = tuple(map(labels.__getitem__, used.tolist()))
-    width = len(classifications)
-    observed = np.bincount(row * width + column, minlength=len(answers) * width)
-    observed = observed.reshape(len(answers), width).tolist()
-    table = ContingencyTable.from_observed(observed, answers, classifications)
-    if table.is_degenerate():
+    rows = dataset._answer_positions(answers, answer[lo:hi]).tolist()
+    classes = classification[lo:hi].tolist()
+    # The question's classifications come in order: each one used is a column.
+    column = {code: j for j, code in enumerate(dict.fromkeys(classes))}
+    observed = [[0] * len(column) for _ in answers]
+    for row, code, n in zip(rows, classes, count[lo:hi].tolist()):
+        observed[row][column[code]] = n
+    if len(answers) < 2 or len(column) < 2 or not all(map(any, observed)):
         raise DegenerateTableError(
-            f"question {question!r} yields a degenerate {table.shape[0]}x{table.shape[1]} "
+            f"question {question!r} yields a degenerate {len(answers)}x{len(column)} "
             "table (needs >= 2 answers and >= 2 classifications with non-zero margins)"
         )
-    return table
+    labels = dataset.records.labels[CLASSIFICATION]
+    return ContingencyTable.from_observed(observed, answers,
+                                          tuple(map(labels.__getitem__, column)))

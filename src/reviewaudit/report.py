@@ -285,7 +285,7 @@ def _count_plain_lines(file: IO[bytes]) -> int:
         if b"\0" in chunk or (
                 b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
             raise _NotPlain
-        lines += chunk.count(b"\n")
+        lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
     return lines
 
 
@@ -495,15 +495,20 @@ def _byte_file(source: Source) -> Iterator[tuple[IO[bytes], dict[str, str]]]:
     """source as a seekable file of bytes, and the TextIOWrapper arguments its
     text is read with. A regular file is opened. A path that is not a regular
     file (a pipe) is copied as it is into an unnamed temporary file, and read
-    as a regular file. A text stream is copied there as UTF-8: line by line,
-    so that the copy splits at a lone CR only if the stream does (as one
-    opened with newline="" does, and an io.StringIO does not), with lone
-    surrogates kept. Only a path's BOM is dropped."""
+    as a regular file. An open file of bytes, such as one this gave, is read
+    as its path would be, from its start, through its descriptor, which is
+    left open. A text stream is copied as UTF-8: line by line, so that the
+    copy splits at a lone CR only if the stream does (as one opened with
+    newline="" does, and an io.StringIO does not), with lone surrogates
+    kept. Only a path's BOM is dropped."""
     with contextlib.ExitStack() as files:
-        if isinstance(source, (str, os.PathLike)):
-            file = files.enter_context(open(source, "rb"))
+        if isinstance(source, (str, os.PathLike, io.BufferedIOBase)):
+            opened = isinstance(source, io.BufferedIOBase)
+            file = files.enter_context(
+                open(source.fileno() if opened else source, "rb", closefd=not opened))
             text = {"encoding": "utf-8-sig", "newline": ""}
             if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                file.seek(0)
                 yield file, text
                 return
             copy = files.enter_context(tempfile.TemporaryFile())

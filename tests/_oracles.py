@@ -551,6 +551,39 @@ def agreement_rate_oracle(panel: dict) -> float:
     return consensus / complete
 
 
+def agreement_oracle(panel: dict, mode: str) -> dict:
+    """analyze_agreement's result: per question and pooled (kappa, p_bar,
+    p_e_bar, subjects, raters, categories) by the fsum formula, the
+    questions whose kappa fails with the failure's message, the overall
+    kappa, the agreement rate and its note, and the disagreement ranking."""
+    def kappa(matrix):
+        counts, n, categories, _ = matrix
+        result = fleiss_kappa_fsum_oracle(counts, n)
+        if result is None:
+            raise OracleError("KappaUndefinedError",
+                              "all ratings fall in a single category; kappa is undefined")
+        return (*result, len(counts), n, len(categories))
+
+    per_question, annotations = {}, {}
+    for q in panel["questions"]:
+        try:
+            per_question[q] = kappa(rating_matrix_oracle(panel, q))
+        except OracleError as exc:
+            annotations[q] = str(exc)
+    if not per_question:
+        raise OracleError("EmptyMatrixError", "no question yields a computable kappa")
+    detail = kappa(pooled_rating_matrix_oracle(panel)) if mode == "pooled" else None
+    overall = detail[0] if detail else \
+        math.fsum(k[0] for k in per_question.values()) / len(per_question)
+    try:
+        rate, notes = agreement_rate_oracle(panel), ()
+    except OracleError as exc:
+        rate, notes = None, (f"agreement rate unavailable: {exc}",)
+    return {"per_question": per_question, "annotations": annotations, "overall": overall,
+            "detail": detail, "rate": rate, "notes": notes,
+            "ranking": tuple(sorted(per_question, key=lambda q: (per_question[q][0], q)))}
+
+
 # --- the scalar simulator -------------------------------------------------
 #
 # A plain-Python copy of the panel generator, one draw at a time, with its

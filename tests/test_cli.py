@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -589,6 +590,40 @@ class TestDidCommand:
                                       "1", "--ground-truth", str(truth_path)])
         assert (code, out) == (2, "")
         assert err == "reviewaudit: invalid input: DiD input lacks group(s): ['treated']\n"
+
+    @pytest.mark.parametrize("kind", ["outcome panel", "review format"])
+    def test_a_named_pipe_is_opened_once(self, tmp_path, kind):
+        # A pipe written once is read once: its header tells the format and
+        # the same bytes are read, where a second open would wait forever.
+        if kind == "outcome panel":
+            data = "group,period,outcome\ncontrol,0,10\ncontrol,1,14\ntreated,0,20\ntreated,1,30\n"
+            flags, expected = [], 6.0
+        else:
+            rows = [f"p{g}{t},r{r},q1,yes,{'approve' if g == 'c' or t == 0 or r else 'reject'},"
+                    f"{t},{'control' if g == 'c' else 'treated'}"
+                    for g in "ct" for t in (0, 1) for r in (0, 1)]
+            data = "product_id,reviewer_id,question_id,answer,final_classification,period,group\n"
+            data += "\n".join(rows) + "\n"
+            truth = tmp_path / "truth.csv"
+            truth.write_text("product_id,classification\n" + "".join(
+                f"p{g}{t},approve\n" for g in "ct" for t in (0, 1)))
+            flags, expected = ["--ground-truth", str(truth)], 0.5
+        fifo = tmp_path / "did.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(data,), daemon=True)
+        writer.start()
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "reviewaudit.cli", "did", "--input", str(fifo),
+             "--change-period", "1", *flags],
+            capture_output=True, env=env, timeout=30,
+        )
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["effect"] == expected
 
     def test_review_format_requires_truth(self, tmp_path, capsys):
         config = write_config(

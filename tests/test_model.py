@@ -29,7 +29,7 @@ from reviewaudit import (
     simulate,
     validate_dataset,
 )
-from reviewaudit.model import RatingMatrix, RecordColumns
+from reviewaudit.model import RatingMatrix, RecordColumns, ReviewDataset
 from reviewaudit.report import ingest_csv_groups
 
 from _helpers import rec
@@ -430,3 +430,22 @@ def test_every_producer_uses_every_label(tmp_path, monkeypatch):
     assert len(given) == 3
     for records in produced + given:
         assert _uses_every_label(records)
+
+
+def test_verdict_counts_whose_packed_keys_would_overflow():
+    # 2**21 + 1 questions, classifications and answers: a (question,
+    # classification, answer) key packed from the table sizes passes 2**63,
+    # so the (question, classification) pairs that occur are numbered first.
+    size = (1 << 21) + 1
+    triples = [(size - 1, size - 1, size - 1), (size - 1, 0, 5), (0, size - 1, 3),
+               (size - 1, size - 1, size - 1), (7, 7, 7)]
+    question, classification, answer = (np.array(c, np.int32) for c in zip(*triples))
+    zeros = np.zeros(len(triples), np.int32)
+    records = RecordColumns((zeros, zeros, question, answer, classification, zeros, zeros),
+                            (("p",), ("r",), range(size), range(size), range(size), (None,),
+                             (None,)))
+    dataset = ReviewDataset(reviewers=("r",), questions=range(size), category_space={},
+                            n_raters=1, summary=None, records=records)
+    got = [column.tolist() for column in dataset._verdict_counts]
+    assert list(zip(*got)) == [(0, size - 1, 3, 1), (7, 7, 7, 1), (size - 1, 0, 5, 1),
+                               (size - 1, size - 1, size - 1, 2)]

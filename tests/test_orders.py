@@ -14,7 +14,7 @@ from reviewaudit import model
 from reviewaudit.errors import NonBinaryTargetError
 from reviewaudit.estimation import _encode_units, bias_factor_report
 from reviewaudit.model import (
-    ANSWER, CLASSIFICATION, PRODUCT, QUESTION, RecordColumns, _sort_order,
+    ANSWER, PRODUCT, QUESTION, RecordColumns, _sort_order,
 )
 
 from _helpers import read_outcome, rec, traced_peak
@@ -73,17 +73,21 @@ def _validation(records: RecordColumns, policy: str):
 
 
 def _lexsort_cells(dataset) -> tuple:
-    """The cell table as two-key np.lexsort builds it."""
+    """The cell table as two-key np.lexsort builds it, with each cell's
+    (answer, count) pairs counted by a Counter."""
     codes, n = dataset.records.codes, dataset.n_raters
     order = np.lexsort((codes[PRODUCT], codes[QUESTION]))
     questions = codes[QUESTION][order][::n]
-    return (codes[PRODUCT][order][::n], codes[ANSWER][order].reshape(-1, n),
-            codes[CLASSIFICATION][order].reshape(-1, n),
-            np.searchsorted(questions, np.arange(len(dataset.questions) + 1)))
+    pairs = [(cell, answer, count) for cell, answers in
+             enumerate(codes[ANSWER][order].reshape(-1, n).tolist())
+             for answer, count in sorted(collections.Counter(answers).items())]
+    return (codes[PRODUCT][order][::n],
+            np.searchsorted(questions, np.arange(len(dataset.questions) + 1)),
+            *(np.array(column, np.int64) for column in zip(*pairs)))
 
 
 def _assert_cells(dataset) -> None:
-    for got, want in zip(dataset._cells, _lexsort_cells(dataset)):
+    for got, want in zip(dataset._cells, _lexsort_cells(dataset), strict=True):
         np.testing.assert_array_equal(got, want)
 
 

@@ -8,6 +8,7 @@ same rows written as CSV and read back by ingest_csv.
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,11 +23,18 @@ from reviewaudit import (
     validate_dataset,
 )
 from reviewaudit import did, model
-from reviewaudit.model import CLASSIFICATION, PRODUCT, REVIEWER, TEAM
-from reviewaudit.report import _extrapolation_section, _team_section, write_panel_csv
+from reviewaudit.agreement import OVERALL_KAPPA_MODES, analyze_agreement
+from reviewaudit.hypotheses import chi_square_independence
+from reviewaudit.model import (
+    CLASSIFICATION, PRODUCT, REVIEWER, TEAM, ContingencyTable, RatingMatrix,
+)
+from reviewaudit.report import (
+    _chi_square_section, _extrapolation_section, _ok, _team_section, write_panel_csv,
+)
 
 from _oracles import (
     OracleError,
+    agreement_oracle,
     agreement_rate_oracle,
     contingency_oracle,
     did_observations_oracle,
@@ -253,3 +261,106 @@ def test_unit_majorities_match_oracle_sorted_or_counted(case, cells_per_row):
         for reference in (None, truth):
             assert _outcome(_unit_errors, dataset, reference) == \
                 _outcome(unit_errors_oracle, panel, reference)
+
+
+@st.composite
+def sparse_panels(draw):
+    """Panels whose products mostly answer questions of their own, each
+    question with answer labels of its own, some declared with labels no
+    record uses: few cells per product x question, and many categories in
+    the pooled space."""
+    n_products = draw(st.integers(1, 6))
+    reviewers = draw(st.lists(st.sampled_from(REVIEWERS), min_size=1, max_size=3, unique=True))
+    odd = st.integers(0, 11).map(lambda k: k == 0)
+    rows, declared = [], {}
+    for p in range(n_products):
+        for q in draw(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True)):
+            labels = [f"q{q}-{a}" for a in range(draw(st.integers(1, 3)))]
+            if draw(odd):
+                declared[f"q{q}"] = labels + [f"q{q}-unused"]
+            for r in reviewers:
+                if not draw(odd):
+                    rows.append((f"p{p}", r, f"q{q}", draw(st.sampled_from(labels)),
+                                 draw(st.sampled_from(CLASSES)), None, None))
+    if not declared:
+        declared = None
+    return draw(st.permutations(rows)), "drop", declared, {}
+
+
+def _bits(value):
+    """value with every float as its hex digits, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_bits, value))
+    return value
+
+
+def _kappa(k):
+    return (k.kappa, k.p_bar, k.p_e_bar, k.n_subjects, k.n_raters, k.n_categories)
+
+
+def _agreement(dataset, mode):
+    r = analyze_agreement(dataset, mode)
+    return {"per_question": {q: _kappa(k) for q, k in r.per_question.items()},
+            "annotations": dict(r.annotations), "overall": r.overall_kappa,
+            "detail": r.overall_detail and _kappa(r.overall_detail),
+            "rate": r.agreement_rate, "notes": r.notes, "ranking": r.disagreement_ranking}
+
+
+def _chi_square_from_oracle(panel, alpha, yates):
+    """_chi_square_section's body, with each table taken from the oracle."""
+    per_question = {}
+    for q in panel["questions"]:
+        try:
+            observed, _, answers, classes = contingency_oracle(panel, q)
+            table = ContingencyTable.from_observed(observed, answers, classes)
+            per_question[q] = _ok(chi_square_independence(table, alpha=alpha, yates=yates))
+        except (ReviewAuditError, OracleError) as exc:
+            per_question[q] = {"status": "error", "error": str(exc)}
+    if all(body["status"] == "error" for body in per_question.values()):
+        return {"status": "error", "error": "no question yields a testable contingency table",
+                "per_question": per_question}
+    return {"status": "ok", "per_question": per_question}
+
+
+def _check_sections(case):
+    rows, policy, declared, _ = case
+    panel = _outcome(validate_oracle, rows, policy, declared)
+    if isinstance(panel, tuple):
+        return
+    dataset = validate_dataset([ReviewRecord(*row) for row in rows], policy, declared)
+    for mode in OVERALL_KAPPA_MODES:
+        assert _bits(_outcome(_agreement, dataset, mode)) == \
+            _bits(_outcome(agreement_oracle, panel, mode))
+    for yates in (False, True):
+        assert _bits(_chi_square_section(dataset, 0.05, yates)) == \
+            _bits(_chi_square_from_oracle(panel, 0.05, yates))
+    # Each matrix's array, laid out from its pairs when first read, is the
+    # oracle's rows, and the matrix equals the one built from those rows.
+    matrices = [(lambda q=q: rating_matrix(dataset, q), lambda q=q: rating_matrix_oracle(panel, q))
+                for q in panel["questions"]]
+    for made, oracle in [*matrices, (lambda: pooled_rating_matrix(dataset),
+                                     lambda: pooled_rating_matrix_oracle(panel))]:
+        expected = _outcome(oracle)
+        if expected[0] == "error":
+            continue
+        counts, n, categories, subjects = expected
+        matrix = made()
+        assert matrix.array.tolist() == [list(row) for row in counts]
+        assert matrix == RatingMatrix(np.array(counts, np.int64), n, categories, subjects)
+
+
+@pytest.mark.parametrize("cells_per_row", [0, 1 << 40], ids=["sorted", "counted"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(panels(), sparse_panels()))
+@example(ALL_DROPPED)
+@example(TWO_TEAMS)
+def test_agreement_and_chi_square_sections_match_oracle(cells_per_row, case):
+    # Kappas and their terms bit for bit, annotations and error messages as
+    # the oracle gives them, with every pair count found by sorting or by
+    # counting in one table.
+    with mock.patch.object(model, "_CELLS_PER_ROW", cells_per_row):
+        _check_sections(case)

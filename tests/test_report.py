@@ -6,7 +6,9 @@ import itertools
 import json
 import math
 import pathlib
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from reviewaudit import (
     validate_dataset,
 )
 from reviewaudit import report as report_module
+from reviewaudit.model import RecordColumns
 from reviewaudit.report import (
     AuditReport,
     emit_report,
@@ -32,7 +35,7 @@ from reviewaudit.report import (
     run_audit,
 )
 
-from _helpers import csv_outcome, read_outcome, rec
+from _helpers import csv_outcome, read_outcome, rec, traced_peak
 
 
 CSV_HEADER = "product_id,reviewer_id,question_id,answer,final_classification"
@@ -885,3 +888,36 @@ dataset: 12 records, 2 products, 3 reviewers, 2 questions
 == Difference-in-differences ==
   skipped: no difference-in-differences input
 """
+
+
+def _sparse_panel(n: int) -> RecordColumns:
+    """n products x 2 reviewers, each product with its own question and two
+    answer labels of its own; reviewer r0 rejects, r1 approves."""
+    product = np.arange(n, dtype=np.int32).repeat(2)
+    reviewer = np.tile(np.array([0, 1], np.int32), n)
+    zeros = np.zeros(2 * n, np.int32)
+    return RecordColumns(
+        (product, reviewer, product, np.arange(2 * n, dtype=np.int32), 1 - reviewer, zeros, zeros),
+        (tuple(f"p{i:05d}" for i in range(n)), ("r0", "r1"), tuple(f"q{i:05d}" for i in range(n)),
+         tuple(f"a{i:05d}-{r}" for i in range(n) for r in range(2)), ("approve", "reject"),
+         (None,), (None,)))
+
+
+def test_a_sparse_panel_audits_in_memory_that_grows_with_the_records():
+    # 20,000 products x 2 reviewers (40,000 records): a cells x union
+    # categories table for the pooled kappa would hold 20,000 x 40,000
+    # counts, 6 GB. The kappas and tables are read from pair counts, so
+    # run_audit takes about 2 s on a 2 vCPU Xeon, and its traced peak is
+    # about 35 MB (about 15 s with tracemalloc on).
+    records = _sparse_panel(20_000)
+    start = time.perf_counter()
+    report = run_audit(validate_dataset(records))
+    assert time.perf_counter() - start < 10
+    assert report.statuses() == {
+        "agreement": "ok", "chi_square": "ok", "team_comparison": "skipped",
+        "error_extrapolation": "ok", "bias_factors": "error", "did": "skipped"}
+    # No cell agrees, and each of the 40,000 categories holds one rating.
+    assert report.section("agreement")["overall_kappa"] == pytest.approx(-1 / 39_999, rel=1e-9)
+    dataset = validate_dataset(records)
+    traced, peak = traced_peak(lambda: run_audit(dataset))
+    assert traced == report and peak < 64 << 20
