@@ -254,15 +254,13 @@ def _check_rows(stream: IO[str], position: Mapping[str, int], required: Sequence
 
 
 # A file is read in blocks of this many bytes, each cut after its last line
-# end outside quotes, so that one block's arrays are held at a time.
-_BLOCK = 1 << 16
+# end outside quotes, so that one block's arrays are held at a time. 128 KiB
+# reads faster than 64 KiB only since fields are located per column.
+_BLOCK = 1 << 17
 # A column with a field over 8 bytes in a block is gathered at its longest
 # field's width only while that takes at most this many times the block's
 # bytes; past that the file goes to the csv path.
 _GATHER_LIMIT = 4
-# The bytes that may come before a field's opening quote or after its closing
-# one: a comma or LF that ends a field, or the other quote of a doubled pair.
-_QUOTE_EDGE = np.isin(np.arange(256), np.frombuffer(b',\n"', np.uint8))
 
 
 class _NotPlain(Exception):
@@ -293,25 +291,25 @@ def _plain_blocks(file: IO[bytes]) -> Iterator[bytes]:
     """The bytes of a file that _count_plain_lines passed, as blocks of whole
     records, each ending in LF: a block is cut after its last LF outside
     quotes, and a last line without an end gets one. A record longer than
-    _BLOCK raises _NotPlain, and bytes that are not UTF-8 raise
-    UnicodeDecodeError, in any column."""
-    rest = b""
-    while True:
+    _BLOCK (128 KiB) raises _NotPlain, so the csv path reads the file, and
+    bytes that are not UTF-8 raise UnicodeDecodeError, in any column."""
+    rest, more = b"", True
+    while more:
         chunk = file.read(_BLOCK)
-        data = rest + chunk
-        cut = data.rfind(b"\n") + 1 if chunk else len(data)
-        if chunk and b'"' in data and data.count(b'"', 0, cut) % 2:  # that LF is quoted
+        data, more = rest + chunk, bool(chunk)
+        cut = data.rfind(b"\n") + 1 if more else len(data)
+        if more and b'"' in data and data.count(b'"', 0, cut) % 2:  # that LF is quoted
             array = np.frombuffer(data, np.uint8)
             cut = 1 + int(np.flatnonzero((array == ord("\n")) & ~_in_quotes(array)).max(initial=-1))
+            del array
         block, rest = data[:cut], data[cut:]
+        del chunk, data  # so that the block alone is held while it is coded
         if len(rest) > _BLOCK:
             raise _NotPlain
         if not block.isascii():
             block.decode()
         if block:
             yield block if block.endswith(b"\n") else block + b"\n"
-        if not chunk:
-            return
 
 
 # _WORD_MASKS[n] keeps the first n bytes of a little-endian uint64.
@@ -377,10 +375,25 @@ class _BlockColumn:
         """Set codes[row:] for one block's fields, given their keys and
         their starts and lengths in block. Only fields whose keys are not in
         the table are decoded, unquoted, checked and added to values; raises
-        _NotPlain if one fails _check_rows."""
+        _NotPlain if one fails _check_rows. Where the keys change at fewer
+        than a quarter of the fields (a sorted or blank column), only the
+        first field of each run is coded, and its code repeated."""
+        codes = self.codes[row:row + len(keys)]
+        changes = keys[1:] != keys[:-1]
+        if 4 * np.count_nonzero(changes) < len(keys):  # code the first field of each run
+            heads = np.flatnonzero(np.concatenate(([True], changes)))
+            head_codes = np.empty(len(heads), np.int32)
+            self._code(keys[heads], block, at[heads], size[heads], head_codes, len(keys), required)
+            codes[:] = np.repeat(head_codes, np.diff(heads, append=len(keys)))
+        else:
+            self._code(keys, block, at, size, codes, len(keys), required)
+
+    def _code(self, keys: np.ndarray, block: bytes, at: np.ndarray, size: np.ndarray,
+              codes: np.ndarray, rows: int, required: Sequence[str]) -> None:
+        """code's search and decoding for some of a block's fields (all, or
+        the first of each run), into codes; rows is the block's row count."""
         keys = self._comparable(keys)
         table, index = self.keys, self.index
-        codes = self.codes[row:row + len(keys)]
         if len(table):
             pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
             found = table[pos] == keys
@@ -401,7 +414,7 @@ class _BlockColumn:
         new_index = np.arange(len(self.values), len(self.values) + len(new), dtype=np.int32)
         self.values += new
         codes[missing] = new_index[inverse]
-        if len(table) + len(new_keys) > len(keys):  # afresh from this block's keys
+        if len(table) + len(new_keys) > rows:  # afresh from this block's keys
             used = np.zeros(len(table), bool)
             used[pos[found]] = True
             table, index = table[used], index[used]
@@ -424,39 +437,45 @@ def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColu
     if b"\r" in raw:  # each CR ends a CRLF (see _count_plain_lines)
         block = raw.replace(b"\r", b"")
     data = np.frombuffer(block, np.uint8)
-    line_ends, commas = data == ord("\n"), data == ord(",")
+    line_ends, seps = data == ord("\n"), data == ord(",")
+    seps |= line_ends
     if b'"' in block:  # a comma or LF between a field's quotes is part of it
-        quotes = np.flatnonzero(data == ord('"'))
-        if len(quotes) % 2 or not (_QUOTE_EDGE[data[quotes[::2] - 1]].all()
-                                   and _QUOTE_EDGE[data[quotes[1::2] + 1]].all()):
+        quotes = data == ord('"')
+        inside = _in_quotes(data)  # from each opening quote up to its closing one
+        edges = seps | quotes  # what may come before an opening quote or after a closing one
+        if inside[-1] or (quotes[1:] & inside[1:] & ~edges[:-1]).any() or (
+                quotes[:-1] & ~inside[:-1] & ~edges[1:]).any():
             raise _NotPlain  # an open quote, a quote in a field or text after a closing one
-        # the positions from each opening quote up to its closing one
-        sizes = quotes[1::2] - quotes[::2]
-        inside = np.repeat(quotes[::2] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        if raw is not block and line_ends[inside].any():  # a quoted LF: was it a CRLF?
+        if raw is not block and (line_ends & inside).any():  # a quoted LF: was it a CRLF?
             raw_data = np.frombuffer(raw, np.uint8)
             if _in_quotes(raw_data)[raw_data == ord("\r")].any():
                 raise _NotPlain  # a quoted CR, which the csv module keeps
-        line_ends[inside] = commas[inside] = False
-    lines = np.flatnonzero(line_ends)
-    blank = lines[np.diff(lines, prepend=-1) == 1]
-    if len(blank):  # blank lines, which the csv path skips too
+        seps &= ~inside
+        line_ends &= ~inside
+    # Every field ends at a separator: a comma, or the LF that ends its line.
+    ends = np.flatnonzero(seps)
+    lines = np.count_nonzero(line_ends)
+    line_end = ends[width - 1::width]
+    if len(ends) != width * lines or not line_ends[line_end].all():  # a ragged or blank line
+        lf = np.flatnonzero(line_ends)
+        blank = lf[np.diff(lf, prepend=-1) == 1]  # which the csv path skips too
+        if not len(blank):
+            raise _NotPlain
         return _code_block(np.delete(data, blank).tobytes(), width, row, columns, required)
-    if not len(lines):
+    if not lines:
         return row
+    limit = csv.field_size_limit() + 1  # the farthest a separator may be from the one before
+    if (len(block) > limit and np.diff(line_end, prepend=-1).max() > limit
+            and np.diff(ends, prepend=-1).max() > limit):
+        raise _NotPlain  # a field over the csv module's limit, in any column
+    end = row + lines
     buffer = block + bytes(8)
-    ends = np.flatnonzero(line_ends | commas)
-    if len(ends) != width * len(lines) or not np.array_equal(ends[width - 1::width], lines):
-        raise _NotPlain  # a ragged line
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts
-    if lengths.max() > csv.field_size_limit():
-        raise _NotPlain
-    end = row + len(lines)
     for column in columns:
         if end > len(column.codes):
             raise _NotPlain  # the file grew after its lines were counted
-        at, size = starts[column.position::width], lengths[column.position::width]
+        c = column.position
+        at = ends[c - 1::width] + 1 if c else np.concatenate(([0], line_end[:-1] + 1))
+        size = ends[c::width] - at
         column.code(_field_keys(buffer, at, size), block, at, size, row, required)
     return end
 
@@ -560,12 +579,13 @@ def ingest_csv(source: Source) -> RecordColumns:
 
     The source is a path (a str or an os.PathLike) or a text stream; a
     stream, or a path that is not a regular file, is first copied into an
-    unnamed temporary file (see _byte_file). The bytes are read in 64 KiB
+    unnamed temporary file (see _byte_file). The bytes are read in 128 KiB
     blocks with numpy, each distinct field value decoded and checked once
-    per file (see _BlockColumn), unless they hold a NUL, a CR outside a
-    CRLF, a quote outside an RFC 4180 quoted field, a quoted CR, a record
-    over 64 KiB or, blank lines aside, one without the header's field
-    count. Then the csv module reads them from their start, so both routes
+    per file (see _BlockColumn), a column whose values run on over rows
+    (sorted or blank) looked up once per run, unless they hold a NUL, a CR
+    outside a CRLF, a quote outside an RFC 4180 quoted field, a quoted CR,
+    a record over 128 KiB or, blank lines aside, one without the header's
+    field count. Then the csv module reads them from their start, so both routes
     give identical records and errors. Only a path's byte-order mark is
     dropped: a stream whose text starts with U+FEFF fails on its header.
     """

@@ -136,7 +136,7 @@ def _assert_routes_agree(path, data: bytes, block: int, field_limit: int | None 
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(data=csv_files(), block=st.sampled_from([64, 256, 1 << 16]),
+@given(data=csv_files(), block=st.sampled_from([64, 256, report._BLOCK]),
        field_limit=st.sampled_from([None, 24]))
 def test_path_and_stream_routes_agree(path, data, block, field_limit):
     _assert_routes_agree(path, data, block, field_limit)
@@ -195,7 +195,7 @@ def test_a_header_name_over_the_field_limit_goes_to_the_csv_path(path):
     # over the csv module's field size limit to the csv path, which refuses
     # it on row 1, as a stream of the same bytes is refused.
     data = (",".join(REQUIRED_FIELDS) + "," + "x" * 30 + "\n").encode()
-    _assert_routes_agree(path, data, block=1 << 16, field_limit=24)
+    _assert_routes_agree(path, data, block=report._BLOCK, field_limit=24)
     limit = csv.field_size_limit(24)
     try:
         with open(path, "rb") as file:
@@ -443,11 +443,20 @@ def _key_table_file(kind: str) -> bytes:
     elif kind == "never repeats":
         for i, row in enumerate(rows):
             row[0] = f"product-{i:05d}"
+    elif kind == "runs that recur":
+        # Runs of 30 rows of four products over 8 bytes, each back after
+        # runs of the other three, a blank team, and a reviewer that keeps
+        # one value for 60 rows, then changes on every row for 60, so that
+        # blocks of long runs and blocks without runs alternate.
+        for i, row in enumerate(rows):
+            row[0] = f"product-{i // 30 % 4}"
+            row[1] = f"r{i % 3}" if i // 60 % 2 else "r0"
+            row[5] = ""
     return "\n".join([header] + [",".join(row) for row in rows]).encode() + b"\n"
 
 
 KEY_TABLE_FILES = ["shuffled rows", "value back after blocks without it", "key width changes",
-                   "never repeats"]
+                   "never repeats", "runs that recur"]
 
 
 @pytest.mark.parametrize("kind", KEY_TABLE_FILES)
