@@ -79,7 +79,7 @@ def _load_dataset(args) -> ReviewDataset:
 
 
 def _maybe_truth(args) -> dict[str, str] | None:
-    return read_ground_truth_csv(args.ground_truth) if args.ground_truth else None
+    return None if args.ground_truth is None else read_ground_truth_csv(args.ground_truth)
 
 
 def _did_panel(source: str | IO[bytes], change_period: int | None) -> Callable[[], DidPanel]:
@@ -99,9 +99,9 @@ def _cmd_agreement(args, out: IO[str]) -> int:
 
 def _cmd_chisq(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    if args.question and args.question not in dataset.questions:
+    if args.question is not None and args.question not in dataset.questions:
         raise DatasetValidationError(f"question {args.question!r} not present in dataset")
-    questions = [args.question] if args.question else None
+    questions = None if args.question is None else [args.question]
     body = _chi_square_section(dataset, args.alpha, args.yates, questions)
     per_question = body["per_question"]
     _emit({"per_question": per_question}, args, out)
@@ -132,7 +132,7 @@ def _cmd_ci(args, out: IO[str]) -> int:
             raise ValueError("--x and --n must be given together")
         _emit(binomial_ci(args.x, args.n, level=args.level, method=method), args, out)
         return 0
-    if not args.input:
+    if args.input is None:
         raise ValueError("provide either --x/--n or --input")
     dataset = _load_dataset(args)
     body = _extrapolation_section(dataset, _maybe_truth(args), method, args.level)
@@ -144,7 +144,7 @@ def _cmd_ci(args, out: IO[str]) -> int:
 
 def _cmd_regress(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    factors = args.factors.split(",") if args.factors else None
+    factors = None if args.factors is None else args.factors.split(",")
     _emit(_bias_section(dataset, factors), args, out)
     return 0
 
@@ -158,7 +158,7 @@ def _cmd_did(args, out: IO[str]) -> int:
         if outcome_panel:
             did_input = _did_panel(panel, args.change_period)
         else:
-            if not args.ground_truth:
+            if args.ground_truth is None:
                 raise ValueError("review-format DiD input needs --ground-truth for error rates")
             by_group = ingest_csv_groups(panel)
             missing = {"treated", "control"} - set(by_group)
@@ -187,16 +187,19 @@ def _cmd_simulate(args, out: IO[str]) -> int:
     else:
         dataset, truth = simulate_panel(config)
         panels = [(None, dataset.records)]
-    write_panel_csv(out, panels)
-    if args.truth_output:
-        with open(args.truth_output, "w", encoding="utf-8", newline="") as stream:
-            write_ground_truth_csv(stream, truth)
+    # The truth file is opened before the panel is written, so that one
+    # that cannot be opened leaves --output as it was.
+    with (contextlib.nullcontext() if args.truth_output is None
+          else open(args.truth_output, "w", encoding="utf-8", newline="")) as truth_stream:
+        write_panel_csv(out, panels)
+        if truth_stream is not None:
+            write_ground_truth_csv(truth_stream, truth)
     return 0
 
 
 def _cmd_audit(args, out: IO[str]) -> int:
     dataset = _load_dataset(args)
-    did_panel = _did_panel(args.did_input, args.change_period) if args.did_input else None
+    did_panel = None if args.did_input is None else _did_panel(args.did_input, args.change_period)
     report = run_audit(
         dataset, ground_truth=_maybe_truth(args), alpha=args.alpha,
         overall_kappa_mode=KAPPA_MODE_FLAGS[args.overall_kappa],
@@ -290,7 +293,7 @@ class _Output:
     write: a command that fails before it writes leaves the file as it was."""
 
     def __init__(self, path: str | None) -> None:
-        self.path, self.stream = path, (None if path else sys.stdout)
+        self.path, self.stream = path, (sys.stdout if path is None else None)
 
     def write(self, text: str) -> int:
         if self.stream is None:
@@ -298,7 +301,7 @@ class _Output:
         return self.stream.write(text)
 
     def close(self) -> None:
-        if self.path and self.stream is not None:
+        if self.path is not None and self.stream is not None:
             self.stream.close()
 
 

@@ -92,74 +92,21 @@ OPTIONAL = (TEAM, PERIOD)
 REQUIRED_FIELDS = FIELDS[:TEAM]  # each a non-empty string in every record
 
 
-class _Numbering(dict):
-    """Codes by value: a value looked up for the first time gets the next code."""
-
-    def __missing__(self, value) -> int:
-        code = self[value] = len(self)
-        return code
-
-
-_GATHER = 1 << 14  # codes gathered by one np.take in ColumnCoder.finish
-
-
-class ColumnCoder:
-    """Integer codes for one column's values, added in chunks.
-
-    Values are numbered in order of first sight while chunks arrive;
-    finish() renumbers them so that the codes index the sorted label table.
-    An optional column's table starts with None.
-    """
-
-    def __init__(self, optional: bool = False):
-        self.optional = optional
-        self.index = _Numbering({None: 0} if optional else {})
-        # Each chunk's codes and the table taking them to first-sight
-        # numbers (None where they are those numbers already).
-        self.parts: list[tuple[np.ndarray, np.ndarray | None]] = []
-
-    def __len__(self) -> int:
-        """The number of values added."""
-        return sum(len(codes) for codes, _ in self.parts)
-
-    def add(self, values: Iterable, count: int) -> None:
-        """Code a chunk of count values."""
-        self.parts.append((np.fromiter(map(self.index.__getitem__, values), np.int32, count), None))
-
-    def add_codes(self, codes: np.ndarray, values: Sequence) -> None:
-        """Add a chunk given as codes into values, a table of the chunk's
-        values. The codes are kept, not copied, until finish()."""
-        index = self.index
-        lut = np.array([index.setdefault(value, len(index)) for value in values], np.int32)
-        self.parts.append((codes, lut))
-
-    def finish(self, convert: Callable | None = None) -> tuple[np.ndarray, tuple]:
-        """The codes and the label table; convert maps each distinct value
-        other than None to its label (values converting to one label share
-        its code). Each chunk is gathered once, through its own table
-        composed with the renumbering. The coder lets go of its chunks, so a
-        caller that keeps the coder does not keep their memory."""
-        seen = list(self.index)
-        if convert is not None:
-            seen = [None if value is None else convert(value) for value in seen]
-        table = sorted(set(seen) - {None})
-        if self.optional:
-            table.insert(0, None)
-        position = {label: i for i, label in enumerate(table)}
-        lut = np.array([position[label] for label in seen], np.int32)
-        out = np.empty(len(self), np.int32)
-        parts, self.parts = self.parts, []
-        start = 0
-        for codes, chunk in parts:
-            composed = lut if chunk is None else lut[chunk]
-            # np.take casts the codes to intp, so it is given _GATHER at a
-            # time. They index the table by construction; mode="raise" would
-            # check them and gather through a temporary copy of out.
-            for lo in range(0, len(codes), _GATHER):
-                part = codes[lo:lo + _GATHER]
-                np.take(composed, part, out=out[start:start + len(part)], mode="wrap")
-                start += len(part)
-        return out, tuple(table)
+def label_codes(values: Sequence, convert: Callable | None = None,
+                optional: bool = False) -> tuple[tuple, np.ndarray]:
+    """The sorted table of the distinct labels of values, None first when
+    optional is set, and each value's int32 code in that table. convert
+    maps each value other than None to its label; values that convert to
+    one label share its code. Each distinct value is converted once."""
+    distinct = list(dict.fromkeys(values))
+    labels = distinct if convert is None else [
+        None if value is None else convert(value) for value in distinct]
+    table = sorted(set(labels) - {None})
+    if optional:
+        table.insert(0, None)
+    position = {label: i for i, label in enumerate(table)}
+    code = dict(zip(distinct, map(position.__getitem__, labels)))
+    return tuple(table), np.fromiter(map(code.__getitem__, values), np.int32, len(values))
 
 
 class RecordColumns(Sequence[ReviewRecord]):
@@ -179,10 +126,9 @@ class RecordColumns(Sequence[ReviewRecord]):
     @classmethod
     def from_records(cls, records: Sequence[ReviewRecord]) -> "RecordColumns":
         """Columns over the records' field values; the records are not kept."""
-        coders = [ColumnCoder(i in OPTIONAL) for i in range(len(FIELDS))]
-        for coder, name in zip(coders, FIELDS):
-            coder.add(map(operator.attrgetter(name), records), len(records))
-        return cls(*zip(*(coder.finish() for coder in coders)))
+        labels, codes = zip(*(label_codes(list(map(operator.attrgetter(name), records)),
+                                          optional=i in OPTIONAL) for i, name in enumerate(FIELDS)))
+        return cls(codes, labels)
 
     def __len__(self) -> int:
         return len(self.codes[0])

@@ -44,12 +44,12 @@ from .model import (
     REQUIRED_FIELDS,
     REVIEWER,
     TEAM,
-    ColumnCoder,
     RecordColumns,
     ReviewDataset,
     ReviewRecord,
     contingency_from,
     is_label,
+    label_codes,
 )
 from .simulate import DidPair
 
@@ -177,31 +177,40 @@ def _valid(name: str, values: Iterable[str], required: Sequence[str]) -> bool:
 
 def _review_layout(
     header: Sequence[str] | None, group: bool
-) -> tuple[dict[str, int], tuple[str, ...], dict[str, ColumnCoder]]:
+) -> tuple[dict[str, int], tuple[str, ...], list[str]]:
     """The header's column positions, the columns that must hold a label
-    (the group column too when group is set), and a coder per column read."""
+    (the group column too when group is set), and the columns read."""
     _check_header(header, REQUIRED_FIELDS)
     position = {name: i for i, name in enumerate(header)}
     if group and "group" not in position:
         raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
     extra = ("group",) if group else ()
-    names = [name for name in FIELDS + extra if name in position]
-    return position, REQUIRED_FIELDS + extra, {name: ColumnCoder(name in _LABELS) for name in names}
+    return position, REQUIRED_FIELDS + extra, [name for name in FIELDS + extra if name in position]
+
+
+_GATHER = 1 << 14  # codes recoded by one np.take in _finish
 
 
 def _finish(
-    coders: Mapping[str, ColumnCoder]
+    columns: Mapping[str, tuple[np.ndarray, Sequence[str]]]
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
-    """The records coded so far, and the group column's codes and labels
-    when it was read."""
-    n_rows = len(coders[REQUIRED_FIELDS[0]])
-    coded = [
-        coders[name].finish(_LABELS.get(name, str.strip)) if name in coders
-        else (np.zeros(n_rows, np.int32), (None,))
-        for name in FIELDS
-    ]
-    groups = coders["group"].finish(str.strip) if "group" in coders else None
-    return RecordColumns(*zip(*coded)), groups
+    """The records read, and the group column's codes and labels when it
+    was read. Each column comes as codes into its distinct raw values (one
+    label may be two values, as "a" quoted and not), and its codes are
+    recoded in place into its sorted label table, so no second array of
+    codes is made."""
+    n_rows = len(columns[REQUIRED_FIELDS[0]][0])
+    coded = {name: (np.zeros(n_rows, np.int32), (None,)) for name in FIELDS if name not in columns}
+    for name, (codes, values) in columns.items():
+        table, recode = label_codes(values, _LABELS.get(name, str.strip), name in _LABELS)
+        # np.take casts the codes to intp, so it is given _GATHER at a time.
+        # They index recode by construction; mode="raise" would check them
+        # and gather through a temporary copy of the codes.
+        for lo in range(0, len(codes), _GATHER):
+            part = codes[lo:lo + _GATHER]
+            np.take(recode, part, out=part, mode="wrap")
+        coded[name] = codes, table
+    return RecordColumns(*zip(*map(coded.get, FIELDS))), coded.get("group")
 
 
 def _read_csv_stream(
@@ -213,23 +222,31 @@ def _read_csv_stream(
     report the first bad row."""
     reader = csv.reader(stream)
     with _csv_errors(reader):
-        position, required, coders = _review_layout(next(reader, None), group)
-        width = max(position[name] for name in coders) + 1
+        position, required, names = _review_layout(next(reader, None), group)
+        width = max(position[name] for name in names) + 1
+        # Each column's values, coded in order of first sight, and its codes
+        # by batch, after an empty array so that a file without rows has one.
+        index = {name: {} for name in names}
+        parts = {name: [np.empty(0, np.int32)] for name in names}
         rows = filter(None, reader)
         try:
             while batch := list(islice(rows, _BATCH)):
                 if min(map(len, batch)) < width:
                     batch = [row + [""] * (width - len(row)) for row in batch]
-                for name, coder in coders.items():
-                    seen = len(coder.index)
-                    coder.add(map(itemgetter(position[name]), batch), len(batch))
-                    if not _valid(name, islice(reversed(coder.index), len(coder.index) - seen),
-                                  required):
+                fields = list(zip(*batch))
+                for name in names:
+                    values, seen = fields[position[name]], index[name]
+                    new = [value for value in dict.fromkeys(values) if value not in seen]
+                    seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+                    parts[name].append(np.fromiter(map(seen.__getitem__, values), np.int32,
+                                                   len(values)))
+                    if not _valid(name, new, required):
                         _check_rows(stream, position, required)
         except csv.Error:  # a bad field on an earlier row is reported first
             _check_rows(stream, position, required)
             raise
-    return _finish(coders)
+    return _finish({name: (np.concatenate(parts.pop(name)), list(index.pop(name)))
+                    for name in names})
 
 
 def _check_rows(stream: IO[str], position: Mapping[str, int], required: Sequence[str]) -> None:
@@ -337,7 +354,7 @@ class _BlockColumn:
     """One column of a file read by blocks. codes[i] indexes values, the
     column's distinct fields decoded, unquoted and checked so far; a quoted
     and an unquoted field of one text are two keys and two values, which
-    ColumnCoder.add_codes gives one code. keys, sorted, are
+    _finish gives one code. keys, sorted, are
     the field keys (see _field_keys) of some of those fields, and index
     their positions in values, so that a field seen before is coded by one
     search. A block whose new keys would take the table past its own row
@@ -496,17 +513,14 @@ def _read_plain_file(
         head, _, first = next(blocks, b"").partition(b"\n")
         # strict, so that an open quote in the header sends the file to the csv path
         header = next(csv.reader([head.decode(encoding)], strict=True))
-        position, required, coders = _review_layout(header, group)
-        columns = [_BlockColumn(name, position[name], bound) for name in coders]
+        position, required, names = _review_layout(header, group)
+        columns = [_BlockColumn(name, position[name], bound) for name in names]
         rows = 0
         for block in chain((first,), blocks):
             rows = _code_block(block, len(header), rows, columns, required)
     except (_NotPlain, csv.Error, CsvFormatError, UnicodeDecodeError, OSError):
         return None
-    while columns:  # popped, so each array is freed once its coder has the codes
-        column = columns.pop()
-        coders[column.name].add_codes(column.codes[:rows], column.values)
-    return _finish(coders)
+    return _finish({column.name: (column.codes[:rows], column.values) for column in columns})
 
 
 @contextlib.contextmanager
@@ -731,10 +745,8 @@ def write_ground_truth_csv(stream: IO[str], truth: Mapping[str, str]) -> None:
     in sorted order, quoted as write_panel_csv quotes."""
     products = sorted(truth)
     stream.write(",".join(GROUND_TRUTH_COLUMNS) + "\n")
-    # The classifications are written as codes into their distinct labels.
-    code: dict[str, int] = {}
-    classes = np.array([code.setdefault(truth[p], len(code)) for p in products], np.int64)
-    _write_rows(stream, (np.arange(len(products)), classes), (products, list(code)))
+    classes, codes = label_codes(list(map(truth.__getitem__, products)))
+    _write_rows(stream, (np.arange(len(products)), codes), (products, classes))
 
 
 def read_outcome_panel_csv(source: Source) -> list[tuple[str, int, float]]:

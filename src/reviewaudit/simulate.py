@@ -34,8 +34,8 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import (RecordColumns, ReviewDataset, cut_unused, is_int, is_label, majority,
-                    validate_dataset)
+from .model import (RecordColumns, ReviewDataset, cut_unused, is_int, is_label, label_codes,
+                    majority, validate_dataset)
 from .rng import SplitMix64Array, derive_stream, weighted_index
 
 _FLIP_KEY = 0x7E4  # distinguishes classification-flip streams from answer streams
@@ -183,13 +183,6 @@ def _labels(prefix: str, k: int) -> list[str]:
     return [f"{prefix}{j:0{width}d}" for j in range(k)]
 
 
-def _coded(values: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted table of the distinct values, and each value's code in it."""
-    table = sorted(set(values))
-    position = {label: i for i, label in enumerate(table)}
-    return tuple(table), np.fromiter(map(position.__getitem__, values), np.int32, len(values))
-
-
 def _generate_records(
     config: SimulationConfig,
     *,
@@ -270,9 +263,9 @@ def _dataset(
     offsets = np.array([prefixes.index(prefix) * n for prefix, _, _ in chunks], np.int32)
     products = (offsets[:, None] + np.arange(n, dtype=np.int32)).ravel()
     period_codes = [0 if period is None else 1 + periods.index(period) for _, period, _ in chunks]
-    reviewers, reviewer_codes = _coded(config.reviewer_ids)
-    questions, question_codes = _coded([q.question_id for q in config.questions])
-    answer_labels, answer_codes = _coded([a for k in categories for a in _labels("a", k)])
+    reviewers, reviewer_codes = label_codes(config.reviewer_ids)
+    questions, question_codes = label_codes([q.question_id for q in config.questions])
+    answer_labels, answer_codes = label_codes([a for k in categories for a in _labels("a", k)])
     answers = np.concatenate([draws[1] for _, _, draws in chunks]).reshape(-1, per_unit)
     answers += np.cumsum([0] + categories[:-1], dtype=np.int32)  # into one table for all questions
     verdicts, class_labels = cut_unused(

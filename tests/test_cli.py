@@ -451,6 +451,26 @@ class TestInputErrorExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run(capsys, argv) == (code, "", f"reviewaudit: {err}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--input", "panel.csv", "--ground-truth", ""],
+        ["chisq", "--input", "panel.csv", "--question", ""],
+        ["regress", "--input", "panel.csv", "--factors", ""],
+        ["audit", "--input", "panel.csv", "--did-input", "", "--change-period", "1"],
+        ["agreement", "--input", "panel.csv", "--output", ""],
+        ["simulate", "--config", "config.json", "--truth-output", ""],
+        ["ci", "--input", ""],
+        ["did", "--input", str(Path(__file__).resolve().parent / "fixtures" / "golden"
+                               / "did_review.csv"), "--change-period", "1", "--ground-truth", ""],
+    ], ids=["ground truth", "question", "factors", "did input", "output", "truth output",
+            "ci input", "did ground truth"])
+    def test_empty_option_value_exit_2(self, panel, capsys, monkeypatch, argv):
+        # An empty value names no file, question or factor; it is not the
+        # option left out, so the error names the empty value.
+        monkeypatch.chdir(panel[0].parent)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("reviewaudit: invalid input: ") and "''" in err
+
     def test_header_name_over_the_field_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "panel.csv"
         path.write_text(REVIEW_HEADER.rstrip("\n") + "," + "x" * 30 + "\n")
@@ -795,3 +815,12 @@ class TestOutputFile:
         assert (code, out) == (1, "")
         expected = golden / "out" / "audit2_missing_truth_json.txt"
         assert target.read_bytes() == expected.read_bytes()
+
+    def test_unwritable_truth_output_leaves_panel_as_it_was(self, panel, tmp_path, capsys):
+        panel_path, _ = panel
+        before = panel_path.read_bytes()
+        code, out, _ = run(capsys, ["simulate", "--config", str(tmp_path / "config.json"),
+                                    "--seed", "5", "--output", str(panel_path),
+                                    "--truth-output", str(tmp_path / "no" / "truth.csv")])
+        assert (code, out) == (2, "")
+        assert panel_path.read_bytes() == before

@@ -485,17 +485,17 @@ def test_key_table_on_both_routes(path, monkeypatch, kind, block):
 @pytest.mark.parametrize("kind", KEY_TABLE_FILES)
 def test_each_distinct_value_is_decoded_once(path, monkeypatch, kind):
     # A column with no more distinct values than each block has rows hands
-    # its coder each value once, in whatever blocks and widths they come.
+    # label_codes each value once, in whatever blocks and widths they come.
     path.write_bytes(_key_table_file(kind))
     added = []
-    add_codes = report.ColumnCoder.add_codes
+    label_codes = report.label_codes
 
-    def spy(coder, codes, values):
+    def spy(values, *args):
         added.append(list(values))
-        return add_codes(coder, codes, values)
+        return label_codes(values, *args)
 
     monkeypatch.setattr(report, "_BLOCK", 256)
-    monkeypatch.setattr(report.ColumnCoder, "add_codes", spy)
+    monkeypatch.setattr(report, "label_codes", spy)
     monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
     ingest_csv(str(path))
     few = [values for values in added if len(set(values)) <= 5]

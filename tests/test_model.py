@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reviewaudit import (
     ContingencyTable,
@@ -29,7 +30,7 @@ from reviewaudit import (
     simulate,
     validate_dataset,
 )
-from reviewaudit.model import RatingMatrix, RecordColumns, ReviewDataset
+from reviewaudit.model import RatingMatrix, RecordColumns, ReviewDataset, label_codes
 from reviewaudit.report import ingest_csv_groups
 
 from _helpers import rec
@@ -63,6 +64,28 @@ class TestReviewRecord:
             rec("p", "r", "q", "a", period="1")
         with pytest.raises(DatasetValidationError, match="period must be None or an integer"):
             rec("p", "r", "q", "a", period=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(
+           ["1", " 1", "1 ", "01", "+1", "-1", "10", "2", "a", " a", "b", "B", "é"])),
+           max_size=40),
+       st.sampled_from([None, str.strip, int]), st.booleans())
+def test_label_codes_matches_a_plain_oracle(values, convert, optional):
+    # Values that convert to one label share its code; None is a label only
+    # in an optional column, where it comes first.
+    if convert is int:
+        values = [v for v in values if v is None or v.strip().lstrip("+-").isdigit()]
+    if not optional:
+        values = [v for v in values if v is not None]
+    labels = [v if v is None or convert is None else convert(v) for v in values]
+    table = sorted(set(labels) - {None})
+    if optional:
+        table.insert(0, None)
+    got_table, codes = label_codes(values, convert, optional)
+    assert got_table == tuple(table)
+    assert codes.dtype == np.int32
+    assert codes.tolist() == [table.index(label) for label in labels]
 
 
 class TestValidateDataset:
