@@ -387,28 +387,28 @@ class _BlockColumn:
             keys = keys.view("S8")
         return keys.astype(f"S{width}", copy=False)
 
-    def code(self, keys: np.ndarray, block: bytes, at: np.ndarray, size: np.ndarray,
-             row: int, required: Sequence[str]) -> None:
-        """Set codes[row:] for one block's fields, given their keys and
-        their starts and lengths in block. Only fields whose keys are not in
-        the table are decoded, unquoted, checked and added to values; raises
-        _NotPlain if one fails _check_rows. Where the keys change at fewer
-        than a quarter of the fields (a sorted or blank column), only the
-        first field of each run is coded, and its code repeated."""
+    def code(self, keys: np.ndarray, row: int, required: Sequence[str]) -> None:
+        """Set codes[row:] for one block's fields, given their keys. Only
+        fields whose keys are not in the table are decoded, unquoted, checked
+        and added to values; raises _NotPlain if one fails _check_rows. Where
+        the keys change at fewer than a quarter of the fields (a sorted or
+        blank column), only the first field of each run is coded, and its
+        code repeated."""
         codes = self.codes[row:row + len(keys)]
         changes = keys[1:] != keys[:-1]
         if 4 * np.count_nonzero(changes) < len(keys):  # code the first field of each run
             heads = np.flatnonzero(np.concatenate(([True], changes)))
             head_codes = np.empty(len(heads), np.int32)
-            self._code(keys[heads], block, at[heads], size[heads], head_codes, len(keys), required)
+            self._code(keys[heads], head_codes, len(keys), required)
             codes[:] = np.repeat(head_codes, np.diff(heads, append=len(keys)))
         else:
-            self._code(keys, block, at, size, codes, len(keys), required)
+            self._code(keys, codes, len(keys), required)
 
-    def _code(self, keys: np.ndarray, block: bytes, at: np.ndarray, size: np.ndarray,
-              codes: np.ndarray, rows: int, required: Sequence[str]) -> None:
+    def _code(self, keys: np.ndarray, codes: np.ndarray, rows: int,
+              required: Sequence[str]) -> None:
         """code's search and decoding for some of a block's fields (all, or
-        the first of each run), into codes; rows is the block's row count."""
+        the first of each run), into codes; rows is the block's row count.
+        A new value is decoded from its key: the field's bytes, zero-padded."""
         keys = self._comparable(keys)
         table, index = self.keys, self.index
         if len(table):
@@ -421,10 +421,11 @@ class _BlockColumn:
             codes[found] = index[pos[found]]
         else:  # every key is new
             missing = slice(None)
-        new_keys, first, inverse = np.unique(keys[missing], return_index=True,
-                                             return_inverse=True)
-        starts, lengths = at[missing][first].tolist(), size[missing][first].tolist()
-        new = [block[i:i + n].decode() for i, n in zip(starts, lengths)]
+        # return_index, though unused, makes np.unique sort stably: its
+        # quicksort of uint64 pages in about 0.3 MB more of numpy's code.
+        new_keys, _, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
+        fields = new_keys.view("S8") if new_keys.dtype.kind == "u" else new_keys
+        new = [field.decode() for field in fields.tolist()]
         new = [text[1:-1].replace('""', '"') if text[:1] == '"' else text for text in new]
         if not _valid(self.name, new, required):
             raise _NotPlain
@@ -442,17 +443,41 @@ class _BlockColumn:
         self.keys, self.index = new_keys, new_index
 
 
-def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColumn],
-                required: Sequence[str]) -> int:
-    """Code a block's rows from row on into each column, and return the row
-    after them. CRLF is read as LF, and blank lines are skipped. Raises
-    _NotPlain unless every quoted field is wholly quoted with its inner
-    quotes doubled and holds no CR (RFC 4180), every other line has width
-    fields, no field is over the csv module's size limit, every field
-    passes _check_rows and the rows fit."""
-    raw = block
-    if b"\r" in raw:  # each CR ends a CRLF (see _count_plain_lines)
-        block = raw.replace(b"\r", b"")
+def _fixed_keys(block: bytes, width: int) -> tuple[int, Callable[[int], np.ndarray]] | None:
+    """The line count of a block of fixed layout (see _code_block) and the
+    keys (see _field_keys) of the column at a position, each a strided view
+    of the block read as a masked uint64 or as S<w>; None for any other
+    block. Raises _NotPlain if a field is over the csv module's size limit."""
+    length = block.find(b"\n") + 1
+    if not length or len(block) % length or b'"' in block:
+        return None
+    data = np.frombuffer(block, np.uint8)
+    table, first = data.reshape(-1, length), data[:length]
+    ends = np.flatnonzero((first == ord(",")) | (first == ord("\n")))  # the line's separators
+    if len(ends) != width or not (table[:, ends] == first[ends]).all() or np.count_nonzero(
+            data == ord(",")) + np.count_nonzero(data == ord("\n")) != width * len(table):
+        return None  # a line with other separators, or a separator amid a field
+    starts = np.concatenate(([0], ends[:-1] + 1)).tolist()
+    sizes = (ends - starts).tolist()
+    if max(sizes) > csv.field_size_limit():
+        raise _NotPlain  # a field over the csv module's limit, in any column
+    lines, buffer = len(table), block + bytes(8)
+
+    def keys(c: int) -> np.ndarray:
+        if sizes[c] <= 8:
+            words = np.ndarray((lines,), "<u8", buffer, starts[c], (length,))
+            return words & _WORD_MASKS[sizes[c]]
+        return np.ndarray((lines,), f"S{sizes[c]}", buffer, starts[c], (length,))
+    return lines, keys
+
+
+def _separated_keys(raw: bytes, block: bytes,
+                    width: int) -> tuple[int, Callable[[int], np.ndarray]]:
+    """_fixed_keys for any block, block being raw without its CRs: fields
+    are located by the offsets of the separators and gathered. Blank lines
+    are dropped. Raises _NotPlain unless every quoted field is wholly quoted
+    with its inner quotes doubled and holds no CR (RFC 4180), every other
+    line has width fields and no field is over the csv module's size limit."""
     data = np.frombuffer(block, np.uint8)
     line_ends, seps = data == ord("\n"), data == ord(",")
     seps |= line_ends
@@ -478,22 +503,42 @@ def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColu
         blank = lf[np.diff(lf, prepend=-1) == 1]  # which the csv path skips too
         if not len(blank):
             raise _NotPlain
-        return _code_block(np.delete(data, blank).tobytes(), width, row, columns, required)
-    if not lines:
-        return row
+        block = np.delete(data, blank).tobytes()
+        return _fixed_keys(block, width) or _separated_keys(block, block, width)
     limit = csv.field_size_limit() + 1  # the farthest a separator may be from the one before
     if (len(block) > limit and np.diff(line_end, prepend=-1).max() > limit
             and np.diff(ends, prepend=-1).max() > limit):
         raise _NotPlain  # a field over the csv module's limit, in any column
-    end = row + lines
     buffer = block + bytes(8)
+
+    def keys(c: int) -> np.ndarray:
+        at = ends[c - 1::width] + 1 if c else np.concatenate(([0], line_end[:-1] + 1))
+        return _field_keys(buffer, at, ends[c::width] - at)
+    return lines, keys
+
+
+def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColumn],
+                required: Sequence[str]) -> int:
+    """Code a block's rows from row on into each column, and return the row
+    after them. CRLF is read as LF, and blank lines are skipped. A block has
+    a fixed layout when it holds no quote and every line has the first
+    line's length, with its commas at the first line's offsets (and no other
+    comma or LF): it is then a table of lines, and each column's keys a
+    strided view of it, so no separator is searched for and no field
+    gathered (_fixed_keys). Any other block is read by _separated_keys.
+    Raises _NotPlain unless the block passes their checks, every field
+    passes _check_rows and the rows fit."""
+    raw = block
+    if b"\r" in raw:  # each CR ends a CRLF (see _count_plain_lines)
+        block = raw.replace(b"\r", b"")
+    lines, keys = _fixed_keys(block, width) or _separated_keys(raw, block, width)
+    if not lines:
+        return row
+    end = row + lines
     for column in columns:
         if end > len(column.codes):
             raise _NotPlain  # the file grew after its lines were counted
-        c = column.position
-        at = ends[c - 1::width] + 1 if c else np.concatenate(([0], line_end[:-1] + 1))
-        size = ends[c::width] - at
-        column.code(_field_keys(buffer, at, size), block, at, size, row, required)
+        column.code(keys(column.position), row, required)
     return end
 
 
@@ -596,7 +641,11 @@ def ingest_csv(source: Source) -> RecordColumns:
     unnamed temporary file (see _byte_file). The bytes are read in 128 KiB
     blocks with numpy, each distinct field value decoded and checked once
     per file (see _BlockColumn), a column whose values run on over rows
-    (sorted or blank) looked up once per run, unless they hold a NUL, a CR
+    (sorted or blank) looked up once per run. A block of fixed layout (no
+    quote, and every line of the first line's length with its commas at the
+    first line's offsets) is read as a table whose columns are strided
+    views, without a separator search or a gather (see _code_block). This
+    holds unless the bytes hold a NUL, a CR
     outside a CRLF, a quote outside an RFC 4180 quoted field, a quoted CR,
     a record over 128 KiB or, blank lines aside, one without the header's
     field count. Then the csv module reads them from their start, so both routes

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reviewaudit import CsvFormatError, ReviewRecord, ingest_csv, validate_dataset
+from reviewaudit import (CsvFormatError, QuestionSpec, ReviewRecord, SimulationConfig, ingest_csv,
+                         simulate_panel, validate_dataset)
 from reviewaudit import report
 from reviewaudit.model import REQUIRED_FIELDS
 from reviewaudit.report import ingest_csv_groups, write_panel_csv
@@ -40,7 +41,8 @@ DAMAGE = ["blank line", "short row", "long row", "comma moved down", "quoted fie
           "quoted comma", "quoted newline", "bare CR", "blank field", "not an integer",
           "bad byte", "NUL", "doubled quote", "empty quoted field", "quotes doubled around",
           "quote in a field", "text after a closing quote", "quoted CR", "quoted CRLF",
-          "quoted newlines over a block"]
+          "quoted newlines over a block", "comma moved within a line",
+          "comma in place of a field byte", "field over the limit"]
 
 
 def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
@@ -56,6 +58,17 @@ def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
     i = at % (len(lines) - 1)
     fields = lines[i].split(",")
     j = at // 7 % len(fields)
+    if kind == "field over the limit":  # 25 characters in every line, so a fixed layout stays
+        return [",".join(field.ljust(25, "x") if k == j else field
+                         for k, field in enumerate(line.split(","))) for line in lines]
+    if kind == "comma moved within a line":  # swapped with a neighbour: same length and count
+        line, commas = lines[i], [k for k, char in enumerate(lines[i]) if char == ","]
+        k = commas[at // 7 % len(commas)] if commas else 0
+        other = k - 1 if k and line[k - 1] != "," else k + 1
+        if commas and other < len(line) and line[other] != ",":
+            lo, hi = sorted((k, other))
+            lines[i] = line[:lo] + line[hi] + line[lo] + line[hi + 1:]
+        return lines
     if kind == "short row":
         fields.pop()
     elif kind == "long row":
@@ -79,6 +92,7 @@ def _damaged(lines: list[str], kind: str, at: int) -> list[str]:
             "quoted newlines over a block": f'"{fields[j]}' + "\n" * 40 + f'{fields[j]}"',
             "bare CR": fields[j] + "\rx",
             "blank field": "",
+            "comma in place of a field byte": fields[j][:-1] + ",",
             "not an integer": "1.5",  # a label, or a bad period
             "bad byte": fields[j] + "\udcff",
             "NUL": fields[j] + "\0",
@@ -153,6 +167,24 @@ def test_each_damage_on_both_routes(path, kind):
     for at, end in [(700, "\n"), (700, "\r\n"), (45, "\n")]:  # a classification, a period
         _assert_routes_agree(path, _encoded(header, _damaged(lines, kind, at), end, True, False),
                              block=256)
+
+
+@pytest.mark.parametrize("kind", DAMAGE)
+def test_each_damage_on_a_fixed_layout_file(path, kind):
+    # As above, in a file whose lines all have one length and the same comma
+    # offsets, with a blank team, so that the block reader reads its blocks
+    # as tables, until a damaged line sends its block to the separator search
+    # or the file to the csv path. A field of 25 characters is over a
+    # 24-character field size limit.
+    header = list(REQUIRED_FIELDS) + ["team", "period", "group"]
+    lines = [f"p{i:02d},r{i % 3},q1,{'xy'[i % 2]},rejection-pending,,{i % 2},treated"
+             for i in range(30)]
+    limit = 24 if kind == "field over the limit" else None
+    # Blocks of 1 KiB hold about 22 lines, so the damaged line is amid its
+    # block's lines, or the first, whose layout the others are checked against.
+    for at, end in [(700, "\n"), (700, "\r\n"), (45, "\n"), (0, "\n")]:
+        _assert_routes_agree(path, _encoded(header, _damaged(lines, kind, at), end, True, False),
+                             block=1024, field_limit=limit)
 
 
 @pytest.mark.parametrize("data", [
@@ -416,6 +448,79 @@ def test_written_panels_take_the_block_reader(tmp_path, monkeypatch):
     groups = ingest_csv_groups(str(stream))
     assert list(groups) == ["behandelt-gruppe", "kontrolle"]
     assert groups["kontrolle"] == records[2400:]
+
+
+def _layouts(monkeypatch) -> list[bool]:
+    """For each block the block reader reads from here on, whether it was
+    read as a table of fixed layout."""
+    layouts = []
+    fixed_keys = report._fixed_keys
+
+    def spy(block, width):
+        keys = fixed_keys(block, width)
+        layouts.append(keys is not None)
+        return keys
+
+    monkeypatch.setattr(report, "_fixed_keys", spy)
+    return layouts
+
+
+def test_written_simulated_panels_take_the_fixed_layout(tmp_path, monkeypatch):
+    # A simulated panel with one-digit reviewer and question ids, written by
+    # write_panel_csv, has lines of one length and comma offsets (products
+    # zero-padded, team and period blank), so every block is read as a
+    # table. Labels of varying width in every block send each block to the
+    # separator search instead.
+    questions = tuple(QuestionSpec(f"q{i}", 3, 0.2) for i in range(1, 10))
+    dataset, _ = simulate_panel(SimulationConfig(150, 5, questions, seed=3))
+    fixed, varying = tmp_path / "fixed.csv", tmp_path / "varying.csv"
+    with open(fixed, "w", newline="") as out:
+        write_panel_csv(out, [(None, dataset.records)])
+    records = [ReviewRecord(f"p{p}", f"r{r}", "q1", ["yes", "no"][(p + r) % 2], "ok")
+               for p in range(300) for r in range(5)]
+    with open(varying, "w", newline="") as out:
+        write_panel_csv(out, [(None, records)])
+    monkeypatch.setattr(report, "_BLOCK", 4096)
+    monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    layouts = _layouts(monkeypatch)
+    assert ingest_csv(str(fixed)) == dataset.records
+    assert len(layouts) > 10 and all(layouts)
+    layouts.clear()
+    assert ingest_csv(str(varying)) == records
+    assert len(layouts) > 3 and not any(layouts)
+
+
+def _no_gather(*args):
+    raise AssertionError("a field was gathered from a block of fixed layout")
+
+
+@pytest.mark.parametrize("kind", ["LF", "CRLF", "blank lines", "empty fields", "quoted fields",
+                                  "text after a closing quote"])
+def test_fixed_layout_files_on_both_routes(path, monkeypatch, kind):
+    # Lines of one length with their commas at the same offsets are read as
+    # tables: after their CRs are dropped, after blank lines are dropped, and
+    # with zero-width fields first, amid and last in a line. A quote sends
+    # its block to the separator search, which reads a quoted field and
+    # hands text after a closing quote to the csv path.
+    header = ["extra", *REQUIRED_FIELDS, "team", "period"]
+    answer = {"quoted fields": '"a""{}"', "text after a closing quote": '"a"{}'}.get(kind, "a{}")
+    lines = [f"x,p{i:02d},r{i % 3},q1,{answer.format(i % 2)},c{i % 3},t{i % 2},{i % 5}"
+             for i in range(40)]
+    if kind == "empty fields":
+        lines = [line.replace("x", "").rsplit(",", 2)[0] + ",," for line in lines]
+    elif kind == "blank lines":
+        lines = [line + "\n" * (i % 7 == 3) for i, line in enumerate(lines)]
+    path.write_bytes(_encoded(header, lines, "\r\n" if kind == "CRLF" else "\n", True, False))
+    expected = csv_outcome(ingest_csv, str(path))
+    assert expected[0] == "ok"
+    monkeypatch.setattr(report, "_BLOCK", 256)
+    if "quote" not in kind:
+        monkeypatch.setattr(report, "_field_keys", _no_gather)
+    if kind != "text after a closing quote":
+        monkeypatch.setattr(report, "_read_csv_stream", _no_csv_path)
+    layouts = _layouts(monkeypatch)
+    assert read_outcome(ingest_csv, str(path))[0] == expected
+    assert any(layouts) != ("quote" in kind)
 
 
 def _key_table_file(kind: str) -> bytes:
