@@ -61,10 +61,6 @@ class BinomialInterval:
     method: str
 
     @property
-    def point_estimate(self) -> float:
-        return self.x / self.n
-
-    @property
     def width(self) -> float:
         return self.upper - self.lower
 

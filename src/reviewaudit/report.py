@@ -26,6 +26,7 @@ import re
 import shutil
 import stat
 import tempfile
+from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -144,9 +145,8 @@ def _named_rows(reader: Iterator[list[str]], header: Sequence[str],
         yield get(row)
 
 
-# Rows are read in batches of this many, so only one batch of raw rows is
-# held at a time; a small batch leaves the garbage collector few live rows,
-# and the allocator no large strings to return.
+# A text stream is copied into a file of bytes this many lines at a time
+# (see _byte_file).
 _BATCH = 512
 
 # How a column's distinct raw values become labels: stripped, and for the
@@ -157,21 +157,16 @@ _LABELS = {
 }
 
 
-def _parses_as_int(value: str) -> bool:
-    try:
-        int(value)
-    except ValueError:
-        return False
-    return True
-
-
 def _valid(name: str, values: Iterable[str], required: Sequence[str]) -> bool:
     """Whether raw values of the named column are all valid: a required
     column's are labels, and a period's parse as an int where not blank."""
     if name in required:
         return all(map(is_label, values))
     if name == "period":
-        return all(map(_parses_as_int, filter(str.strip, values)))
+        try:
+            list(map(_LABELS[name], values))
+        except ValueError:
+            return False
     return True
 
 
@@ -179,13 +174,15 @@ def _review_layout(
     header: Sequence[str] | None, group: bool
 ) -> tuple[dict[str, int], tuple[str, ...], list[str]]:
     """The header's column positions, the columns that must hold a label
-    (the group column too when group is set), and the columns read."""
+    (the group column too when group is set), and the columns read: the
+    required ones in that order, then the optional ones the header names."""
     _check_header(header, REQUIRED_FIELDS)
     position = {name: i for i, name in enumerate(header)}
     if group and "group" not in position:
         raise CsvFormatError("review-format DiD input needs a 'group' column", column="group")
-    extra = ("group",) if group else ()
-    return position, REQUIRED_FIELDS + extra, [name for name in FIELDS + extra if name in position]
+    required = REQUIRED_FIELDS + (("group",) if group else ())
+    return position, required, [*required, *(name for name in FIELDS
+                                             if name not in required and name in position)]
 
 
 _GATHER = 1 << 14  # codes recoded by one np.take in _finish
@@ -216,58 +213,30 @@ def _finish(
 def _read_csv_stream(
     stream: IO[str], group: bool
 ) -> tuple[RecordColumns, tuple[np.ndarray, tuple[str, ...]] | None]:
-    """_read_review_csv by the csv module, _BATCH rows at a time, of a
-    seekable stream. Only the values new in a batch are checked; when one
-    fails, or the csv module raises, _check_rows reads the stream again to
-    report the first bad row."""
+    """_read_review_csv by the csv module, one row at a time. Each column's
+    values are coded in order of first sight, and each is checked when first
+    seen, so the first bad row raises from this one read: for a row's first
+    bad field, an empty required column, in required order, then an
+    unparseable period."""
     reader = csv.reader(stream)
     with _csv_errors(reader):
-        position, required, names = _review_layout(next(reader, None), group)
-        width = max(position[name] for name in names) + 1
-        # Each column's values, coded in order of first sight, and its codes
-        # by batch, after an empty array so that a file without rows has one.
-        index = {name: {} for name in names}
-        parts = {name: [np.empty(0, np.int32)] for name in names}
-        rows = filter(None, reader)
-        try:
-            while batch := list(islice(rows, _BATCH)):
-                if min(map(len, batch)) < width:
-                    batch = [row + [""] * (width - len(row)) for row in batch]
-                fields = list(zip(*batch))
-                for name in names:
-                    values, seen = fields[position[name]], index[name]
-                    new = [value for value in dict.fromkeys(values) if value not in seen]
-                    seen.update(zip(new, range(len(seen), len(seen) + len(new))))
-                    parts[name].append(np.fromiter(map(seen.__getitem__, values), np.int32,
-                                                   len(values)))
-                    if not _valid(name, new, required):
-                        _check_rows(stream, position, required)
-        except csv.Error:  # a bad field on an earlier row is reported first
-            _check_rows(stream, position, required)
-            raise
-    return _finish({name: (np.concatenate(parts.pop(name)), list(index.pop(name)))
-                    for name in names})
-
-
-def _check_rows(stream: IO[str], position: Mapping[str, int], required: Sequence[str]) -> None:
-    """Read stream again from its start and raise for its first bad row, or
-    the csv module's error: for a row's first bad field, an empty required
-    column, in required order, then an unparseable period."""
-    stream.seek(0)
-    reader = csv.reader(stream)
-    with _csv_errors(reader):
-        next(reader)
-        for row in filter(None, reader):
-            line = reader.line_num
-            for column in (*required, "period"):
-                i = position.get(column)
-                value = row[i] if i is not None and i < len(row) else ""
-                if _valid(column, (value,), required):
-                    continue
-                if column == "period":
-                    raise CsvFormatError(f"unparseable period {value.strip()!r} on row {line}",
-                                         row=line, column=column)
-                raise CsvFormatError(f"empty {column} on row {line}", row=line, column=column)
+        header = next(reader, None)
+        _, required, names = _review_layout(header, group)
+        columns = [(name, {}, array("i")) for name in names]
+        for row in _named_rows(reader, header, names):
+            for value, (name, seen, codes) in zip(row, columns):
+                code = seen.get(value)
+                if code is None:
+                    if not _valid(name, (value,), required):
+                        line = reader.line_num
+                        if name == "period":
+                            raise CsvFormatError(f"unparseable period {value.strip()!r} on row "
+                                                 f"{line}", row=line, column=name)
+                        raise CsvFormatError(f"empty {name} on row {line}", row=line, column=name)
+                    code = seen[value] = len(seen)
+                codes.append(code)
+    return _finish({name: (np.frombuffer(codes, np.int32), list(seen))
+                    for name, seen, codes in columns})
 
 
 # A file is read in blocks of this many bytes, each cut after its last line
@@ -390,7 +359,7 @@ class _BlockColumn:
     def code(self, keys: np.ndarray, row: int, required: Sequence[str]) -> None:
         """Set codes[row:] for one block's fields, given their keys. Only
         fields whose keys are not in the table are decoded, unquoted, checked
-        and added to values; raises _NotPlain if one fails _check_rows. Where
+        and added to values; raises _NotPlain if one fails _valid. Where
         the keys change at fewer than a quarter of the fields (a sorted or
         blank column), only the first field of each run is coded, and its
         code repeated."""
@@ -527,7 +496,7 @@ def _code_block(block: bytes, width: int, row: int, columns: Sequence[_BlockColu
     strided view of it, so no separator is searched for and no field
     gathered (_fixed_keys). Any other block is read by _separated_keys.
     Raises _NotPlain unless the block passes their checks, every field
-    passes _check_rows and the rows fit."""
+    passes _valid and the rows fit."""
     raw = block
     if b"\r" in raw:  # each CR ends a CRLF (see _count_plain_lines)
         block = raw.replace(b"\r", b"")
@@ -613,10 +582,11 @@ def _read_review_csv(
     Rows are read as csv.DictReader reads them: blank lines are skipped,
     missing trailing fields read as empty, extra fields are ignored and a
     repeated header name means its last column. Values are stripped; team
-    and period may be blank. Errors name the offending column and file line.
+    and period may be blank.
 
-    _read_plain_file reads the bytes that _byte_file gives, or the csv
-    module does when it cannot (see ingest_csv).
+    _read_plain_file reads the bytes that _byte_file gives; when one of its
+    checks fails, a bad value's among them, _read_csv_stream reads them once
+    and names the first bad row and column (see ingest_csv).
     """
     with _byte_file(source) as (file, text):
         read = _read_plain_file(file, text["encoding"], group)
@@ -644,12 +614,12 @@ def ingest_csv(source: Source) -> RecordColumns:
     (sorted or blank) looked up once per run. A block of fixed layout (no
     quote, and every line of the first line's length with its commas at the
     first line's offsets) is read as a table whose columns are strided
-    views, without a separator search or a gather (see _code_block). This
-    holds unless the bytes hold a NUL, a CR
-    outside a CRLF, a quote outside an RFC 4180 quoted field, a quoted CR,
-    a record over 128 KiB or, blank lines aside, one without the header's
-    field count. Then the csv module reads them from their start, so both routes
-    give identical records and errors. Only a path's byte-order mark is
+    views, without a separator search or a gather (see _code_block). The
+    csv module reads the bytes once from their start instead when they hold
+    a NUL, a lone CR, a quote inside an unquoted field, a quoted CR, a
+    ragged row, a record over 128 KiB, a field too wide to gather or a bad
+    value, which it names in that one read by its first bad row and column,
+    so both routes give identical records and errors. Only a path's BOM is
     dropped: a stream whose text starts with U+FEFF fails on its header.
     """
     records, _ = _read_review_csv(source)

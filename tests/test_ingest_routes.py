@@ -296,6 +296,49 @@ def test_a_quoted_crlf_goes_to_the_csv_path_after_blocks_are_coded(path, monkeyp
     assert coded.call_count > 1 and read.call_count == 1
 
 
+def test_a_bad_last_row_is_read_by_the_csv_module_once(path, monkeypatch):
+    # An empty answer on the last row of a file of several blocks fails the
+    # block reader's check of the last block. The csv module then reads the
+    # file once: one csv.reader over the stream, which is never rewound,
+    # names the row and column.
+    lines = [",".join(REQUIRED_FIELDS)] + [f"p{i},r1,q1,a,c" for i in range(200)]
+    path.write_text("\n".join(lines + ["p9,r1,q1,,c"]) + "\n")
+    seeks, readers = [], []
+    csv_reader, read_csv_stream = csv.reader, report._read_csv_stream
+
+    class Recorded:
+        """A text stream, read as an iterator of lines, whose seeks are recorded."""
+
+        def __init__(self, stream):
+            self.stream = stream
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            return next(self.stream)
+
+        def seek(self, *args):
+            seeks.append(args)
+            return self.stream.seek(*args)
+
+    def reader(source, *args, **kwargs):
+        if isinstance(source, Recorded):
+            readers.append(source)
+        return csv_reader(source, *args, **kwargs)
+
+    coded = mock.Mock(wraps=report._code_block)
+    monkeypatch.setattr(report, "_BLOCK", 64)
+    monkeypatch.setattr(report, "_code_block", coded)
+    monkeypatch.setattr(csv, "reader", reader)
+    monkeypatch.setattr(report, "_read_csv_stream",
+                        lambda stream, group: read_csv_stream(Recorded(stream), group))
+    assert read_outcome(ingest_csv, str(path))[0] == (
+        "error", CsvFormatError, "empty answer on row 202", 202, "answer")
+    assert coded.call_count > 1
+    assert len(readers) == 1 and not seeks
+
+
 def test_a_pipe_reports_a_bad_row_before_a_later_bad_byte(tmp_path):
     # A pipe's bytes are read as a regular file's: a bad row is reported
     # before bytes that are not UTF-8 thousands of rows later are decoded.

@@ -346,10 +346,11 @@ def _rows(count, start=0):
 
 
 class TestIngestAtBatchBoundary:
-    """Rows are coded in batches of report._BATCH; an error near a batch
-    boundary cites the same file line as anywhere else. The header is line
-    1, so the i-th data row (from 0) is on line i + 2 when no row is blank
-    or spans lines."""
+    """A text stream is copied into a file of bytes report._BATCH lines at
+    a time (see report._byte_file); an error near the end of a copied batch
+    cites the same file line as anywhere else. The header is line 1, so the
+    i-th data row (from 0) is on line i + 2 when no row is blank or spans
+    lines."""
 
     batch = report_module._BATCH
 
